@@ -509,8 +509,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_complex_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--alpha VALUE`` and ``--beta VALUE`` as ``--flag=VALUE``
+    when VALUE is a complex literal starting with a minus sign.
+
+    argparse takes such a token (``-0.3+0.7j``) for an option, since only
+    plain negative reals pass as values.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--alpha", "--beta") and tok.startswith("-"):
+            try:
+                complex(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_bind_complex_values(argv))
     flag_values = {key: getattr(args, key) for key in _DEFAULTS[args.cmd]}
     try:
         cfg = load_config(args.cmd, args.config, flag_values)

@@ -10,6 +10,12 @@ qubit's amplitudes on the photon at both output ports.
 Two fidelity readings are computed for every run: "loss-inclusive" scores
 a lost photon as zero (an unconditional figure), "post-selected" divides
 by the arrival probability (the conditional figure).
+
+The protocol is linear in the control amplitudes, so one configuration's
+two module runs (control bit 0 and 1) fix every run of it.  `_transport`
+evaluates the protocol from those transfers as numpy expressions over any
+batch of control qubits and configurations; `counterport` is a batch of
+one, and `sweep` runs one batch per grid row.
 """
 from __future__ import annotations
 
@@ -21,16 +27,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cqze import BobQubit, ProtocolConfig, _as_bob, run_cqze
-from .qstate import (
-    ConservationError,
-    QStateError,
-    StateVector,
-    fidelity,
-    label,
-)
+from .cqze import BobQubit, ProtocolConfig, _as_bob, _two_rail, run_cqze
+from .qstate import POLS, ConservationError, QStateError, StateVector, label
 
 ATOL_SUM = 1e-12
+R = 1.0 / math.sqrt(2.0)
 P_EMPTY = 1e-300  # below this arrival probability the conditional figure is defined as 0
 
 FIDELITY_MODES = ("loss-inclusive", "post-selected")
@@ -65,52 +66,117 @@ class CounterportResult:
         return self.port1 + self.port2
 
 
-def _had_pol(s: StateVector, path: str | None = None) -> StateVector:
-    """Hadamard on polarization: H -> (H+V)/sqrt2, V -> (H-V)/sqrt2."""
-    r = 1.0 / math.sqrt(2.0)
-    out: dict = {}
-    for k, v in s.items():
-        if path is not None and k.path != path:
-            out[k] = out.get(k, 0j) + v
-            continue
-        h, vv = label(k.path, "H", k.bob), label(k.path, "V", k.bob)
-        if k.pol == "H":
-            out[h] = out.get(h, 0j) + r * v
-            out[vv] = out.get(vv, 0j) + r * v
-        else:
-            out[h] = out.get(h, 0j) + r * v
-            out[vv] = out.get(vv, 0j) - r * v
-    return StateVector(out)
+def _had(a, b):
+    """Hadamard on one two-level factor whose components are a and b."""
+    return R * a + R * b, R * a - R * b
 
 
-def _had_bob(s: StateVector) -> StateVector:
-    """Hadamard on the control bit: |0> -> (|0>+|1>)/sqrt2, |1> -> (|0>-|1>)/sqrt2."""
-    r = 1.0 / math.sqrt(2.0)
-    out: dict = {}
-    for k, v in s.items():
-        if k.bob not in ("0", "1"):
-            raise QStateError("control Hadamard requires a definite bit on every label")
-        b0, b1 = label(k.path, k.pol, "0"), label(k.path, k.pol, "1")
-        sign = 1.0 if k.bob == "0" else -1.0
-        out[b0] = out.get(b0, 0j) + r * v
-        out[b1] = out.get(b1, 0j) + sign * r * v
-    return StateVector(out)
+def _had_bit(pair):
+    """Hadamard on the control bit (leading axis) of an (H, V) pair."""
+    return tuple(np.stack(_had(x[0], x[1])) for x in pair)
 
 
-def _x_pol(s: StateVector, path: str) -> StateVector:
-    out: dict = {}
-    for k, v in s.items():
-        if k.path == path:
-            k = label(k.path, "V" if k.pol == "H" else "H", k.bob)
-        out[k] = out.get(k, 0j) + v
-    return StateVector(out)
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
 
 
-def _bob_purity(port: StateVector) -> float | None:
-    """Purity of the control qubit's reduced state on one port, or None if empty."""
-    m = np.zeros((2, 2), dtype=complex)
-    for k, v in port.items():
-        m[0 if k.pol == "H" else 1, int(k.bob)] = v
+def _module_transfers(cfg: ProtocolConfig):
+    """Per-bit module output for a plain H input.
+
+    Returns (f_h, f_v, loss): the F-H and F-V amplitudes and each loss
+    family's probability, as arrays indexed by the control bit.  The
+    protocol is linear in the control amplitudes, so these two runs fix
+    every run of the configuration.
+    """
+    outs = [run_cqze((1.0, 0.0), bit, cfg) for bit in (0, 1)]
+    f_h = np.array([o.joint.amp(label("F", "H", str(b))) for b, o in enumerate(outs)])
+    f_v = np.array([o.joint.amp(label("F", "V", str(b))) for b, o in enumerate(outs)])
+    loss = {fam: np.array([o.loss_breakdown[fam] for o in outs]) for fam in outs[0].loss_breakdown}
+    return f_h, f_v, loss
+
+
+@dataclass(frozen=True)
+class _Transport:
+    """Protocol amplitudes and readings for a batch of runs.
+
+    rounds maps each snapshot name to its paths, each path to an (H, V)
+    pair of amplitude arrays whose leading axis is the control bit.  The
+    other arrays have the batch shape.
+    """
+
+    rounds: dict
+    p_port1: np.ndarray
+    p_port2: np.ndarray
+    losses: dict
+    p_lost: np.ndarray
+    fidelity: np.ndarray
+    fidelity_post_selected: np.ndarray
+
+
+def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
+    """Run the two-round protocol for a batch of control qubits in closed form.
+
+    alpha and beta are the control amplitudes; (f_h, f_v, loss) are the
+    module transfers of `_module_transfers`, optionally stacked along extra
+    trailing axes (one entry per configuration).  The amplitude arrays
+    broadcast against the transfers without their leading bit axis, and
+    so does every result.  Raises ConservationError if any run's port and
+    loss probabilities miss 1 by more than ATOL_SUM.
+    """
+    w = np.stack(np.broadcast_arrays(alpha, beta))
+    # round 1: a plain H photon through the module, entangled with the control
+    round1 = (w * f_h, w * f_v)
+    between = _had_bit(_had(*round1))
+    # round 2: each control branch rides the two rails of the gate
+    port2, port1 = _two_rail(*between, f_h, f_v)
+    # Hadamards on the control bit and on each port's polarization; the
+    # Port1 flip swaps its H and V
+    port2_h, port2_v = _had(*_had_bit(port2))
+    port1_v, port1_h = _had(*_had_bit(port1))
+    final = {"Port1": (port1_h, port1_v), "Port2": (port2_h, port2_v)}
+
+    weight = _abs2(w) + _abs2(between[0]) + _abs2(between[1])
+    losses = {fam: weight[0] * val[0] + weight[1] * val[1] for fam, val in loss.items()}
+    p_lost = sum(losses.values())
+    a_conj, b_conj = np.conj(alpha), np.conj(beta)
+    p_port, f_port = {}, {}
+    for name, (h, v) in final.items():
+        p = _abs2(h) + _abs2(v)
+        f = _abs2(a_conj * h + b_conj * v)
+        p_port[name], f_port[name] = p[0] + p[1], f[0] + f[1]
+    p_success = p_port["Port1"] + p_port["Port2"]
+    total = p_success + p_lost
+    bad = ~(np.abs(total - 1.0) <= ATOL_SUM)  # a NaN sum counts as a breach
+    if bad.any():
+        first = float(np.asarray(total)[bad][0])
+        raise ConservationError(f"port/loss probabilities sum to {first!r}, expected 1")
+    f_li = f_port["Port1"] + f_port["Port2"]
+    f_ps = np.divide(f_li, p_success, out=np.zeros_like(f_li), where=p_success >= P_EMPTY)
+    return _Transport(
+        rounds={"round1": {"F": round1}, "between_rounds": {"F": between},
+                "round2_ports": {"Port1": port1, "Port2": port2}, "final": final},
+        p_port1=p_port["Port1"],
+        p_port2=p_port["Port2"],
+        losses=losses,
+        p_lost=p_lost,
+        fidelity=f_li,
+        fidelity_post_selected=f_ps,
+    )
+
+
+def _state(paths: dict) -> StateVector:
+    """StateVector of per-path (H, V) amplitude pairs indexed by control bit."""
+    return StateVector({label(path, pol, str(b)): amps[b]
+                        for path, pair in paths.items()
+                        for pol, amps in zip(POLS, pair) for b in (0, 1)})
+
+
+def _bob_purity(m: np.ndarray) -> float | None:
+    """Purity of the control qubit's reduced state on one port, or None if empty.
+
+    m holds the port's amplitudes with the polarization as row and the
+    control bit as column.
+    """
     rho = m.conj().T @ m
     tr = rho.trace().real
     if tr < P_EMPTY:
@@ -125,69 +191,24 @@ def counterport(bob, cfg: ProtocolConfig) -> CounterportResult:
     amplitude pair; both fidelity readings compare against it.
     """
     bob = _as_bob(bob)
-    trace: dict[str, StateVector] = {}
-
-    r1 = run_cqze((1.0, 0.0), bob, cfg)
-    losses = dict(r1.loss_breakdown)
-    trace["round1"] = r1.joint
-
-    s = _had_bob(_had_pol(r1.joint))
-    trace["between_rounds"] = s
-
-    # round 2: each control branch rides the two rails through a module
-    # that always sees a plain H input
-    base = {b: run_cqze((1.0, 0.0), b, cfg) for b in (0, 1)}
-    r = 1.0 / math.sqrt(2.0)
-    amps: dict = {}
-    for b in ("0", "1"):
-        g0 = s.amp(label("F", "H", b))
-        g1 = s.amp(label("F", "V", b))
-        if g0 == 0 and g1 == 0:
-            continue
-        out = base[int(b)]
-        fH = out.joint.amp(label("F", "H", b))
-        fV = out.joint.amp(label("F", "V", b))
-        w = abs(g0) ** 2 + abs(g1) ** 2
-        for fam, val in out.loss_breakdown.items():
-            losses[fam] += w * val
-        for port, sign in (("Port2", 1.0), ("Port1", -1.0)):
-            h = label(port, "H", b)
-            v = label(port, "V", b)
-            amps[h] = amps.get(h, 0j) + r * (g0 * fH + sign * g1 * fV)
-            amps[v] = amps.get(v, 0j) + r * (g0 * fV + sign * g1 * fH)
-    joint = StateVector(amps)
-    trace["round2_ports"] = joint
-
-    joint = _x_pol(_had_pol(_had_bob(joint), "Port1"), "Port1")
-    joint = _had_pol(joint, "Port2")
-    trace["final"] = joint
-
-    port1 = joint.restricted(paths=("Port1",))
-    port2 = joint.restricted(paths=("Port2",))
-    p1, p2 = port1.norm2(), port2.norm2()
-    p_lost = sum(losses.values())
-
-    target = StateVector({label("F", "H"): bob.alpha, label("F", "V"): bob.beta})
-    f_li = fidelity(target, joint)
-    f_ps = f_li / (p1 + p2) if (p1 + p2) >= P_EMPTY else 0.0
-
+    t = _transport(np.array(bob.alpha), np.array(bob.beta), *_module_transfers(cfg))
+    final = t.rounds["final"]
     purity = {}
-    for name, port in (("Port1", port1), ("Port2", port2)):
-        p = _bob_purity(port)
+    for name, pair in final.items():
+        p = _bob_purity(np.array(pair))
         if p is not None:
             purity[name] = p
-
     return CounterportResult(
-        port1=port1,
-        port2=port2,
-        p_port1=p1,
-        p_port2=p2,
-        p_lost=p_lost,
-        loss_breakdown=losses,
-        fidelity=f_li,
-        fidelity_post_selected=f_ps,
+        port1=_state({"Port1": final["Port1"]}),
+        port2=_state({"Port2": final["Port2"]}),
+        p_port1=float(t.p_port1),
+        p_port2=float(t.p_port2),
+        p_lost=float(t.p_lost),
+        loss_breakdown={fam: float(v) for fam, v in t.losses.items()},
+        fidelity=float(t.fidelity),
+        fidelity_post_selected=float(t.fidelity_post_selected),
         bob_purity=purity,
-        round_trace=trace,
+        round_trace={name: _state(paths) for name, paths in t.rounds.items()},
     )
 
 
@@ -297,20 +318,21 @@ class FidelityGrid:
 
 def _grid_row(args) -> tuple[list[float], list[float]]:
     m, n_values, cfg_template, qubits, mode = args
-    fid_row: list[float] = []
-    prob_row: list[float] = []
-    for n in n_values:
-        cfg = replace(cfg_template, M=m, N=n)
-        fids = np.empty(len(qubits))
-        probs = np.empty(len(qubits))
-        for i, q in enumerate(qubits):
-            res = counterport(q, cfg)
-            fids[i] = res.fidelity if mode == "loss-inclusive" else res.fidelity_post_selected
-            probs[i] = res.p_success
-        # np.sum is pairwise over a fixed ordering, so averages are
-        # bit-stable across worker counts
-        fid_row.append(float(np.sum(fids) / len(qubits)))
-        prob_row.append(float(np.sum(probs) / len(qubits)))
+    transfers = [_module_transfers(replace(cfg_template, M=m, N=n)) for n in n_values]
+    # transfers stacked as (bit, n, 1) against control amplitudes (1, qubit)
+    f_h = np.stack([t[0] for t in transfers], axis=1)[..., None]
+    f_v = np.stack([t[1] for t in transfers], axis=1)[..., None]
+    loss = {fam: np.stack([t[2][fam] for t in transfers], axis=1)[..., None]
+            for fam in transfers[0][2]}
+    alpha = np.array([[q.alpha for q in qubits]])
+    beta = np.array([[q.beta for q in qubits]])
+    t = _transport(alpha, beta, f_h, f_v, loss)
+    fids = t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected
+    probs = t.p_port1 + t.p_port2
+    # np.sum is pairwise over a fixed ordering, so averages are
+    # bit-stable across worker counts
+    fid_row = [float(np.sum(row) / len(qubits)) for row in fids]
+    prob_row = [float(np.sum(row) / len(qubits)) for row in probs]
     return fid_row, prob_row
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .optics import CircuitSchedule, build_paradox_circuit
 from .qstate import (
+    POLS,
     ConservationError,
     NormalizationError,
     QStateError,
@@ -201,32 +202,35 @@ def run_inner(s: StateVector, cfg: ProtocolConfig) -> StateVector:
 
 
 @lru_cache(maxsize=None)
-def _dwell(cfg: ProtocolConfig, bit: int) -> tuple[float, float, tuple[tuple[str, float], ...]]:
-    """Transfer of one full dwell on a pure V input slice.
+def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
+           eps_block_per: str, bit: int) -> tuple[float, float, tuple[tuple[str, float], ...]]:
+    """Transfer of one full dwell of n inner cycles (plus av_rounds
+    extension rounds) on a pure V input slice.
 
     Returns (t_HV, t_VV, loss coefficients): the dwell maps (0, l) to
     (t_HV*l, t_VV*l) and each family loses coeff*|l|^2.  Real entries only,
     since every step is a real rotation or a real scaling.  The recursion
     runs in extended precision: tens of thousands of chained double-float
     rotations would otherwise drift the probability budget past 1e-12.
+    The outer cycle count plays no part, so the cache key leaves it out.
     """
     one = np.longdouble(1.0)
-    c = np.cos(np.longdouble(math.pi) / (2 * cfg.N))
-    sn = np.sin(np.longdouble(math.pi) / (2 * cfg.N))
-    keep2 = (one - np.longdouble(cfg.eps_reflect)) if bit == 0 else np.longdouble(cfg.eps_block)
+    c = np.cos(np.longdouble(math.pi) / (2 * n))
+    sn = np.sin(np.longdouble(math.pi) / (2 * n))
+    keep2 = (one - np.longdouble(eps_reflect)) if bit == 0 else np.longdouble(eps_block)
     keep = np.sqrt(keep2)
     fam = "DB" if bit == 0 else "Block"
     coeffs = {"DB": np.longdouble(0.0), "Block": np.longdouble(0.0), "AV": np.longdouble(0.0)}
     zero = np.longdouble(0.0)
     t01, t11 = zero, one
     first_visit = True
-    for j in range(1, cfg.inner_total + 1):
+    for j in range(1, (1 + av_rounds) * n + 1):
         t01, t11 = c * t01 - sn * t11, sn * t01 + c * t11
-        if j % cfg.N == 0 and j // cfg.N <= cfg.av_rounds:
+        if j % n == 0 and j // n <= av_rounds:
             coeffs["AV"] += t01 * t01
             t01 = zero
         else:
-            if bit == 1 and cfg.eps_block_per == "outer" and not first_visit:
+            if bit == 1 and eps_block_per == "outer" and not first_visit:
                 k2, k = zero, zero
             else:
                 k2, k = keep2, keep
@@ -254,7 +258,8 @@ def run_cqze(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> CqzeOutcome
     for bit, w in ((0, bob.alpha), (1, bob.beta)):
         if w == 0:
             continue
-        t01, t11, coeff_items = _dwell(cfg, bit)
+        t01, t11, coeff_items = _dwell(cfg.N, cfg.eps_reflect, cfg.eps_block,
+                                       cfg.av_rounds, cfg.eps_block_per, bit)
         vH, vV = w * aH, w * aV
         for _ in range(cfg.M):
             vH, vV = c * vH - sn * vV, sn * vH + c * vV
@@ -278,6 +283,24 @@ def run_cqze(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> CqzeOutcome
     )
 
 
+def _two_rail(g_h, g_v, f_h, f_v):
+    """Port amplitudes of the two-rail gate on one control branch.
+
+    (g_h, g_v) is the polarization entering the gate and (f_h, f_v) the
+    module output for a plain H input on the same branch.  H rides rail 1
+    through the module; V is flipped onto rail 2, through its own module
+    and back, so rail 2 leaves with (g_v*f_v, g_v*f_h).  Returns the (H, V)
+    pairs of Port2 = (rail1 + rail2)/sqrt2 and Port1 = (rail1 - rail2)/sqrt2.
+    Works elementwise on numpy arrays as on scalars.
+    """
+    r = 1.0 / math.sqrt(2.0)
+    rail1_h, rail1_v = g_h * f_h, g_h * f_v
+    rail2_h, rail2_v = g_v * f_v, g_v * f_h
+    port2 = (r * (rail1_h + rail2_h), r * (rail1_v + rail2_v))
+    port1 = (r * (rail1_h - rail2_h), r * (rail1_v - rail2_v))
+    return port2, port1
+
+
 def counterfactual_cnot(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> CnotOutcome:
     """Two-rail gate: H rides rail 1, V is flipped onto rail 2, each rail
     passes a module seeing a plain H input, and a 50/50 splitter recombines.
@@ -289,15 +312,13 @@ def counterfactual_cnot(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> 
     if abs(abs(aH) ** 2 + abs(aV) ** 2 - 1.0) > ATOL_SUM:
         raise NormalizationError("input polarization must be normalized")
     base = run_cqze((1.0, 0.0), bob, cfg)
-    r = 1.0 / math.sqrt(2.0)
     amps: dict = {}
-    for k, v in base.joint.items():
-        flip = "V" if k.pol == "H" else "H"
-        for port, sign in (("Port2", 1.0), ("Port1", -1.0)):
-            same = label(port, k.pol, k.bob)
-            cross = label(port, flip, k.bob)
-            amps[same] = amps.get(same, 0j) + r * aH * v
-            amps[cross] = amps.get(cross, 0j) + sign * r * aV * v
+    for b in ("0", "1"):
+        ports = _two_rail(aH, aV, base.joint.amp(label("F", "H", b)),
+                         base.joint.amp(label("F", "V", b)))
+        for port, pair in zip(("Port2", "Port1"), ports):
+            for pol, a in zip(POLS, pair):
+                amps[label(port, pol, b)] = a
     joint = StateVector(amps)
     port1 = joint.restricted(paths=("Port1",))
     port2 = joint.restricted(paths=("Port2",))

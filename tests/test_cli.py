@@ -59,6 +59,16 @@ def test_bad_control_amplitudes(capsys):
     capsys.readouterr()
 
 
+def test_negative_complex_amplitudes_as_separate_values(capsys):
+    code, out = run(capsys, ["counterport", "--alpha", "-0.6j",
+                             "--beta", "-0.3+0.7416198487095663j"])
+    assert code == 0
+    assert json.loads(out)["bob"] == [[0.0, -0.6], [-0.3, 0.7416198487095663]]
+    code, out = run(capsys, ["counterport", "--alpha", "0.6", "--beta", "-0.8"])
+    assert code == 0
+    assert json.loads(out)["bob"] == [[0.6, 0.0], [-0.8, 0.0]]
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -132,8 +142,8 @@ def test_sweep_is_deterministic(tmp_path, capsys):
     a = (tmp_path / "a" / "sweep.csv").read_bytes()
     assert a == (tmp_path / "b" / "sweep.csv").read_bytes()
     assert a == (tmp_path / "c" / "sweep.csv").read_bytes()
-    assert ((tmp_path / "a" / "sweep.svg").read_bytes()
-            == (tmp_path / "c" / "sweep.svg").read_bytes())
+    for name in ("sweep.json", "sweep.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
 
 def test_sweep_ideal_flag_zeroes_the_leaks(tmp_path, capsys):

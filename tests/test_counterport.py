@@ -1,5 +1,6 @@
 """Counterportation protocol runs, Bloch sampling, and the fidelity sweep."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,15 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenoport.cli import main
 from zenoport.counterport import (
+    FIDELITY_MODES,
     FidelityGrid,
     counterport,
     sample_bloch,
     sweep,
 )
-from zenoport.cqze import BobQubit, ProtocolConfig
-from zenoport.qstate import QStateError
+from zenoport.cqze import BobQubit, ProtocolConfig, counterfactual_cnot, run_cqze
+from zenoport.qstate import ConservationError, QStateError, label
 
+# the package re-exports the function under the module's name
+cp = importlib.import_module("zenoport.counterport")
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 DEEP = ProtocolConfig(M=100, N=40000)
 PAPER_EPS = ProtocolConfig(M=10, N=20, eps_reflect=0.10, eps_block=0.05)
@@ -182,3 +187,88 @@ def test_protocol_outputs_stay_physical(m, n, er, eb, beta2):
     assert -1e-12 <= r.fidelity_post_selected <= 1.0 + 1e-12
     assert abs(r.p_port1 + r.p_port2 + r.p_lost - 1.0) < 1e-12
     assert abs(sum(r.loss_breakdown.values()) - r.p_lost) < 1e-12
+
+
+HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def amp_matrix(s, path):
+    """Amplitudes of one path as a (polarization, control bit) matrix."""
+    return np.array([[s.amp(label(path, pol, bit)) for bit in "01"] for pol in "HV"])
+
+
+def reference_protocol(bob, cfg):
+    """The protocol step by step on (polarization, bit) matrices, with a
+    module run of its own for round 1: (p_port1, p_port2, p_lost, fidelity)."""
+    r1 = run_cqze((1.0, 0.0), bob, cfg)
+    between = HAD @ amp_matrix(r1.joint, "F") @ HAD
+    p_lost = sum(r1.loss_breakdown.values())
+    port1, port2 = np.zeros((2, 2), complex), np.zeros((2, 2), complex)
+    for b in (0, 1):
+        base = run_cqze((1.0, 0.0), b, cfg)
+        f = amp_matrix(base.joint, "F")[:, b]
+        g_h, g_v = between[:, b]
+        rail1, rail2 = g_h * f, g_v * (FLIP @ f)
+        port2[:, b] = (rail1 + rail2) / math.sqrt(2.0)
+        port1[:, b] = (rail1 - rail2) / math.sqrt(2.0)
+        p_lost += np.sum(np.abs(between[:, b]) ** 2) * sum(base.loss_breakdown.values())
+    port1 = FLIP @ HAD @ port1 @ HAD
+    port2 = HAD @ port2 @ HAD
+    target = np.array([bob.alpha, bob.beta])
+    fid = sum(np.sum(np.abs(target.conj() @ p) ** 2) for p in (port1, port2))
+    return np.sum(np.abs(port1) ** 2), np.sum(np.abs(port2) ** 2), p_lost, fid
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 6), n=st.integers(1, 6),
+       er=st.floats(0.01, 0.5), eb=st.floats(0.005, 0.5), av=st.integers(0, 1),
+       per=st.sampled_from(("inner", "outer")), mode=st.sampled_from(FIDELITY_MODES),
+       seed=st.integers(0, 2 ** 16))
+def test_sweep_cells_match_per_qubit_runs(m, n, er, eb, av, per, mode, seed):
+    cfg = ProtocolConfig(M=m, N=n, eps_reflect=er, eps_block=eb, av_rounds=av,
+                         eps_block_per=per)
+    qubits = sample_bloch(6, "seeded-uniform", seed).qubits
+    grid = sweep(m, n, cfg, qubits, fidelity_mode=mode)
+    runs = [counterport(q, cfg) for q in qubits]
+    fids = [r.fidelity if mode == "loss-inclusive" else r.fidelity_post_selected for r in runs]
+    fid, prob = grid.cell(m, n)
+    assert abs(fid - sum(fids) / len(runs)) < 1e-12
+    assert abs(prob - sum(r.p_success for r in runs) / len(runs)) < 1e-12
+    for q, r in zip(qubits, runs):
+        want = reference_protocol(q, cfg)
+        got = (r.p_port1, r.p_port2, r.p_lost, r.fidelity)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_round2_matches_the_two_rail_gate():
+    # each control branch of the state between the rounds, fed to the gate
+    # on its own, gives that branch's round-2 port amplitudes
+    for cfg in (PAPER_EPS, ProtocolConfig(M=4, N=7, eps_block=0.2, av_rounds=1,
+                                          eps_block_per="outer")):
+        for q in sample_bloch(5).qubits:
+            trace = counterport(q, cfg).round_trace
+            between, ports = trace["between_rounds"], trace["round2_ports"]
+            for b in "01":
+                g = np.array([between.amp(label("F", pol, b)) for pol in "HV"])
+                norm = np.linalg.norm(g)
+                gate = counterfactual_cnot(g / norm, int(b), cfg)
+                for port in ("Port1", "Port2"):
+                    for pol in "HV":
+                        key = label(port, pol, b)
+                        assert abs(ports.amp(key) - norm * gate.joint.amp(key)) < 1e-12
+
+
+def test_leaking_module_transfer_is_a_conservation_breach(monkeypatch, tmp_path, capsys):
+    real = cp._module_transfers
+
+    def leaky(cfg):
+        f_h, f_v, loss = real(cfg)
+        return f_h, f_v, dict(loss, DA=loss["DA"] - np.array([0.0, 2e-12]))
+
+    monkeypatch.setattr(cp, "_module_transfers", leaky)
+    with pytest.raises(ConservationError):
+        sweep(2, 2, ProtocolConfig(M=1, N=1, eps_reflect=0.1), sample_bloch(3))
+    assert main(["sweep", "--m-max", "2", "--n-max", "2", "--samples", "3",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert "conservation breach" in capsys.readouterr().err

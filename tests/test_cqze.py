@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zenoport.cqze import (
     BobQubit,
     ProtocolConfig,
+    _dwell,
     av_extension,
     counterfactual_cnot,
     inner_cycle,
@@ -139,6 +140,20 @@ def test_scalar_model_matches_interferometer(m, n, blocked, av):
     assert abs(sink_total(fin, "SinkD3") - o.loss_breakdown["DA"]) < 1e-12
     assert abs(sink_total(fin, "SinkAV") - o.loss_breakdown["AV"]) < 1e-12
     assert abs(sink_total(fin, "SinkBlock") - o.loss_breakdown["Block"]) < 1e-12
+
+
+def test_dwell_cache_ignores_the_outer_cycle_count():
+    short = ProtocolConfig(M=3, N=7, eps_block=0.2, av_rounds=1)
+    long = ProtocolConfig(M=9, N=7, eps_block=0.2, av_rounds=1)
+    _dwell.cache_clear()
+    cold = run_cqze((1.0, 0.0), 1, long)
+    _dwell.cache_clear()
+    run_cqze((1.0, 0.0), 1, short)
+    warm = run_cqze((1.0, 0.0), 1, long)
+    info = _dwell.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert warm.joint == cold.joint
+    assert warm.loss_breakdown == cold.loss_breakdown
 
 
 def test_reflection_leak_drains_success():
