@@ -9,10 +9,8 @@ actually was.
 """
 
 from .qstate import (
-    ARMS,
     NO_BOB,
     POLS,
-    SINKS,
     BasisLabel,
     ConservationError,
     LabelMismatchError,
@@ -39,15 +37,11 @@ from .optics import (
     bs50,
     build_paradox_circuit,
     element_map,
-    hwp,
-    mirror,
     pbs,
-    pockels,
     route,
     run_schedule,
     spr,
     step_map,
-    switchable_mirror,
 )
 from .cqze import (
     BobQubit,
@@ -72,6 +66,7 @@ from .analysis import (
     BoundaryPair,
     ChainKet,
     Family,
+    FamilyEvaluation,
     History,
     InconsistentFamilyError,
     OrthogonalBoundariesError,
@@ -81,6 +76,7 @@ from .analysis import (
     channel_probe_signal,
     cycle_boundaries,
     end_to_end_boundaries,
+    evaluate_family,
     family_from_text,
     family_to_text,
     forward_state,

@@ -12,7 +12,6 @@ Two complementary engines answer the same question:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,8 @@ from .qstate import (
     label,
     project,
     projector,
+    projector_from_spec,
+    projector_to_spec,
 )
 
 ATOL_DENOM = 1e-12
@@ -413,13 +414,8 @@ class ChainKet:
         return self.state.norm2()
 
 
-def chain_ket(h: History, f: Family, c: CircuitSchedule) -> ChainKet:
+def _history_ket(h: History, f: Family, c: CircuitSchedule) -> StateVector:
     """Alternate unitary steps and history projectors, then apply the post projector."""
-    f.validate(c)
-    offered = {(stamp, pi) for stamp, offers in f.slots for _, pi in offers}
-    for ev in h.events:
-        if ev not in offered:
-            raise QStateError(f"history event at {ev[0]!r} is not offered by the family")
     s = f.pre[1]
     i = c.index_of(f.pre[0])
     for stamp, pi in h.events:
@@ -429,30 +425,65 @@ def chain_ket(h: History, f: Family, c: CircuitSchedule) -> ChainKet:
         i = j
     s = _evolve(c, s, i, c.index_of(f.post[0]))
     s, _ = project(f.post[1], s)
-    return ChainKet(history=h, state=s.pruned())
+    return s.pruned()
+
+
+def chain_ket(h: History, f: Family, c: CircuitSchedule) -> ChainKet:
+    """Chain ket of one history, after validating f and that it offers h's events."""
+    f.validate(c)
+    offered = {(stamp, pi) for stamp, offers in f.slots for _, pi in offers}
+    for ev in h.events:
+        if ev not in offered:
+            raise QStateError(f"history event at {ev[0]!r} is not offered by the family")
+    return ChainKet(history=h, state=_history_ket(h, f, c))
+
+
+@dataclass(frozen=True)
+class FamilyEvaluation:
+    """Chain kets of a validated family in histories() order, and what they imply."""
+
+    family: Family
+    kets: tuple[ChainKet, ...]
+    offending_pair: tuple[History, History] | None  # None: the family is consistent
+    total: float
+
+    def probabilities(self) -> tuple[float, ...]:
+        """Relative weight of each history, in ``kets`` order."""
+        if self.offending_pair is not None:
+            a, b = self.offending_pair
+            raise InconsistentFamilyError(
+                f"family {self.family.name!r} is not consistent: {a} overlaps {b}")
+        if self.total < P_EMPTY:
+            raise QStateError(f"family {self.family.name!r} has zero total weight")
+        return tuple(k.weight / self.total for k in self.kets)
+
+
+def evaluate_family(f: Family, c: CircuitSchedule) -> FamilyEvaluation:
+    """Validate f once, compute each history's chain ket once, derive the rest.
+
+    The first offending pair is the first non-orthogonal (i, j), i < j, in
+    history order; the total sums the weights in history order.
+    """
+    f.validate(c)
+    kets = tuple(ChainKet(history=h, state=_history_ket(h, f, c)) for h in f.histories())
+    pair = next(((a.history, b.history) for a, b in itertools.combinations(kets, 2)
+                 if abs(inner(a.state, b.state)) >= ATOL_CONSISTENT), None)
+    return FamilyEvaluation(f, kets, pair, sum(k.weight for k in kets))
 
 
 def is_consistent(f: Family, c: CircuitSchedule) -> tuple[bool, tuple[History, History] | None]:
     """Pairwise chain-ket orthogonality; on failure, the first offending pair."""
-    kets = [chain_ket(h, f, c) for h in f.histories()]
-    for i in range(len(kets)):
-        for j in range(i + 1, len(kets)):
-            if abs(inner(kets[i].state, kets[j].state)) >= ATOL_CONSISTENT:
-                return False, (kets[i].history, kets[j].history)
-    return True, None
+    pair = evaluate_family(f, c).offending_pair
+    return pair is None, pair
 
 
 def history_probability(h: History, f: Family, c: CircuitSchedule) -> float:
     """Relative weight of h within a consistent family."""
-    ok, pair = is_consistent(f, c)
-    if not ok:
-        assert pair is not None
-        raise InconsistentFamilyError(
-            f"family {f.name!r} is not consistent: {pair[0]} overlaps {pair[1]}")
-    total = sum(chain_ket(g, f, c).weight for g in f.histories())
-    if total < P_EMPTY:
-        raise QStateError(f"family {f.name!r} has zero total weight")
-    return chain_ket(h, f, c).weight / total
+    ev = evaluate_family(f, c)
+    for k, prob in zip(ev.kets, ev.probabilities()):
+        if k.history.events == h.events:
+            return prob
+    return chain_ket(h, f, c).weight / ev.total  # h is not one of f.histories()
 
 
 def builtin_families(c: CircuitSchedule) -> dict[str, Family]:
@@ -488,32 +519,20 @@ def builtin_families(c: CircuitSchedule) -> dict[str, Family]:
     }
 
 
-def _projector_to_spec(p: Projector) -> dict:
-    if p.labels is not None:
-        raise QStateError("text form supports path/pol/bob projectors only")
-    return {"paths": sorted(p.paths) if p.paths else None,
-            "pols": sorted(p.pols) if p.pols else None,
-            "bobs": sorted(p.bobs) if p.bobs else None}
-
-
-def _projector_from_spec(spec: dict) -> Projector:
-    return projector(paths=spec.get("paths"), pols=spec.get("pols"),
-                     bobs=spec.get("bobs"))
-
-
 def family_to_text(f: Family) -> str:
     """Line-oriented text form of a family (inverse of family_from_text)."""
     lines = ["zenoport-family v1", f"name {f.name}"]
     for k, v in sorted(f.pre[1].items()):
         lines.append(f"pre {f.pre[0]} {k.path} {k.pol} {k.bob} {v.real!r} {v.imag!r}")
-    lines.append(f"post {f.post[0]} {json.dumps(_projector_to_spec(f.post[1]), sort_keys=True)}")
+    lines.append(f"post {f.post[0]} {projector_to_spec(f.post[1])}")
     for stamp, offers in f.slots:
         for nm, pi in offers:
-            lines.append(f"slot {stamp} {nm} {json.dumps(_projector_to_spec(pi), sort_keys=True)}")
+            lines.append(f"slot {stamp} {nm} {projector_to_spec(pi)}")
     return "\n".join(lines) + "\n"
 
 
 def family_from_text(text: str) -> Family:
+    """Parse family_to_text output; any malformed line raises QStateError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "zenoport-family v1":
         raise QStateError("not a zenoport family text (missing header)")
@@ -528,21 +547,25 @@ def family_from_text(text: str) -> Family:
         if kind == "name":
             name = rest.strip()
         elif kind == "pre":
-            stamp, path, pol, bob, re_s, im_s = rest.split()
+            try:
+                stamp, path, pol, bob, re_s, im_s = rest.split()
+                amp = complex(float(re_s), float(im_s))
+            except ValueError:
+                raise QStateError(f"pre line needs stamp, path, pol, bob, re, im: {ln!r}") from None
             if pre_stamp is not None and stamp != pre_stamp:
                 raise QStateError("pre lines must share one stamp")
             pre_stamp = stamp
-            amps[label(path, pol, bob)] = complex(float(re_s), float(im_s))
+            amps[label(path, pol, bob)] = amp
         elif kind == "post":
             stamp, _, spec = rest.partition(" ")
-            post = (stamp, _projector_from_spec(json.loads(spec)))
+            post = (stamp, projector_from_spec(spec))
         elif kind == "slot":
             stamp, _, tail = rest.partition(" ")
             nm, _, spec = tail.partition(" ")
             if stamp not in slot_offers:
                 slot_order.append(stamp)
                 slot_offers[stamp] = []
-            slot_offers[stamp].append((nm, _projector_from_spec(json.loads(spec))))
+            slot_offers[stamp].append((nm, projector_from_spec(spec)))
         else:
             raise QStateError(f"unknown family line kind {kind!r}")
     if pre_stamp is None or post is None or not slot_order:

@@ -23,12 +23,10 @@ from .analysis import (
     BoundaryPair,
     arm_paths,
     builtin_families,
-    chain_ket,
     cycle_boundaries,
     end_to_end_boundaries,
+    evaluate_family,
     family_from_text,
-    history_probability,
-    is_consistent,
     paradox_report,
     weak_trace_map,
 )
@@ -427,7 +425,7 @@ def cmd_histories(cfg: RunConfig) -> int:
     if p["family_file"] is not None:
         try:
             text = Path(p["family_file"]).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise QStateError(f"cannot read family file {p['family_file']!r}: {exc}") from None
         fam = family_from_text(text)
         families = {fam.name or "custom": fam}
@@ -442,25 +440,19 @@ def cmd_histories(cfg: RunConfig) -> int:
                               f"choose from {sorted(available)} or 'all'")
     report: dict = {"M": p["m"], "N": p["n"], "families": {}}
     for name, fam in families.items():
-        histories = fam.histories()
-        if not histories:
-            raise QStateError(f"family {name!r} offers no histories")
-        consistent, pair = is_consistent(fam, c)
-        entry: dict = {
-            "n_histories": len(histories),
-            "consistent": consistent,
+        ev = evaluate_family(fam, c)
+        pair = ev.offending_pair
+        names = [str(k.history) for k in ev.kets]
+        report["families"][name] = {
+            "n_histories": len(names),
+            "consistent": pair is None,
             "offending_pair": None if pair is None else [list(pair[0].names),
                                                          list(pair[1].names)],
-            "weights": {str(h): chain_ket(h, fam, c).weight for h in histories},
+            "weights": dict(zip(names, (k.weight for k in ev.kets))),
+            "probabilities": None if pair is not None else dict(zip(names, ev.probabilities())),
         }
-        if consistent:
-            entry["probabilities"] = {str(h): history_probability(h, fam, c)
-                                      for h in histories}
-        else:
-            entry["probabilities"] = None
-        report["families"][name] = entry
-        verdict = "consistent" if consistent else f"NOT consistent ({pair[0]} vs {pair[1]})"
-        print(f"{name}: {len(histories)} histories, {verdict}")
+        verdict = "consistent" if pair is None else f"NOT consistent ({pair[0]} vs {pair[1]})"
+        print(f"{name}: {len(names)} histories, {verdict}")
     if p["json_out"] is not None:
         _write_text(Path(p["json_out"]), json.dumps(report, sort_keys=True, indent=2) + "\n")
     return EXIT_OK

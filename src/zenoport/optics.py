@@ -33,10 +33,11 @@ from .qstate import (
     is_sink,
     label,
     projector,
+    projector_from_spec,
+    projector_to_spec,
 )
 
-ELEMENT_KINDS = ("spr", "hwp", "pbs", "bs50", "pockels", "mirror",
-                 "switchable_mirror", "block", "route")
+ELEMENT_KINDS = ("spr", "pbs", "bs50", "block", "route")
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,6 @@ def spr(theta: float, path: str = "S", name: str = "SPR") -> Element:
     return Element("spr", name, (path,), (("theta", float(theta)),))
 
 
-def hwp(phi: float, path: str = "S", name: str = "HWP") -> Element:
-    """Half-wave plate at angle phi: H -> cos2phi*H + sin2phi*V, V -> sin2phi*H - cos2phi*V."""
-    return Element("hwp", name, (path,), (("phi", float(phi)),))
-
-
 def pbs(in_path: str, h_out: str, v_out: str, name: str = "PBS") -> Element:
     """Polarizing splitter: H component to h_out, V component to v_out.
 
@@ -81,21 +77,6 @@ def pbs(in_path: str, h_out: str, v_out: str, name: str = "PBS") -> Element:
 def bs50(in1: str, in2: str, out_minus: str, out_plus: str, name: str = "BS") -> Element:
     """50/50 splitter: out_plus = (in1+in2)/sqrt2, out_minus = (in1-in2)/sqrt2."""
     return Element("bs50", name, (in1, in2, out_minus, out_plus))
-
-
-def pockels(path: str, name: str = "PC") -> Element:
-    """Fast polarization flip H <-> V."""
-    return Element("pockels", name, (path,))
-
-
-def mirror(path: str, name: str = "M") -> Element:
-    """Bookkeeping mirror; reflection phases are absorbed into conventions."""
-    return Element("mirror", name, (path,))
-
-
-def switchable_mirror(path: str, on: bool, name: str = "SM") -> Element:
-    """Switchable mirror; schedules are unrolled so it compiles to a no-op."""
-    return Element("switchable_mirror", name, (path,), (("on", bool(on)),))
 
 
 def block(path: str, sink: str, pols: tuple[str, ...] = ("H",), name: str = "Block") -> Element:
@@ -126,22 +107,14 @@ def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
             raise QStateError(f"element {el.name}: label {lbl.ket()} missing from universe")
         return lbl
 
-    if el.kind in ("spr", "hwp"):
+    if el.kind == "spr":
         (path,) = el.arms
-        if el.kind == "spr":
-            t = el.param("theta")
-            hh, hv, vh, vv = math.cos(t), math.sin(t), -math.sin(t), math.cos(t)
-        else:
-            t = 2.0 * el.param("phi")
-            hh, hv, vh, vv = math.cos(t), math.sin(t), math.sin(t), -math.cos(t)
+        t = el.param("theta")
+        hh, hv, vh, vv = math.cos(t), math.sin(t), -math.sin(t), math.cos(t)
         for b in _bobs_on(universe, path):
             h, v = need(label(path, "H", b)), need(label(path, "V", b))
             cols[h] = {h: hh, v: hv}
             cols[v] = {h: vh, v: vv}
-    elif el.kind == "pockels":
-        (path,) = el.arms
-        for b in _bobs_on(universe, path):
-            _swap(cols, need(label(path, "H", b)), need(label(path, "V", b)))
     elif el.kind == "pbs":
         in_path, h_out, v_out = el.arms
         for b in _bobs_on(universe, in_path):
@@ -168,7 +141,6 @@ def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
         pol = el.param("pol")
         for b in _bobs_on(universe, src):
             _swap(cols, need(label(src, pol, b)), need(label(dst, pol, b)))
-    # mirror and switchable_mirror compile to the identity
     return LinearMap(cols, kind="unitary", name=el.name)
 
 
@@ -253,13 +225,7 @@ class CircuitSchedule:
         for k, v in sorted(self.pre_state.items()):
             lines.append(f"pre {k.path} {k.pol} {k.bob} {v.real!r} {v.imag!r}")
         if self.post_projector is not None:
-            p = self.post_projector
-            if p.labels is not None:
-                raise QStateError("text form supports path/pol/bob projectors only")
-            spec = {"paths": sorted(p.paths) if p.paths else None,
-                    "pols": sorted(p.pols) if p.pols else None,
-                    "bobs": sorted(p.bobs) if p.bobs else None}
-            lines.append("post " + json.dumps(spec, sort_keys=True))
+            lines.append("post " + projector_to_spec(self.post_projector))
         lines.append(f"stamp {self.stamps[0]}")
         for stamp, els in zip(self.stamps[1:], self.steps):
             lines.append(f"stamp {stamp}")
@@ -295,9 +261,7 @@ class CircuitSchedule:
                 path, pol, bob, re_s, im_s = rest.split()
                 pre[label(path, pol, bob)] = complex(float(re_s), float(im_s))
             elif tag == "post":
-                spec = json.loads(rest)
-                post = projector(paths=spec.get("paths"), pols=spec.get("pols"),
-                                 bobs=spec.get("bobs"))
+                post = projector_from_spec(rest)
             elif tag == "stamp":
                 stamps.append(rest)
                 if len(stamps) > 1:

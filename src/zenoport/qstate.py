@@ -10,6 +10,7 @@ share across threads and sweep workers.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -20,8 +21,6 @@ ATOL_UNITARY = 1e-12
 ATOL_TARGET = 1e-9
 PRUNE_EPS = 1e-15
 
-ARMS = ("S", "A", "B", "C", "D", "F", "Port1", "Port2")
-SINKS = ("SinkD3", "SinkD0", "SinkDA", "SinkDB", "SinkBlock", "SinkAV")
 POLS = ("H", "V")
 _POL_ALIASES = {"H": "H", "V": "V", "R": "H", "L": "V"}
 NO_BOB = "-"
@@ -184,6 +183,31 @@ def projector(paths: Iterable[str] | str | None = None,
                      bobs=as_set(bobs, str))
 
 
+_SPEC_KEYS = ("paths", "pols", "bobs")
+
+
+def projector_to_spec(p: Projector) -> str:
+    """JSON text of a path/pol/bob projector: null is "any value", [] is "no value"."""
+    if p.labels is not None:
+        raise QStateError("text form supports path/pol/bob projectors only")
+    return json.dumps({k: None if v is None else sorted(v)
+                       for k, v in zip(_SPEC_KEYS, (p.paths, p.pols, p.bobs))}, sort_keys=True)
+
+
+def projector_from_spec(text: str) -> Projector:
+    """Inverse of projector_to_spec; a malformed spec raises QStateError."""
+    try:
+        spec = json.loads(text)
+    except ValueError:
+        spec = None
+    if not (isinstance(spec, dict) and set(spec) <= set(_SPEC_KEYS)
+            and all(v is None or isinstance(v, list) and all(isinstance(x, str) for x in v)
+                    for v in spec.values())
+            and set(spec.get("pols") or ()) <= set(_POL_ALIASES)):
+        raise QStateError(f"malformed projector spec {text.strip()!r}")
+    return projector(**spec)
+
+
 class LinearMap:
     """Sparse linear map stored column-wise: columns[src][dst] = amplitude.
 
@@ -223,10 +247,6 @@ class LinearMap:
             rng = {d for col in self.columns.values() for d in col}
             if rng != set(srcs):
                 raise QStateError(f"map {self.name or 'unitary'}: domain and range differ; declare it an isometry")
-
-    @property
-    def domain(self) -> frozenset[BasisLabel]:
-        return frozenset(self.columns)
 
     def adjoint(self) -> "LinearMap":
         cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}

@@ -16,6 +16,26 @@ def criterion(request):
     return _tag
 
 
+@pytest.fixture
+def family_work(monkeypatch):
+    """Count Family.validate calls and per-history chain-ket evaluations."""
+    import zenoport.analysis as analysis
+    counts = {"validate": 0, "ket": 0}
+    validate, history_ket = analysis.Family.validate, analysis._history_ket
+
+    def counted_validate(self, c):
+        counts["validate"] += 1
+        return validate(self, c)
+
+    def counted_ket(h, f, c):
+        counts["ket"] += 1
+        return history_ket(h, f, c)
+
+    monkeypatch.setattr(analysis.Family, "validate", counted_validate)
+    monkeypatch.setattr(analysis, "_history_ket", counted_ket)
+    return counts
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

@@ -18,6 +18,7 @@ from zenoport.analysis import (
     channel_probe_signal,
     cycle_boundaries,
     end_to_end_boundaries,
+    evaluate_family,
     family_from_text,
     family_to_text,
     forward_state,
@@ -243,6 +244,52 @@ def test_inconsistent_family_detected(circuit):
         history_probability(f.histories()[0], f, circuit)
 
 
+def test_evaluate_family_matches_the_per_history_engines(circuit):
+    for f in builtin_families(circuit).values():
+        ev = evaluate_family(f, circuit)
+        assert tuple(k.history for k in ev.kets) == f.histories()
+        for k in ev.kets:
+            assert k.state == chain_ket(k.history, f, circuit).state
+        assert (ev.offending_pair is None, ev.offending_pair) == is_consistent(f, circuit)
+        assert ev.total == sum(k.weight for k in ev.kets)
+        if ev.offending_pair is None:
+            assert ev.probabilities() == tuple(
+                history_probability(h, f, circuit) for h in f.histories())
+        else:
+            with pytest.raises(InconsistentFamilyError):
+                ev.probabilities()
+
+
+@pytest.mark.parametrize("engine", ["is_consistent", "history_probability"])
+def test_library_engines_validate_once_and_compute_each_ket_once(circuit, family_work,
+                                                                  engine):
+    f = builtin_families(circuit)["cycle1"]
+    if engine == "is_consistent":
+        is_consistent(f, circuit)
+    else:
+        history_probability(f.histories()[0], f, circuit)
+    assert family_work == {"validate": 1, "ket": 18}
+
+
+def test_history_probability_error_order(circuit):
+    fams = builtin_families(circuit)
+    foreign = fams["final_via_cycle2"].histories()[0]
+    # an inconsistent family is reported before the history is looked at
+    with pytest.raises(InconsistentFamilyError):
+        history_probability(foreign, fams["final_via_cycle1"], circuit)
+    with pytest.raises(QStateError) as exc:
+        history_probability(foreign, fams["cycle1"], circuit)
+    assert not isinstance(exc.value, InconsistentFamilyError)
+
+
+def test_history_probability_of_an_offered_partial_history(circuit):
+    f = builtin_families(circuit)["cycle1"]
+    partial = History(names=("A",), events=(f.histories()[0].events[0],))
+    total = sum(chain_ket(h, f, circuit).weight for h in f.histories())
+    assert history_probability(partial, f, circuit) == \
+        chain_ket(partial, f, circuit).weight / total
+
+
 def test_chain_kets_of_the_final_boundary_family(circuit):
     f = builtin_families(circuit)["final_via_cycle1"]
     kets = {str(h): chain_ket(h, f, circuit) for h in f.histories()}
@@ -305,11 +352,24 @@ def test_family_text_round_trip(circuit):
     f = builtin_families(circuit)["final_via_cycle1"]
     text = family_to_text(f)
     again = family_from_text(text)
+    assert again == f
     assert family_to_text(again) == text
     ok_a, pair_a = is_consistent(again, circuit)
     ok_b, pair_b = is_consistent(f, circuit)
     assert ok_a == ok_b
     assert tuple(map(str, pair_a)) == tuple(map(str, pair_b))
+
+
+def test_family_text_keeps_an_empty_projector(circuit):
+    """[] (matches nothing) must not come back as null (matches everything)."""
+    f = builtin_families(circuit)["final_via_cycle1"]
+    dark = Family(f.name, f.pre, ("t_final", projector(paths="F", pols=())), f.slots)
+    again = family_from_text(family_to_text(dark))
+    assert again == dark
+    h = dark.histories()[0]
+    assert chain_ket(h, f, circuit).weight == pytest.approx(0.25, abs=1e-12)
+    assert chain_ket(h, dark, circuit).weight == 0.0
+    assert chain_ket(h, again, circuit).weight == 0.0
 
 
 def test_family_text_rejects_garbage():

@@ -242,6 +242,37 @@ def test_histories_family_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+_FAMILY_HEAD = "zenoport-family v1\nname broken\n"
+_FAMILY_PRE = "pre t0 S H - 1.0 0.0\n"
+_FAMILY_SLOT = 'slot c1.in1 A {"paths": ["A"]}\n'
+
+
+@pytest.mark.parametrize("text", [
+    _FAMILY_HEAD + _FAMILY_PRE + 'post t_final {"paths": ["F"], "pols": ["X"]}\n'
+    + _FAMILY_SLOT,
+    _FAMILY_HEAD + "pre t0 S H - 1.0\n" + 'post t_final {"paths": ["F"]}\n' + _FAMILY_SLOT,
+    _FAMILY_HEAD + _FAMILY_PRE + "post t_final paths=F\n" + _FAMILY_SLOT,
+    _FAMILY_HEAD + _FAMILY_PRE + 'post t_final ["F"]\n' + _FAMILY_SLOT,
+    b"\xff\xfe not text",
+], ids=["unknown-polarization", "short-pre-line", "non-json-spec", "list-spec",
+        "not-utf8"])
+def test_histories_malformed_family_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "fam.txt"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert main(["histories", "--family-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_histories_evaluates_each_family_in_one_pass(family_work, capsys):
+    code, _ = run(capsys, ["histories", "--m", "2", "--n", "2", "--family", "all"])
+    assert code == 0
+    # 4 families of 18 histories: one validation per family, one ket per history
+    assert family_work == {"validate": 4, "ket": 72}
+
+
 def test_conservation_breach_exits_3(monkeypatch, capsys):
     def boom(bob, cfg):
         raise ConservationError("probability budget violated")

@@ -26,6 +26,7 @@ from zenoport.qstate import (
     apply,
     label,
     project,
+    projector,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -213,6 +214,20 @@ def test_schedule_text_round_trip():
     assert again.universe == c.universe
     assert run_schedule(again).at("t_final").amp(label("F", "V")) == pytest.approx(
         run_schedule(c).at("t_final").amp(label("F", "V")), abs=1e-15)
+
+
+def test_schedule_text_keeps_an_empty_post_projector():
+    """A post projector that matches nothing must not come back matching everything."""
+    c = build_paradox_circuit(2, 2)
+    dark = CircuitSchedule(
+        stamps=c.stamps, steps=c.steps, universe=c.universe, pre_state=c.pre_state,
+        post_projector=projector(paths="F", pols=()), aliases=c.aliases, meta=c.meta)
+    text = dark.to_text()
+    again = CircuitSchedule.from_text(text)
+    assert again.to_text() == text
+    assert again.post_projector == dark.post_projector
+    _, prob = project(again.post_projector, run_schedule(again).at("t_final"))
+    assert prob == 0.0
 
 
 def test_schedule_text_rejects_label_set_projector():

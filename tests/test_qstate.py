@@ -23,6 +23,8 @@ from zenoport.qstate import (
     label,
     project,
     projector,
+    projector_from_spec,
+    projector_to_spec,
 )
 
 
@@ -92,6 +94,27 @@ def test_projector_label_set():
     pi = Projector(labels=frozenset([label("S", "H")]))
     assert pi.matches(label("S", "H"))
     assert not pi.matches(label("S", "V"))
+
+
+def test_projector_spec_keeps_any_value_apart_from_no_value():
+    anything = projector(paths="F")
+    nothing = projector(paths="F", pols=())
+    assert projector_to_spec(anything) == '{"bobs": null, "paths": ["F"], "pols": null}'
+    assert projector_to_spec(nothing) == '{"bobs": null, "paths": ["F"], "pols": []}'
+    for pi in (anything, nothing, projector(paths=("A", "B"), pols="R", bobs=(0, 1))):
+        assert projector_from_spec(projector_to_spec(pi)) == pi
+    assert not projector_from_spec(projector_to_spec(nothing)).matches(label("F", "H"))
+    with pytest.raises(QStateError):
+        projector_to_spec(Projector(labels=frozenset([label("F")])))
+
+
+@pytest.mark.parametrize("text", [
+    '{"pols": ["X"]}', "paths=F", '["F"]', '{"path": ["F"]}', '{"paths": "F"}',
+    '{"paths": [1]}', "",
+])
+def test_projector_spec_rejects_malformed_text(text):
+    with pytest.raises(QStateError, match="malformed projector spec"):
+        projector_from_spec(text)
 
 
 def test_inner_is_conjugate_linear_in_first_argument():
