@@ -22,7 +22,6 @@ from .qstate import (
     apply,
     compose,
     fidelity,
-    identity_map,
     inner,
     is_sink,
     label,
@@ -34,7 +33,6 @@ from .optics import (
     Element,
     TrajectoryRecord,
     block,
-    bs50,
     build_paradox_circuit,
     element_map,
     pbs,
@@ -48,11 +46,8 @@ from .cqze import (
     CnotOutcome,
     CqzeOutcome,
     ProtocolConfig,
-    av_extension,
     counterfactual_cnot,
-    inner_cycle,
     run_cqze,
-    run_inner,
 )
 from .counterport import (
     BlochSample,

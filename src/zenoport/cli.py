@@ -173,7 +173,7 @@ def load_config(sub: str, config_path: str | None, flag_values: dict) -> RunConf
     if config_path is not None:
         try:
             text = Path(config_path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise QStateError(f"cannot read config file {config_path!r}: {exc}") from None
         try:
             file_params = json.loads(text)

@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .optics import CircuitSchedule, build_paradox_circuit
 from .qstate import (
     POLS,
     ConservationError,
@@ -74,15 +73,6 @@ class ProtocolConfig:
     @property
     def theta_outer(self) -> float:
         return math.pi / (2 * self.M)
-
-    @property
-    def theta_inner(self) -> float:
-        return math.pi / (2 * self.N)
-
-    @property
-    def inner_total(self) -> int:
-        """Inner cycles per dwell, including entrance-block extension rounds."""
-        return (1 + self.av_rounds) * self.N
 
 
 @dataclass(frozen=True)
@@ -157,48 +147,6 @@ class CnotOutcome:
         total = sum(self.probs.values())
         if abs(total - 1.0) > ATOL_SUM:
             raise ConservationError(f"outcome probabilities sum to {total!r}, expected 1")
-
-
-def _branch_pols(s: StateVector) -> dict[tuple[str, str], list[complex]]:
-    by: dict[tuple[str, str], list[complex]] = {}
-    for k, v in s.items():
-        vec = by.setdefault((k.path, k.bob), [0j, 0j])
-        vec[0 if k.pol == "H" else 1] += v
-    return by
-
-
-def inner_cycle(s: StateVector, cfg: ProtocolConfig) -> StateVector:
-    """One inner cycle: rotate by pi/2N, then the control event on H.
-
-    s must live on one path with control bit 0 or 1 on every label.  Loss
-    is returned as a norm deficit (no sink labels), so the result is
-    generally unnormalized; the missing probability went to the channel.
-    A single cycle has no dwell context, so the mode-mismatch leak always
-    acts per visit here (the "inner" convention).
-    """
-    paths = {k.path for k in s}
-    if len(paths) > 1:
-        raise QStateError(f"inner cycle state must live on one path, got {sorted(paths)}")
-    c, sn = math.cos(cfg.theta_inner), math.sin(cfg.theta_inner)
-    out: dict = {}
-    for (path, bob), (h, v) in _branch_pols(s).items():
-        if bob not in ("0", "1"):
-            raise QStateError("inner cycle requires a definite control bit on every label")
-        h, v = c * h - sn * v, sn * h + c * v
-        keep2 = (1.0 - cfg.eps_reflect) if bob == "0" else cfg.eps_block
-        h *= math.sqrt(keep2)
-        if h:
-            out[label(path, "H", bob)] = h
-        if v:
-            out[label(path, "V", bob)] = v
-    return StateVector(out)
-
-
-def run_inner(s: StateVector, cfg: ProtocolConfig) -> StateVector:
-    """N-fold composition of inner_cycle (one plain dwell, no extension)."""
-    for _ in range(cfg.N):
-        s = inner_cycle(s, cfg)
-    return s
 
 
 @lru_cache(maxsize=None)
@@ -337,25 +285,3 @@ def counterfactual_cnot(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> 
         probs=probs,
         loss_breakdown=dict(base.loss_breakdown),
     )
-
-
-def av_extension(cfg: ProtocolConfig) -> Callable[[CircuitSchedule], CircuitSchedule]:
-    """Modifier adding cfg.av_rounds entrance-block rounds to a schedule.
-
-    Each round blocks the channel entrance right after the dwell's N-th
-    rotation and keeps the inner loop running for N more cycles; the added
-    time needs no compensation in simulation.  With av_rounds = 0 the
-    schedule is returned unchanged.
-    """
-    def modify(schedule: CircuitSchedule) -> CircuitSchedule:
-        if schedule.meta.get("kind") != "nested-paradox":
-            raise QStateError("the extension applies to nested two-level schedules only")
-        if cfg.av_rounds == 0:
-            return schedule
-        return build_paradox_circuit(
-            int(schedule.meta["M"]),
-            int(schedule.meta["N"]),
-            block_channel=bool(schedule.meta.get("block_channel", False)),
-            av_rounds=cfg.av_rounds,
-        )
-    return modify

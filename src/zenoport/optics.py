@@ -37,7 +37,7 @@ from .qstate import (
     projector_to_spec,
 )
 
-ELEMENT_KINDS = ("spr", "pbs", "bs50", "block", "route")
+ELEMENT_KINDS = ("spr", "pbs", "block", "route")
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,6 @@ def pbs(in_path: str, h_out: str, v_out: str, name: str = "PBS") -> Element:
     outputs back, so one constructor covers both split and merge passes.
     """
     return Element("pbs", name, (in_path, h_out, v_out))
-
-
-def bs50(in1: str, in2: str, out_minus: str, out_plus: str, name: str = "BS") -> Element:
-    """50/50 splitter: out_plus = (in1+in2)/sqrt2, out_minus = (in1-in2)/sqrt2."""
-    return Element("bs50", name, (in1, in2, out_minus, out_plus))
 
 
 def block(path: str, sink: str, pols: tuple[str, ...] = ("H",), name: str = "Block") -> Element:
@@ -120,17 +115,6 @@ def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
         for b in _bobs_on(universe, in_path):
             _swap(cols, need(label(in_path, "H", b)), need(label(h_out, "H", b)))
             _swap(cols, need(label(in_path, "V", b)), need(label(v_out, "V", b)))
-    elif el.kind == "bs50":
-        in1, in2, out_m, out_p = el.arms
-        r = 1.0 / math.sqrt(2.0)
-        for b in _bobs_on(universe, in1):
-            for pol in ("H", "V"):
-                a1, a2 = need(label(in1, pol, b)), need(label(in2, pol, b))
-                om, op = need(label(out_m, pol, b)), need(label(out_p, pol, b))
-                cols[a1] = {op: r, om: r}
-                cols[a2] = {op: r, om: -r}
-                cols[op] = {a1: r, a2: r}
-                cols[om] = {a1: r, a2: -r}
     elif el.kind == "block":
         path, sink = el.arms
         for pol in el.param("pols"):
@@ -237,6 +221,7 @@ class CircuitSchedule:
 
     @classmethod
     def from_text(cls, text: str) -> "CircuitSchedule":
+        """Inverse of to_text; any malformed line raises QStateError."""
         meta: dict[str, object] = {}
         aliases: dict[str, str] = {}
         universe: list[BasisLabel] = []
@@ -249,33 +234,38 @@ class CircuitSchedule:
             raise QStateError("not a schedule file (missing 'zenoport-schedule v1' header)")
         for line in lines[1:]:
             tag, _, rest = line.strip().partition(" ")
-            if tag == "meta":
-                meta = json.loads(rest)
-            elif tag == "alias":
-                a, c = rest.split()
-                aliases[a] = c
-            elif tag == "label":
-                path, pol, bob = rest.split()
-                universe.append(label(path, pol, bob))
-            elif tag == "pre":
-                path, pol, bob, re_s, im_s = rest.split()
-                pre[label(path, pol, bob)] = complex(float(re_s), float(im_s))
-            elif tag == "post":
-                post = projector_from_spec(rest)
-            elif tag == "stamp":
-                stamps.append(rest)
-                if len(stamps) > 1:
-                    steps.append([])
-            elif tag == "element":
-                rec = json.loads(rest)
-                params = rec.get("params", {})
-                for k, v in params.items():
-                    if isinstance(v, list):
-                        params[k] = tuple(v)
-                steps[-1].append(Element(rec["kind"], rec["name"], tuple(rec["arms"]),
-                                         tuple(sorted(params.items()))))
-            else:
-                raise QStateError(f"unknown schedule line tag {tag!r}")
+            try:
+                if tag == "meta":
+                    meta = json.loads(rest)
+                    if not isinstance(meta, dict):
+                        raise QStateError(f"schedule meta must be a JSON object: {rest!r}")
+                elif tag == "alias":
+                    a, c = rest.split()
+                    aliases[a] = c
+                elif tag == "label":
+                    path, pol, bob = rest.split()
+                    universe.append(label(path, pol, bob))
+                elif tag == "pre":
+                    path, pol, bob, re_s, im_s = rest.split()
+                    pre[label(path, pol, bob)] = complex(float(re_s), float(im_s))
+                elif tag == "post":
+                    post = projector_from_spec(rest)
+                elif tag == "stamp":
+                    stamps.append(rest)
+                    if len(stamps) > 1:
+                        steps.append([])
+                elif tag == "element":
+                    rec = json.loads(rest)
+                    params = rec.get("params", {})
+                    for k, v in params.items():
+                        if isinstance(v, list):
+                            params[k] = tuple(v)
+                    steps[-1].append(Element(rec["kind"], rec["name"], tuple(rec["arms"]),
+                                             tuple(sorted(params.items()))))
+                else:
+                    raise QStateError(f"unknown schedule line tag {tag!r}")
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise QStateError(f"malformed schedule line {line.strip()!r}: {exc}") from None
         return cls(tuple(stamps), tuple(tuple(s) for s in steps), tuple(universe),
                    StateVector(pre), post, aliases, meta)
 

@@ -211,16 +211,16 @@ def projector_from_spec(text: str) -> Projector:
 class LinearMap:
     """Sparse linear map stored column-wise: columns[src][dst] = amplitude.
 
-    kind "unitary" and "isometry" are audited at construction: columns must
-    be orthonormal within 1e-12 (sink rows included), and a unitary must be
-    square on its declared support.  kind "general" skips the audit.
+    kind "unitary" is audited at construction: columns must be orthonormal
+    within 1e-12 (sink rows included), and the map must be square on its
+    declared support.  kind "general" skips the audit.
     """
 
     __slots__ = ("columns", "kind", "name")
 
     def __init__(self, columns: Mapping[BasisLabel, Mapping[BasisLabel, complex]],
                  kind: str = "general", name: str = ""):
-        if kind not in ("unitary", "isometry", "general"):
+        if kind not in ("unitary", "general"):
             raise QStateError(f"unknown map kind {kind!r}")
         self.columns: dict[BasisLabel, dict[BasisLabel, complex]] = {
             src: {dst: complex(a) for dst, a in col.items() if a != 0}
@@ -228,25 +228,24 @@ class LinearMap:
         }
         self.kind = kind
         self.name = name
-        if kind in ("unitary", "isometry"):
-            self._audit(kind)
+        if kind == "unitary":
+            self._audit()
 
-    def _audit(self, kind: str) -> None:
+    def _audit(self) -> None:
         srcs = list(self.columns)
         for i, si in enumerate(srcs):
             ci = self.columns[si]
             ni = sum(abs(a) ** 2 for a in ci.values())
             if abs(ni - 1.0) > ATOL_UNITARY:
-                raise QStateError(f"map {self.name or kind}: column {si.ket()} has norm^2 {ni}")
+                raise QStateError(f"map {self.name or 'unitary'}: column {si.ket()} has norm^2 {ni}")
             for sj in srcs[i + 1:]:
                 cj = self.columns[sj]
                 ov = sum(ci[d].conjugate() * cj[d] for d in ci.keys() & cj.keys())
                 if abs(ov) > ATOL_UNITARY:
-                    raise QStateError(f"map {self.name or kind}: columns {si.ket()},{sj.ket()} not orthogonal")
-        if kind == "unitary":
-            rng = {d for col in self.columns.values() for d in col}
-            if rng != set(srcs):
-                raise QStateError(f"map {self.name or 'unitary'}: domain and range differ; declare it an isometry")
+                    raise QStateError(f"map {self.name or 'unitary'}: columns {si.ket()},{sj.ket()} not orthogonal")
+        rng = {d for col in self.columns.values() for d in col}
+        if rng != set(srcs):
+            raise QStateError(f"map {self.name or 'unitary'}: domain and range differ")
 
     def adjoint(self) -> "LinearMap":
         cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}
@@ -258,10 +257,6 @@ class LinearMap:
 
     def __repr__(self) -> str:
         return f"LinearMap({self.name or self.kind}, {len(self.columns)} columns)"
-
-
-def identity_map(labels: Iterable[BasisLabel], name: str = "identity") -> LinearMap:
-    return LinearMap({l: {l: 1.0} for l in labels}, kind="unitary", name=name)
 
 
 def apply(m: LinearMap, s: StateVector) -> StateVector:
@@ -289,12 +284,7 @@ def compose(first: LinearMap, second: LinearMap) -> LinearMap:
             for dst, b in col2.items():
                 acc[dst] = acc.get(dst, 0j) + b * a
         cols[src] = acc
-    if first.kind == "unitary" and second.kind == "unitary":
-        kind = "unitary"
-    elif first.kind in ("unitary", "isometry") and second.kind in ("unitary", "isometry"):
-        kind = "isometry"
-    else:
-        kind = "general"
+    kind = "unitary" if first.kind == "unitary" and second.kind == "unitary" else "general"
     return LinearMap(cols, kind=kind, name=f"{first.name};{second.name}".strip(";"))
 
 

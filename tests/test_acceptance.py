@@ -27,7 +27,7 @@ from zenoport.analysis import (
 )
 from zenoport.cli import main
 from zenoport.counterport import counterport, sample_bloch
-from zenoport.cqze import BobQubit, ProtocolConfig, run_cqze, run_inner
+from zenoport.cqze import BobQubit, ProtocolConfig, run_cqze
 from zenoport.optics import build_paradox_circuit, run_schedule
 from zenoport.qstate import (
     ConservationError,
@@ -46,16 +46,14 @@ def elapsed_under(t0, budget):
 def test_criterion_1_inner_dwell_closed_form(criterion):
     criterion("1", "blocked dwell keeps L amplitude cos^N(pi/2N), N = 1..25")
     t0 = time.perf_counter()
+    # with one outer cycle the pi/2 rotation sends the whole photon through one dwell
     for n in range(1, 26):
-        out = run_inner(StateVector({label("D", "V", "1"): 1.0}),
-                        ProtocolConfig(M=1, N=n))
+        out = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=1, N=n)).joint
         want = math.cos(math.pi / (2 * n)) ** n
-        assert abs(out.amp(label("D", "V", "1")) - want) < 1e-12
-    spot4 = run_inner(StateVector({label("D", "V", "1"): 1.0}),
-                      ProtocolConfig(M=1, N=4)).amp(label("D", "V", "1"))
+        assert abs(out.amp(label("F", "V", "1")) - want) < 1e-12
+    spot4 = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=1, N=4)).joint.amp(label("F", "V", "1"))
     assert abs(spot4 - 0.728553) < 1e-6
-    spot20 = run_inner(StateVector({label("D", "V", "1"): 1.0}),
-                       ProtocolConfig(M=1, N=20)).amp(label("D", "V", "1"))
+    spot20 = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=1, N=20)).joint.amp(label("F", "V", "1"))
     assert abs(spot20 - 0.94012) < 1e-5
     elapsed_under(t0, 1.0)
 

@@ -50,6 +50,9 @@ def test_config_file_errors(tmp_path, capsys):
     listy = tmp_path / "list.json"
     listy.write_text("[1, 2]")
     assert main(["counterport", "--config", str(listy)]) == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["histories", "--config", str(binary)]) == 2
     capsys.readouterr()
 
 

@@ -10,26 +10,18 @@ from zenoport.cqze import (
     BobQubit,
     ProtocolConfig,
     _dwell,
-    av_extension,
     counterfactual_cnot,
-    inner_cycle,
     run_cqze,
-    run_inner,
 )
 from zenoport.optics import build_paradox_circuit, run_schedule
 from zenoport.qstate import (
     NormalizationError,
     QStateError,
-    StateVector,
     label,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PLUS = BobQubit(INV_SQRT2, INV_SQRT2)
-
-
-def v_slice(bit):
-    return StateVector({label("D", "V", str(bit)): 1.0})
 
 
 def test_config_validation():
@@ -54,37 +46,25 @@ def test_bob_qubit_validation():
         run_cqze((1.0, 0.0), 2, ProtocolConfig(M=2, N=2))
 
 
-def test_inner_cycle_requires_one_path_and_definite_bit():
-    cfg = ProtocolConfig(M=1, N=2)
-    two = StateVector({label("D", "V", "1"): INV_SQRT2, label("C", "V", "1"): INV_SQRT2})
-    with pytest.raises(QStateError):
-        inner_cycle(two, cfg)
-    free = StateVector({label("D", "V"): 1.0})
-    with pytest.raises(QStateError):
-        inner_cycle(free, cfg)
-
-
 @pytest.mark.parametrize("n", [1, 2, 4, 20, 25])
 def test_blocked_dwell_survival_closed_form(n):
-    out = run_inner(v_slice(1), ProtocolConfig(M=1, N=n))
+    t_hv, t_vv, _ = _dwell(n, 0.0, 0.0, 0, "inner", 1)
     want = math.cos(math.pi / (2 * n)) ** n
-    assert abs(out.amp(label("D", "V", "1")) - want) < 1e-12
-    assert out.amp(label("D", "H", "1")) == 0
+    assert abs(t_vv - want) < 1e-12
+    assert t_hv == 0
 
 
 def test_blocked_dwell_spot_values():
-    out4 = run_inner(v_slice(1), ProtocolConfig(M=1, N=4))
-    assert abs(out4.amp(label("D", "V", "1")) - 0.728553) < 1e-6
-    out20 = run_inner(v_slice(1), ProtocolConfig(M=1, N=20))
-    assert abs(out20.amp(label("D", "V", "1")) - 0.94012) < 1e-5
+    assert abs(_dwell(4, 0.0, 0.0, 0, "inner", 1)[1] - 0.728553) < 1e-6
+    assert abs(_dwell(20, 0.0, 0.0, 0, "inner", 1)[1] - 0.94012) < 1e-5
 
 
 @pytest.mark.parametrize("n", [2, 7])
 def test_open_dwell_returns_flipped(n):
     # free rotation by pi/2 in total: V comes back as -H, nothing lost
-    out = run_inner(v_slice(0), ProtocolConfig(M=1, N=n))
-    assert abs(out.amp(label("D", "H", "0")) + 1.0) < 1e-12
-    assert abs(out.amp(label("D", "V", "0"))) < 1e-12
+    t_hv, t_vv, _ = _dwell(n, 0.0, 0.0, 0, "inner", 0)
+    assert abs(t_hv + 1.0) < 1e-12
+    assert abs(t_vv) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 10, 25])
@@ -218,21 +198,6 @@ def test_gate_flips_target_against_v_input():
     assert abs(cn.port2.amp(label("Port2", "V", "0")) - want) < 1e-12
     assert abs(cn.port1.amp(label("Port1", "V", "0")) + want) < 1e-12
     assert abs(cn.port2.amp(label("Port2", "H", "0"))) < 1e-15
-
-
-def test_extension_modifier():
-    cfg0 = ProtocolConfig(M=2, N=2)
-    c = build_paradox_circuit(2, 2)
-    assert av_extension(cfg0)(c) is c
-    cfg2 = ProtocolConfig(M=2, N=2, av_rounds=2)
-    extended = av_extension(cfg2)(c)
-    assert extended.to_text() == build_paradox_circuit(2, 2, av_rounds=2).to_text()
-    plain = c.pre_state  # any schedule lacking the right meta is refused
-    from zenoport.optics import CircuitSchedule
-    bare = CircuitSchedule(stamps=("a", "b"), steps=((),), universe=c.universe,
-                           pre_state=plain)
-    with pytest.raises(QStateError):
-        av_extension(cfg2)(bare)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from zenoport.optics import (
     CircuitSchedule,
     block,
-    bs50,
     build_paradox_circuit,
     element_map,
     pbs,
@@ -57,16 +56,6 @@ def test_pbs_splits_by_polarization():
     assert abs(out.amp(label("A", "H")) - INV_SQRT2) < 1e-12
     assert abs(out.amp(label("D", "V")) - INV_SQRT2) < 1e-12
     assert out.amp(label("S", "H")) == 0
-
-
-def test_bs50_interference():
-    uni = tuple(label(p, pol) for p in ("A", "B", "X", "Y") for pol in ("H", "V"))
-    m = element_map(bs50("A", "B", "X", "Y"), uni)
-    both = StateVector({label("A", "H"): INV_SQRT2, label("B", "H"): INV_SQRT2})
-    out = apply(m, both)
-    # equal inputs cancel on the minus port
-    assert abs(out.amp(label("X", "H"))) < 1e-12
-    assert abs(out.amp(label("Y", "H")) - 1.0) < 1e-12
 
 
 def test_element_map_is_unitary_identity_elsewhere():
@@ -251,6 +240,21 @@ def test_schedule_text_rejects_unknown_tag():
     text = c.to_text() + "wormhole yes\n"
     with pytest.raises(QStateError, match="wormhole"):
         CircuitSchedule.from_text(text)
+
+
+@pytest.mark.parametrize("body", [
+    "label S H\n",
+    'element {"kind": "spr", "name": "HWP", "arms": ["S"], "params": {"theta": 0.1}}\n',
+    "pre S H - x 0\n",
+    "meta {\n",
+    'stamp t0\nstamp t1\nelement {"kind": "spr", "arms": ["S"]}\n',
+    "alias t1\n",
+    "meta [1]\nstamp t0\n",
+], ids=["short-label", "element-before-stamp", "non-numeric-pre", "broken-meta-json",
+        "element-without-name", "short-alias", "meta-not-an-object"])
+def test_schedule_text_rejects_malformed_lines(body):
+    with pytest.raises(QStateError):
+        CircuitSchedule.from_text("zenoport-schedule v1\n" + body)
 
 
 @settings(max_examples=25, deadline=None)
