@@ -15,12 +15,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .optics import CircuitSchedule, build_paradox_circuit
+from .optics import CircuitSchedule, build_paradox_circuit, evolve
 from .qstate import (
     Projector,
     QStateError,
     StateVector,
-    apply,
     inner,
     is_sink,
     label,
@@ -58,7 +57,7 @@ class BoundaryPair:
 
 
 def _check_normalized(s: StateVector, what: str) -> None:
-    if abs(s.norm2() - 1.0) > ATOL_BOUNDARY_NORM:
+    if not abs(s.norm2() - 1.0) <= ATOL_BOUNDARY_NORM:
         raise QStateError(f"{what} must be normalized (norm**2 = {s.norm2()!r})")
 
 
@@ -93,19 +92,6 @@ def cycle_boundaries(c: CircuitSchedule, cycle: int) -> BoundaryPair:
                         post=(f"c{cycle}.t4", projector(paths="S", pols="H")))
 
 
-def _evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int) -> StateVector:
-    for m in c.step_maps()[i0:i1]:
-        s = apply(m, s).pruned()
-    return s
-
-
-def _evolve_back(c: CircuitSchedule, s: StateVector, i_from: int, i_to: int) -> StateVector:
-    adj = c.adjoint_step_maps()
-    for k in range(i_from - 1, i_to - 1, -1):
-        s = apply(adj[k], s).pruned()
-    return s
-
-
 def forward_state(c: CircuitSchedule, pre: tuple[str, StateVector], t: str) -> StateVector:
     """Evolve the pre-selected state from its own stamp up to stamp t."""
     stamp, s = pre
@@ -113,23 +99,22 @@ def forward_state(c: CircuitSchedule, pre: tuple[str, StateVector], t: str) -> S
     i1 = c.index_of(t)
     if i1 < i0:
         raise QStateError(f"stamp {t!r} lies before the pre stamp {stamp!r}")
-    return _evolve(c, s, i0, i1)
+    return evolve(c, s, i0, i1)[-1]
 
 
-def _post_state(c: CircuitSchedule, post: tuple[str, Projector | StateVector],
-                pre: tuple[str, StateVector] | None = None) -> StateVector:
+def _post_state(post: tuple[str, Projector | StateVector],
+                fwd: StateVector | None) -> StateVector:
     """Normalized post-selected state at the post stamp.
 
-    A projector post is resolved against the forward evolution of ``pre``
-    (the schedule's own source state when no pre is given): project, then
-    normalize.  Vanishing overlap means the boundaries are orthogonal.
+    A projector post is resolved against fwd, the forward state at the post
+    stamp (unused for a state post): project, then normalize.  Vanishing overlap means the boundaries
+    are orthogonal.
     """
     stamp, spec = post
     if isinstance(spec, StateVector):
         _check_normalized(spec, "post state")
         return spec
-    ref = pre if pre is not None else (c.stamps[0], c.pre_state.normalized())
-    kept, _ = project(spec, forward_state(c, ref, stamp))
+    kept, _ = project(spec, fwd)
     if kept.norm() < ATOL_DENOM:
         raise OrthogonalBoundariesError(
             f"post projector at {stamp!r} annihilates the forward state")
@@ -140,15 +125,25 @@ def backward_state(c: CircuitSchedule, post: tuple[str, Projector | StateVector]
                    t: str) -> StateVector:
     """Adjoint-evolve the post-selected state from its stamp back to stamp t.
 
+    A projector post is resolved against the schedule's own source state.
     Loss labels can acquire backward amplitude (they pair with zero forward
     amplitude, so inner products with any forward state are unaffected).
     """
-    stamp, _ = post
+    stamp, spec = post
     i1 = c.index_of(stamp)
     i0 = c.index_of(t)
     if i0 > i1:
         raise QStateError(f"stamp {t!r} lies after the post stamp {stamp!r}")
-    return _evolve_back(c, _post_state(c, post), i1, i0)
+    fwd = None if isinstance(spec, StateVector) else evolve(c, c.pre_state.normalized(), 0, i1)[-1]
+    return evolve(c, _post_state(post, fwd), i1, i0)[-1]
+
+
+def _two_states(c: CircuitSchedule, b: BoundaryPair, i_pre: int,
+                i_post: int) -> tuple[list[StateVector], list[StateVector]]:
+    """Forward and backward states at stamps i_pre..i_post, both in stamp order."""
+    fwd = evolve(c, b.pre[1], i_pre, i_post)
+    bwd = evolve(c, _post_state(b.post, fwd[-1]), i_post, i_pre)
+    return fwd, bwd[::-1]
 
 
 def weak_value(pi: Projector, b: BoundaryPair, t: str, c: CircuitSchedule) -> complex:
@@ -157,8 +152,8 @@ def weak_value(pi: Projector, b: BoundaryPair, t: str, c: CircuitSchedule) -> co
     i_t = c.index_of(t)
     if not i_pre <= i_t <= i_post:
         raise QStateError(f"stamp {t!r} lies outside the boundary window")
-    fwd = _evolve(c, b.pre[1], i_pre, i_t)
-    bwd = _evolve_back(c, _post_state(c, b.post, pre=b.pre), i_post, i_t)
+    fwds, bwds = _two_states(c, b, i_pre, i_post)
+    fwd, bwd = fwds[i_t - i_pre], bwds[i_t - i_pre]
     den = inner(bwd, fwd)
     if abs(den) < ATOL_DENOM:
         raise OrthogonalBoundariesError(
@@ -187,32 +182,20 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
     out: dict[tuple[str, str], complex | None] = {}
 
     try:
-        bwd = _post_state(c, b.post, pre=b.pre)
+        fwd, bwd = _two_states(c, b, i_pre, i_post)
     except OrthogonalBoundariesError:
         return {(a, st): None for a in arms for st in c.stamps}
 
-    fwd_by_idx: dict[int, StateVector] = {}
-    s = b.pre[1]
-    for i in range(i_pre, i_post + 1):
-        if i > i_pre:
-            s = apply(c.step_maps()[i - 1], s).pruned()
-        fwd_by_idx[i] = s
-    bwd_by_idx: dict[int, StateVector] = {}
-    s = bwd
-    for i in range(i_post, i_pre - 1, -1):
-        if i < i_post:
-            s = apply(c.adjoint_step_maps()[i], s).pruned()
-        bwd_by_idx[i] = s
-
     for i, stamp in enumerate(c.stamps):
+        k = i - i_pre
         inside = i_pre <= i <= i_post
-        den = inner(bwd_by_idx[i], fwd_by_idx[i]) if inside else 0.0
+        den = inner(bwd[k], fwd[k]) if inside else 0.0
         for arm in arms:
             if not inside or abs(den) < ATOL_DENOM:
                 out[(arm, stamp)] = None
                 continue
-            kept, _ = project(projector(paths=arm), fwd_by_idx[i])
-            out[(arm, stamp)] = inner(bwd_by_idx[i], kept) / den
+            kept, _ = project(projector(paths=arm), fwd[k])
+            out[(arm, stamp)] = inner(bwd[k], kept) / den
     return out
 
 
@@ -226,8 +209,17 @@ def _couple_pointer(pi: Projector, psi0: StateVector, psi1: StateVector,
     return (psi0 + p0 * cm1 - p1 * sn).pruned(), (psi1 + p1 * cm1 + p0 * sn).pruned()
 
 
-def _pointer_signal(c: CircuitSchedule, b: BoundaryPair, psi0: StateVector,
-                    psi1: StateVector) -> float:
+def _pointer_signal(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int,
+                    arm: str, epsilon: float, at: tuple[int, ...] | range) -> float:
+    """Conditioned pointer signal of a probe on arm coupled at stamp indices at."""
+    pi = projector(paths=arm)
+    psi0, psi1 = b.pre[1], StateVector()
+    i = i_pre
+    for j in at:
+        psi0, psi1 = evolve(c, psi0, i, j)[-1], evolve(c, psi1, i, j)[-1]
+        psi0, psi1 = _couple_pointer(pi, psi0, psi1, epsilon)
+        i = j
+    psi0, psi1 = evolve(c, psi0, i, i_post)[-1], evolve(c, psi1, i, i_post)[-1]
     spec = b.post[1]
     if isinstance(spec, StateVector):
         a0 = inner(spec, psi0)
@@ -261,12 +253,7 @@ def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
     i_t = c.index_of(t)
     if not i_pre <= i_t <= i_post:
         raise QStateError(f"stamp {t!r} lies outside the boundary window")
-    psi0 = _evolve(c, b.pre[1], i_pre, i_t)
-    psi1 = StateVector()
-    psi0, psi1 = _couple_pointer(projector(paths=arm), psi0, psi1, epsilon)
-    psi0 = _evolve(c, psi0, i_t, i_post)
-    psi1 = _evolve(c, psi1, i_t, i_post)
-    return _pointer_signal(c, b, psi0, psi1)
+    return _pointer_signal(c, b, i_pre, i_post, arm, epsilon, (i_t,))
 
 
 def channel_probe_signal(c: CircuitSchedule, epsilon: float,
@@ -281,16 +268,7 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
         return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
-    pi = projector(paths=arm)
-    psi0 = b.pre[1]
-    psi1 = StateVector()
-    for i in range(i_pre, i_post + 1):
-        psi0, psi1 = _couple_pointer(pi, psi0, psi1, epsilon)
-        if i < i_post:
-            m = c.step_maps()[i]
-            psi0 = apply(m, psi0).pruned()
-            psi1 = apply(m, psi1).pruned()
-    return _pointer_signal(c, b, psi0, psi1)
+    return _pointer_signal(c, b, i_pre, i_post, arm, epsilon, range(i_pre, i_post + 1))
 
 
 def _report_cell(c: CircuitSchedule, b: BoundaryPair, arm: str, stamp: str,
@@ -298,12 +276,9 @@ def _report_cell(c: CircuitSchedule, b: BoundaryPair, arm: str, stamp: str,
     try:
         w = weak_value(projector(paths=arm), b, stamp, c)
         wv: list[float] | None = [w.real, w.imag]
-    except (OrthogonalBoundariesError, QStateError):
+    except OrthogonalBoundariesError:
         wv = None
-    try:
-        sig = simulate_weak_probe(c, arm, stamp, epsilon, boundaries=b)
-    except QStateError:
-        sig = None
+    sig = simulate_weak_probe(c, arm, stamp, epsilon, boundaries=b)
     return {"arm": arm, "stamp": stamp, "weak_value": wv, "probe_signal": sig}
 
 
@@ -420,11 +395,9 @@ def _history_ket(h: History, f: Family, c: CircuitSchedule) -> StateVector:
     i = c.index_of(f.pre[0])
     for stamp, pi in h.events:
         j = c.index_of(stamp)
-        s = _evolve(c, s, i, j)
-        s, _ = project(pi, s)
+        s, _ = project(pi, evolve(c, s, i, j)[-1])
         i = j
-    s = _evolve(c, s, i, c.index_of(f.post[0]))
-    s, _ = project(f.post[1], s)
+    s, _ = project(f.post[1], evolve(c, s, i, c.index_of(f.post[0]))[-1])
     return s.pruned()
 
 

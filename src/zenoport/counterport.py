@@ -54,7 +54,7 @@ class CounterportResult:
 
     def __post_init__(self):
         total = self.p_port1 + self.p_port2 + self.p_lost
-        if abs(total - 1.0) > ATOL_SUM:
+        if not abs(total - 1.0) <= ATOL_SUM:
             raise ConservationError(f"port/loss probabilities sum to {total!r}, expected 1")
 
     @property

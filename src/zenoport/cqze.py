@@ -86,7 +86,7 @@ class BobQubit:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n2 - 1.0) > ATOL_SUM:
+        if not abs(n2 - 1.0) <= ATOL_SUM:
             raise NormalizationError(f"control qubit norm^2 = {n2!r}, expected 1")
 
     @classmethod
@@ -124,7 +124,7 @@ class CqzeOutcome:
 
     def __post_init__(self):
         total = self.p_success + self.p_loss_DA + self.p_loss_DB
-        if abs(total - 1.0) > ATOL_SUM:
+        if not abs(total - 1.0) <= ATOL_SUM:
             raise ConservationError(f"outcome probabilities sum to {total!r}, expected 1")
 
 
@@ -145,7 +145,7 @@ class CnotOutcome:
 
     def __post_init__(self):
         total = sum(self.probs.values())
-        if abs(total - 1.0) > ATOL_SUM:
+        if not abs(total - 1.0) <= ATOL_SUM:
             raise ConservationError(f"outcome probabilities sum to {total!r}, expected 1")
 
 
@@ -198,7 +198,7 @@ def run_cqze(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> CqzeOutcome
     """
     bob = _as_bob(bob)
     aH, aV = (complex(a) for a in pol_in)
-    if abs(abs(aH) ** 2 + abs(aV) ** 2 - 1.0) > ATOL_SUM:
+    if not abs(abs(aH) ** 2 + abs(aV) ** 2 - 1.0) <= ATOL_SUM:
         raise NormalizationError("input polarization must be normalized")
     c, sn = math.cos(cfg.theta_outer), math.sin(cfg.theta_outer)
     loss = {"DA": 0.0, "DB": 0.0, "Block": 0.0, "AV": 0.0}
@@ -257,7 +257,7 @@ def counterfactual_cnot(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> 
     (rail1 - rail2)/sqrt2 carries it up to a pending polarization Z flip.
     """
     aH, aV = (complex(a) for a in pol_in)
-    if abs(abs(aH) ** 2 + abs(aV) ** 2 - 1.0) > ATOL_SUM:
+    if not abs(abs(aH) ** 2 + abs(aV) ** 2 - 1.0) <= ATOL_SUM:
         raise NormalizationError("input polarization must be normalized")
     base = run_cqze((1.0, 0.0), bob, cfg)
     amps: dict = {}

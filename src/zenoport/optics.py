@@ -37,7 +37,8 @@ from .qstate import (
     projector_to_spec,
 )
 
-ELEMENT_KINDS = ("spr", "pbs", "block", "route")
+ELEMENT_KINDS = {"spr": 1, "pbs": 3, "block": 2, "route": 2}  # kind -> number of arms
+ATOL_CONSERVE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,12 @@ class Element:
     params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ELEMENT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in ELEMENT_KINDS:
             raise QStateError(f"unknown element kind {self.kind!r}")
+        if (len(self.arms) != ELEMENT_KINDS[self.kind]
+                or not all(isinstance(a, str) for a in self.arms)):
+            raise QStateError(f"element {self.name}: {self.kind} takes "
+                              f"{ELEMENT_KINDS[self.kind]} arms, got {self.arms!r}")
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -281,18 +286,33 @@ class TrajectoryRecord:
         return self.states[self.schedule.resolve(stamp)]
 
 
+def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int) -> list[StateVector]:
+    """States at stamps i0..i1 in stepping order, checking conservation per stamp.
+
+    Steps forward through step_maps(), or backward through
+    adjoint_step_maps() when i1 < i0.  Every stamp's norm**2 must stay
+    within ATOL_CONSERVE of the start's, else ConservationError.
+    """
+    base = s.norm2()
+    if i1 >= i0:
+        steps = zip(range(i0 + 1, i1 + 1), c.step_maps()[i0:i1])
+    else:
+        adj = c.adjoint_step_maps()
+        steps = ((k, adj[k]) for k in range(i0 - 1, i1 - 1, -1))
+    states = [s]
+    for k, m in steps:
+        s = apply(m, s).pruned()
+        if not abs(s.norm2() - base) <= ATOL_CONSERVE:
+            raise ConservationError(f"probability drifted to {s.norm2():.15f} at stamp "
+                                    f"{c.stamps[k]} (started at {base:.15f})")
+        states.append(s)
+    return states
+
+
 def run_schedule(c: CircuitSchedule, input_state: StateVector | None = None) -> TrajectoryRecord:
     """Evolve the input through every step, checking conservation per stamp."""
     s = c.pre_state if input_state is None else input_state
-    base = s.norm2()
-    states = {c.stamps[0]: s}
-    for stamp, m in zip(c.stamps[1:], c.step_maps()):
-        s = apply(m, s).pruned()
-        if abs(s.norm2() - base) > 1e-12:
-            raise ConservationError(
-                f"probability drifted to {s.norm2():.15f} at stamp {stamp} (started at {base:.15f})")
-        states[stamp] = s
-    return TrajectoryRecord(c, states)
+    return TrajectoryRecord(c, dict(zip(c.stamps, evolve(c, s, 0, len(c.stamps) - 1))))
 
 
 def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,

@@ -236,12 +236,12 @@ class LinearMap:
         for i, si in enumerate(srcs):
             ci = self.columns[si]
             ni = sum(abs(a) ** 2 for a in ci.values())
-            if abs(ni - 1.0) > ATOL_UNITARY:
+            if not abs(ni - 1.0) <= ATOL_UNITARY:
                 raise QStateError(f"map {self.name or 'unitary'}: column {si.ket()} has norm^2 {ni}")
             for sj in srcs[i + 1:]:
                 cj = self.columns[sj]
                 ov = sum(ci[d].conjugate() * cj[d] for d in ci.keys() & cj.keys())
-                if abs(ov) > ATOL_UNITARY:
+                if not abs(ov) <= ATOL_UNITARY:
                     raise QStateError(f"map {self.name or 'unitary'}: columns {si.ket()},{sj.ket()} not orthogonal")
         rng = {d for col in self.columns.values() for d in col}
         if rng != set(srcs):
@@ -315,7 +315,7 @@ def fidelity(target: StateVector, s: StateVector,
     the target projector on that branch.  Sinks never count, so with
     paths=None (all non-sink paths in s) lost amplitude scores zero.
     """
-    if abs(target.norm() - 1.0) > ATOL_TARGET:
+    if not abs(target.norm() - 1.0) <= ATOL_TARGET:
         raise NormalizationError(f"fidelity target norm {target.norm()} outside 1 +/- {ATOL_TARGET}")
     tpaths = {k.path for k in target}
     tbobs = {k.bob for k in target}

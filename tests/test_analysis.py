@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import zenoport.analysis as analysis
 from zenoport.analysis import (
     BoundaryPair,
     Family,
@@ -29,8 +30,11 @@ from zenoport.analysis import (
     weak_trace_map,
     weak_value,
 )
+from zenoport.cli import main
 from zenoport.optics import build_paradox_circuit
 from zenoport.qstate import (
+    ConservationError,
+    LinearMap,
     QStateError,
     StateVector,
     inner,
@@ -388,3 +392,43 @@ def test_builtin_families_need_a_two_level_schedule():
                            pre_state=StateVector({label("S", "H"): 1.0}))
     with pytest.raises(QStateError):
         builtin_families(bare)
+
+
+def drifting_circuit():
+    """The (2, 2) circuit with its first step map scaled to lose probability."""
+    c = build_paradox_circuit(2, 2)
+    first, *rest = c.step_maps()
+    lossy = LinearMap({src: {dst: 0.5 * a for dst, a in col.items()}
+                       for src, col in first.columns.items()}, kind="general", name="lossy")
+    c._maps = (lossy, *rest)
+    return c
+
+
+def _cycle1_ket(c):
+    fam = builtin_families(c)["cycle1"]
+    return chain_ket(fam.histories()[0], fam, c)
+
+
+@pytest.mark.parametrize("engine", [
+    lambda c: forward_state(c, ("t0", c.pre_state), "t_final"),
+    lambda c: backward_state(c, ("t_final", StateVector({label("F", "H"): 1.0})), "t0"),
+    lambda c: weak_value(projector(paths="C"), end_to_end_boundaries(c), "c1.in1", c),
+    lambda c: weak_trace_map(c, end_to_end_boundaries(c)),
+    lambda c: simulate_weak_probe(c, "C", "c1.in1", 1e-3),
+    lambda c: channel_probe_signal(c, 1e-3),
+    _cycle1_ket,
+    lambda c: evaluate_family(builtin_families(c)["cycle1"], c),
+], ids=["forward_state", "backward_state", "weak_value", "weak_trace_map",
+        "simulate_weak_probe", "channel_probe_signal", "chain_ket", "evaluate_family"])
+def test_every_engine_checks_conservation_per_stamp(engine):
+    with pytest.raises(ConservationError, match="drifted"):
+        engine(drifting_circuit())
+
+
+def test_paradox_conservation_breach_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(analysis, "build_paradox_circuit", lambda *a, **k: drifting_circuit())
+    assert main(["paradox"]) == 3
+    # the weak-value cells report the breach themselves, not as undefined cells
+    monkeypatch.setattr(analysis, "channel_probe_signal", lambda *a, **k: 0.0)
+    assert main(["paradox"]) == 3
+    assert "conservation breach" in capsys.readouterr().err

@@ -59,6 +59,7 @@ def test_config_file_errors(tmp_path, capsys):
 def test_bad_control_amplitudes(capsys):
     assert main(["counterport", "--alpha", "xyz"]) == 2
     assert main(["counterport", "--alpha", "1", "--beta", "1"]) == 2
+    assert main(["counterport", "--alpha", "nan", "--beta", "0"]) == 2
     capsys.readouterr()
 
 
@@ -267,6 +268,14 @@ def test_histories_malformed_family_file_exits_2(tmp_path, capsys, text):
         path.write_text(text)
     assert main(["histories", "--family-file", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_histories_nan_pre_amplitude_is_not_normalized(tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_text(_FAMILY_HEAD + "pre t0 S H - nan 0.0\n"
+                    + 'post t_final {"paths": ["F"]}\n' + _FAMILY_SLOT)
+    assert main(["histories", "--family-file", str(path)]) == 2
+    assert "normalized" in capsys.readouterr().err
 
 
 def test_histories_evaluates_each_family_in_one_pass(family_work, capsys):

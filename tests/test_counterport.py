@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from zenoport.cli import main
 from zenoport.counterport import (
     FIDELITY_MODES,
+    CounterportResult,
     FidelityGrid,
     counterport,
     sample_bloch,
     sweep,
 )
 from zenoport.cqze import BobQubit, ProtocolConfig, counterfactual_cnot, run_cqze
-from zenoport.qstate import ConservationError, QStateError, label
+from zenoport.qstate import ConservationError, QStateError, StateVector, label
 
 # the package re-exports the function under the module's name
 cp = importlib.import_module("zenoport.counterport")
@@ -272,3 +273,8 @@ def test_leaking_module_transfer_is_a_conservation_breach(monkeypatch, tmp_path,
     assert main(["sweep", "--m-max", "2", "--n-max", "2", "--samples", "3",
                  "--out-dir", str(tmp_path)]) == 3
     assert "conservation breach" in capsys.readouterr().err
+
+
+def test_nan_port_probability_is_a_breach():
+    with pytest.raises(ConservationError):
+        CounterportResult(StateVector(), StateVector(), math.nan, 1.0, 0.0, {}, 1.0, 1.0, {}, {})

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from zenoport.cqze import (
     BobQubit,
+    CnotOutcome,
+    CqzeOutcome,
     ProtocolConfig,
     _dwell,
     counterfactual_cnot,
@@ -15,8 +17,10 @@ from zenoport.cqze import (
 )
 from zenoport.optics import build_paradox_circuit, run_schedule
 from zenoport.qstate import (
+    ConservationError,
     NormalizationError,
     QStateError,
+    StateVector,
     label,
 )
 
@@ -40,6 +44,8 @@ def test_config_validation():
 def test_bob_qubit_validation():
     with pytest.raises(NormalizationError):
         BobQubit(1.0, 1.0)
+    with pytest.raises(NormalizationError):
+        BobQubit(math.nan, 0.0)
     assert BobQubit.reflecting().alpha == 1.0
     assert BobQubit.blocking().beta == 1.0
     with pytest.raises(QStateError):
@@ -96,6 +102,20 @@ def test_input_polarization_must_be_normalized():
         run_cqze((1.0, 1.0), 0, ProtocolConfig(M=2, N=2))
     with pytest.raises(NormalizationError):
         counterfactual_cnot((0.5, 0.5), 0, ProtocolConfig(M=2, N=2))
+    with pytest.raises(NormalizationError):
+        run_cqze((math.nan, 0.0), 0, ProtocolConfig(M=2, N=2))
+    with pytest.raises(NormalizationError):
+        counterfactual_cnot((math.nan, 0.0), 0, ProtocolConfig(M=2, N=2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CqzeOutcome(StateVector(), math.nan, 0.0, 0.0),
+    lambda: CnotOutcome(StateVector(), StateVector(), StateVector(), True,
+                        {"Port1": math.nan, "Port2": 1.0}, {}),
+], ids=["CqzeOutcome", "CnotOutcome"])
+def test_nan_outcome_sums_are_breaches(make):
+    with pytest.raises(ConservationError):
+        make()
 
 
 def sink_total(s, prefix):

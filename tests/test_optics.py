@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from zenoport.optics import (
     CircuitSchedule,
+    Element,
     block,
     build_paradox_circuit,
     element_map,
@@ -250,11 +251,30 @@ def test_schedule_text_rejects_unknown_tag():
     'stamp t0\nstamp t1\nelement {"kind": "spr", "arms": ["S"]}\n',
     "alias t1\n",
     "meta [1]\nstamp t0\n",
+    'stamp t0\nstamp t1\nelement {"kind": "spr", "name": "HWP", "arms": "SD"}\n',
 ], ids=["short-label", "element-before-stamp", "non-numeric-pre", "broken-meta-json",
-        "element-without-name", "short-alias", "meta-not-an-object"])
+        "element-without-name", "short-alias", "meta-not-an-object", "spr-with-two-arms"])
 def test_schedule_text_rejects_malformed_lines(body):
     with pytest.raises(QStateError):
         CircuitSchedule.from_text("zenoport-schedule v1\n" + body)
+
+
+@pytest.mark.parametrize("kind, arms", [
+    ("spr", ("S", "D")),
+    ("spr", ()),
+    ("pbs", ("S", "A")),
+    ("block", ("C",)),
+    ("route", ("S", "A", "D")),
+    ("route", ("S", 1)),
+], ids=["spr-two", "spr-none", "pbs-two", "block-one", "route-three", "route-non-string"])
+def test_element_checks_its_arm_count(kind, arms):
+    with pytest.raises(QStateError, match="arms"):
+        Element(kind, "el", arms)
+
+
+def test_nan_rotation_fails_the_unitarity_audit():
+    with pytest.raises(QStateError, match="nan"):
+        element_map(spr(math.nan, "S"), small_universe())
 
 
 @settings(max_examples=25, deadline=None)

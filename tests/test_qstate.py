@@ -126,6 +126,8 @@ def test_inner_is_conjugate_linear_in_first_argument():
 def test_linear_map_requires_isometric_columns():
     with pytest.raises(QStateError):
         LinearMap({label("S"): {label("S"): 0.5}}, kind="unitary")
+    with pytest.raises(QStateError, match="nan"):
+        LinearMap({label("S"): {label("S"): math.nan}}, kind="unitary")
     r = 1.0 / math.sqrt(2.0)
     with pytest.raises(QStateError, match="not orthogonal"):
         LinearMap({label("S"): {label("S"): r, label("A"): r},
@@ -164,6 +166,8 @@ def test_fidelity_target_validation():
     s = StateVector({label("F", "H", 0): 1.0})
     with pytest.raises(NormalizationError):
         fidelity(StateVector({label("F", "H"): 0.5}), s)
+    with pytest.raises(NormalizationError):
+        fidelity(StateVector({label("F", "H"): math.nan}), s)
     with pytest.raises(QStateError):
         fidelity(StateVector({label("F", "H"): 0.8, label("S", "H"): 0.6}), s)
 
