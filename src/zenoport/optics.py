@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .qstate import (
     BasisLabel,
@@ -89,21 +90,25 @@ def route(src: str, pol: str, dst: str, name: str = "route") -> Element:
     return Element("route", name, (src, dst), (("pol", pol),))
 
 
-def _bobs_on(universe: tuple[BasisLabel, ...], path: str) -> tuple[str, ...]:
-    return tuple(sorted({l.bob for l in universe if l.path == path}))
+def _label_index(universe: tuple[BasisLabel, ...]):
+    """Domain, universe positions and arm -> control bits, built once per universe."""
+    pos = {l: i for i, l in enumerate(universe)}
+    bobs: dict[str, set[str]] = {}
+    for l in universe:
+        bobs.setdefault(l.path, set()).add(l.bob)
+    return frozenset(pos), pos, {path: tuple(sorted(b)) for path, b in bobs.items()}
 
 
 def _swap(cols: dict, a: BasisLabel, b: BasisLabel) -> None:
     cols[a], cols[b] = {b: 1.0}, {a: 1.0}
 
 
-def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
-    """Total unitary action of el on the universe (identity elsewhere)."""
-    uset = set(universe)
-    cols: dict[BasisLabel, dict[BasisLabel, complex]] = {l: {l: 1.0} for l in universe}
+def _element_map(el: Element, index) -> LinearMap:
+    dom, _, bobs = index
+    cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}
 
     def need(lbl: BasisLabel) -> BasisLabel:
-        if lbl not in uset:
+        if lbl not in dom:
             raise QStateError(f"element {el.name}: label {lbl.ket()} missing from universe")
         return lbl
 
@@ -111,36 +116,44 @@ def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
         (path,) = el.arms
         t = el.param("theta")
         hh, hv, vh, vv = math.cos(t), math.sin(t), -math.sin(t), math.cos(t)
-        for b in _bobs_on(universe, path):
+        for b in bobs.get(path, ()):
             h, v = need(label(path, "H", b)), need(label(path, "V", b))
             cols[h] = {h: hh, v: hv}
             cols[v] = {h: vh, v: vv}
     elif el.kind == "pbs":
         in_path, h_out, v_out = el.arms
-        for b in _bobs_on(universe, in_path):
+        for b in bobs.get(in_path, ()):
             _swap(cols, need(label(in_path, "H", b)), need(label(h_out, "H", b)))
             _swap(cols, need(label(in_path, "V", b)), need(label(v_out, "V", b)))
     elif el.kind == "block":
         path, sink = el.arms
         for pol in el.param("pols"):
-            for b in _bobs_on(universe, path):
+            for b in bobs.get(path, ()):
                 _swap(cols, need(label(path, pol, b)), need(label(sink, pol, b)))
     elif el.kind == "route":
         src, dst = el.arms
         pol = el.param("pol")
-        for b in _bobs_on(universe, src):
+        for b in bobs.get(src, ()):
             _swap(cols, need(label(src, pol, b)), need(label(dst, pol, b)))
-    return LinearMap(cols, kind="unitary", name=el.name)
+    return LinearMap(cols, kind="unitary", name=el.name, domain=dom)
+
+
+def _step_map(elements: tuple[Element, ...], index) -> LinearMap:
+    # columns stay in universe order: the adjoint's sums follow column order
+    dom, pos, _ = index
+    maps = [_element_map(el, index) for el in elements]
+    m = reduce(compose, maps) if maps else LinearMap({}, kind="unitary", name="idle", domain=dom)
+    return LinearMap({l: m.columns[l] for l in sorted(m.columns, key=pos.__getitem__)},
+                     kind="unitary", name=m.name, domain=dom)
+
+
+def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
+    """Unitary action of el on the universe: stores the labels el touches, identity elsewhere."""
+    return _element_map(el, _label_index(universe))
 
 
 def step_map(elements: tuple[Element, ...], universe: tuple[BasisLabel, ...]) -> LinearMap:
-    m = None
-    for el in elements:
-        em = element_map(el, universe)
-        m = em if m is None else compose(m, em)
-    if m is None:
-        m = LinearMap({l: {l: 1.0} for l in universe}, kind="unitary", name="idle")
-    return m
+    return _step_map(elements, _label_index(universe))
 
 
 @dataclass
@@ -175,7 +188,8 @@ class CircuitSchedule:
 
     def step_maps(self) -> tuple[LinearMap, ...]:
         if self._maps is None:
-            self._maps = tuple(step_map(els, self.universe) for els in self.steps)
+            index = _label_index(self.universe)
+            self._maps = tuple(_step_map(els, index) for els in self.steps)
         return self._maps
 
     def adjoint_step_maps(self) -> tuple[LinearMap, ...]:

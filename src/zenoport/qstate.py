@@ -211,27 +211,32 @@ def projector_from_spec(text: str) -> Projector:
 class LinearMap:
     """Sparse linear map stored column-wise: columns[src][dst] = amplitude.
 
-    kind "unitary" is audited at construction: columns must be orthonormal
-    within 1e-12 (sink rows included), and the map must be square on its
-    declared support.  kind "general" skips the audit.
+    The map is the identity on every label of its domain (default: the
+    stored labels) that has no stored column.  kind "unitary" is audited at
+    construction: the full map over the domain must have orthonormal columns
+    within 1e-12 (sink rows included) and equal domain and range.  kind
+    "general" skips the audit.
     """
 
-    __slots__ = ("columns", "kind", "name")
+    __slots__ = ("columns", "domain", "kind", "name")
 
     def __init__(self, columns: Mapping[BasisLabel, Mapping[BasisLabel, complex]],
-                 kind: str = "general", name: str = ""):
+                 kind: str = "general", name: str = "",
+                 domain: Iterable[BasisLabel] | None = None):
         if kind not in ("unitary", "general"):
             raise QStateError(f"unknown map kind {kind!r}")
         self.columns: dict[BasisLabel, dict[BasisLabel, complex]] = {
             src: {dst: complex(a) for dst, a in col.items() if a != 0}
             for src, col in columns.items()
         }
+        self.domain = frozenset(self.columns if domain is None else domain)
         self.kind = kind
         self.name = name
         if kind == "unitary":
             self._audit()
 
     def _audit(self) -> None:
+        # the dense checks, with each implied identity column reduced to one entry
         srcs = list(self.columns)
         for i, si in enumerate(srcs):
             ci = self.columns[si]
@@ -243,8 +248,11 @@ class LinearMap:
                 ov = sum(ci[d].conjugate() * cj[d] for d in ci.keys() & cj.keys())
                 if not abs(ov) <= ATOL_UNITARY:
                     raise QStateError(f"map {self.name or 'unitary'}: columns {si.ket()},{sj.ket()} not orthogonal")
+            for d, a in ci.items():
+                if d not in self.columns and d in self.domain and not abs(a) <= ATOL_UNITARY:
+                    raise QStateError(f"map {self.name or 'unitary'}: columns {si.ket()},{d.ket()} not orthogonal")
         rng = {d for col in self.columns.values() for d in col}
-        if rng != set(srcs):
+        if not self.columns.keys() <= rng <= self.domain:
             raise QStateError(f"map {self.name or 'unitary'}: domain and range differ")
 
     def adjoint(self) -> "LinearMap":
@@ -252,8 +260,13 @@ class LinearMap:
         for src, col in self.columns.items():
             for dst, a in col.items():
                 cols.setdefault(dst, {})[src] = a.conjugate()
+        for lbl in [*self.columns, *cols]:  # rows the block leaves out: zero if stored, else identity
+            row = cols.setdefault(lbl, {})
+            if lbl not in self.columns and lbl in self.domain:
+                row[lbl] = 1.0
         kind = "unitary" if self.kind == "unitary" else "general"
-        return LinearMap(cols, kind=kind, name=f"{self.name}^T" if self.name else "")
+        return LinearMap(cols, kind=kind, name=f"{self.name}^T" if self.name else "",
+                         domain=self.domain)
 
     def __repr__(self) -> str:
         return f"LinearMap({self.name or self.kind}, {len(self.columns)} columns)"
@@ -262,11 +275,14 @@ class LinearMap:
 def apply(m: LinearMap, s: StateVector) -> StateVector:
     """Apply m to s.  Errors if s has support outside m's domain."""
     out: dict[BasisLabel, complex] = {}
-    dom = m.columns
+    cols = m.columns
     for src, amp in s.items():
-        col = dom.get(src)
+        col = cols.get(src)
         if col is None:
-            raise LabelMismatchError(f"state label {src.ket()} outside map domain ({m.name or m.kind})")
+            if src not in m.domain:
+                raise LabelMismatchError(f"state label {src.ket()} outside map domain ({m.name or m.kind})")
+            out[src] = out.get(src, 0j) + amp
+            continue
         for dst, a in col.items():
             out[dst] = out.get(dst, 0j) + a * amp
     return StateVector(out)
@@ -274,18 +290,28 @@ def apply(m: LinearMap, s: StateVector) -> StateVector:
 
 def compose(first: LinearMap, second: LinearMap) -> LinearMap:
     """Map equal to applying `first`, then `second`."""
+    cols2, dom2 = second.columns, second.domain
+    if first.domain is not dom2 and not first.domain <= dom2:
+        raise LabelMismatchError("composition gap: first map's domain is not inside the second's")
     cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}
     for src, col in first.columns.items():
         acc: dict[BasisLabel, complex] = {}
         for mid, a in col.items():
-            col2 = second.columns.get(mid)
+            col2 = cols2.get(mid)
             if col2 is None:
-                raise LabelMismatchError(f"composition gap: {mid.ket()} outside second map's domain")
+                if mid not in dom2:
+                    raise LabelMismatchError(f"composition gap: {mid.ket()} outside second map's domain")
+                acc[mid] = acc.get(mid, 0j) + a
+                continue
             for dst, b in col2.items():
                 acc[dst] = acc.get(dst, 0j) + b * a
         cols[src] = acc
+    for src, col in cols2.items():
+        if src not in cols and src in first.domain:
+            cols[src] = col
     kind = "unitary" if first.kind == "unitary" and second.kind == "unitary" else "general"
-    return LinearMap(cols, kind=kind, name=f"{first.name};{second.name}".strip(";"))
+    return LinearMap(cols, kind=kind, name=f"{first.name};{second.name}".strip(";"),
+                     domain=first.domain)
 
 
 def project(p: Projector, s: StateVector) -> tuple[StateVector, float]:

@@ -399,7 +399,8 @@ def drifting_circuit():
     c = build_paradox_circuit(2, 2)
     first, *rest = c.step_maps()
     lossy = LinearMap({src: {dst: 0.5 * a for dst, a in col.items()}
-                       for src, col in first.columns.items()}, kind="general", name="lossy")
+                       for src, col in first.columns.items()}, kind="general", name="lossy",
+                      domain=first.domain)
     c._maps = (lossy, *rest)
     return c
 

@@ -126,6 +126,7 @@ def sink_total(s, prefix):
     (2, 2, False, 0), (3, 4, False, 0), (1, 5, False, 0),
     (2, 2, True, 0), (3, 3, True, 0), (2, 4, True, 0),
     (2, 2, False, 1), (2, 2, True, 1), (2, 2, False, 2), (2, 2, True, 2),
+    (20, 100, False, 0), (10, 50, True, 0), (5, 20, True, 1), (6, 24, True, 2),
 ])
 def test_scalar_model_matches_interferometer(m, n, blocked, av):
     """The scalar dwell reduction reproduces the full circuit amplitude

@@ -20,6 +20,7 @@ from zenoport.optics import (
 )
 from zenoport.qstate import (
     ConservationError,
+    LabelMismatchError,
     LinearMap,
     QStateError,
     StateVector,
@@ -286,3 +287,108 @@ def test_any_paradox_run_conserves_probability(m, n, blocked, av):
     assert abs(tr.at("t_final").norm2() - 1.0) < 1e-12
     _, prob = project(c.post_projector, tr.at("t_final"))
     assert -1e-12 <= prob <= 1.0 + 1e-12
+
+
+# ------------------------------------------------------ local-support maps
+
+AUDIT_ERRORS = ("has norm^2", "not orthogonal", "domain and range differ")
+
+
+def dense_audit(m):
+    """Reference unitarity audit: write out the identity column of every
+    unstored domain label, then check every column and every pair."""
+    cols = {l: {l: 1.0 + 0j} for l in m.domain}
+    cols.update(m.columns)
+    srcs = list(cols)
+    for si in srcs:
+        if not abs(sum(abs(a) ** 2 for a in cols[si].values()) - 1.0) <= 1e-12:
+            return "has norm^2"
+    for i, si in enumerate(srcs):
+        for sj in srcs[i + 1:]:
+            ov = sum(cols[si][d].conjugate() * cols[sj][d] for d in cols[si].keys() & cols[sj].keys())
+            if not abs(ov) <= 1e-12:
+                return "not orthogonal"
+    if {d for col in cols.values() for d in col} != set(m.domain):
+        return "domain and range differ"
+    return None
+
+
+def local_audit(columns, domain):
+    """The verdict of LinearMap's own audit, as one of AUDIT_ERRORS or None."""
+    try:
+        LinearMap(columns, kind="unitary", domain=domain)
+    except QStateError as exc:
+        return next(e for e in AUDIT_ERRORS if e in str(exc))
+    return None
+
+
+def controlled_universe():
+    """Every arm with both polarizations and both control bits, plus a sink."""
+    return tuple(label(p, pol, b) for p in ("S", "A", "B", "C", "D", "SinkX")
+                 for pol in ("H", "V") for b in ("0", "1"))
+
+
+@pytest.mark.parametrize("el, touched", [
+    (spr(0.3, "S"), "SH SV"),
+    (pbs("S", "A", "D"), "SH SV AH DV"),
+    (block("C", "SinkX", ("H", "V")), "CH CV SinkXH SinkXV"),
+    (route("D", "H", "B"), "DH BH"),
+], ids=["spr", "pbs", "block", "route"])
+def test_element_maps_store_only_touched_labels_and_pass_the_dense_audit(el, touched):
+    uni = controlled_universe()
+    m = element_map(el, uni)
+    assert m.domain == frozenset(uni)
+    assert set(m.columns) == {label(t[:-1], t[-1], b) for t in touched.split() for b in "01"}
+    assert dense_audit(m) is None
+    assert local_audit(m.columns, m.domain) is None
+
+
+def test_step_maps_store_only_touched_labels_and_pass_the_dense_audit():
+    c = build_paradox_circuit(3, 3, block_channel=True, av_rounds=1)
+    for els, m, adj in zip(c.steps, c.step_maps(), c.adjoint_step_maps()):
+        assert {l.path for l in m.columns} <= {arm for el in els for arm in el.arms}
+        assert list(m.columns) == sorted(m.columns, key=c.universe.index)
+        for mm in (m, adj):
+            assert mm.domain == frozenset(c.universe)
+            assert dense_audit(mm) is None
+            assert local_audit(mm.columns, mm.domain) is None
+
+
+def test_blocked_step_maps_stay_small():
+    c = build_paradox_circuit(10, 50, block_channel=True)
+    assert len(c.universe) == 522
+    assert max(len(m.columns) for m in c.step_maps()) <= 16
+
+
+R = 1.0 / math.sqrt(2.0)
+SH, SV, AH, FH = label("S", "H"), label("S", "V"), label("A", "H"), label("F", "H")
+COS, SIN = math.cos(0.3), math.sin(0.3)
+
+
+@pytest.mark.parametrize("columns, verdict", [
+    ({SH: {SH: COS, SV: SIN, AH: 1e-11}, SV: {SH: -SIN, SV: COS}}, "not orthogonal"),
+    ({SH: {SH: COS, SV: SIN, AH: 1e-13}, SV: {SH: -SIN, SV: COS}}, None),
+    ({SH: {SH: R, FH: R}}, "domain and range differ"),
+    ({SH: {AH: 1.0}, AH: {FH: 1.0}}, "domain and range differ"),
+    ({SH: {SH: math.sqrt(1.0 + 1e-11)}}, "has norm^2"),
+], ids=["leak-1e-11", "leak-1e-13", "lands-outside", "unreached-label", "norm-1e-11"])
+def test_local_audit_matches_the_dense_audit(columns, verdict):
+    dom = small_universe()
+    assert dense_audit(LinearMap(columns, domain=dom)) == verdict
+    assert local_audit(columns, dom) == verdict
+
+
+def test_apply_passes_unstored_domain_labels_through():
+    m = element_map(spr(0.3, "S"), small_universe())
+    assert label("A", "V") not in m.columns and label("A", "V") in m.domain
+    s = StateVector({label("A", "V"): 0.6 + 0.8j})
+    assert apply(m, s) == s
+    out = apply(m, StateVector({label("S", "H"): R, label("D", "V"): R * 1j}))
+    assert out.amp(label("D", "V")) == R * 1j
+    assert out.amp(label("S", "V")) == SIN * R
+
+
+def test_apply_rejects_a_label_outside_an_element_maps_domain():
+    m = element_map(spr(0.3, "S"), small_universe())
+    with pytest.raises(LabelMismatchError):
+        apply(m, StateVector({label("F", "H"): 1.0}))

@@ -162,6 +162,55 @@ def test_compose_order():
     assert apply(m, StateVector({label("S"): 1.0})).amp(label("B")) == 1.0
 
 
+def test_compose_rejects_a_range_outside_the_second_domain():
+    swap = LinearMap({label("S"): {label("A"): 1.0}, label("A"): {label("S"): 1.0}},
+                     kind="unitary", domain=(label("S"), label("A"), label("B")))
+    only_s_a = LinearMap({}, kind="unitary", domain=(label("S"), label("A")))
+    with pytest.raises(LabelMismatchError, match="composition gap"):
+        compose(swap, only_s_a)  # B is passed through by swap but unknown to the second map
+    leaky = LinearMap({label("S"): {label("F"): 1.0}}, kind="general")
+    with pytest.raises(LabelMismatchError, match="composition gap"):
+        compose(leaky, swap)  # F is reached by a stored column
+    assert apply(compose(only_s_a, swap), StateVector({label("S"): 1.0})).amp(label("A")) == 1.0
+
+
+def test_local_maps_compose_and_invert_on_their_domain():
+    c, s = math.cos(0.3), math.sin(0.3)
+    dom = (label("S", "H"), label("S", "V"), label("A", "H"), label("A", "V"))
+    rot = LinearMap({label("S", "H"): {label("S", "H"): c, label("S", "V"): s},
+                     label("S", "V"): {label("S", "H"): -s, label("S", "V"): c}},
+                    kind="unitary", domain=dom)
+    swap = LinearMap({label("S", "V"): {label("A", "V"): 1.0},
+                      label("A", "V"): {label("S", "V"): 1.0}}, kind="unitary", domain=dom)
+    both = compose(rot, swap)
+    assert both.domain == frozenset(dom) and rot.adjoint().domain == frozenset(dom)
+    assert set(both.columns) == {label("S", "H"), label("S", "V"), label("A", "V")}
+    v = StateVector({label("S", "H"): 0.6, label("A", "H"): 0.8j})
+    out = apply(both, v)
+    assert out.amp(label("A", "V")) == pytest.approx(0.6 * s)
+    assert out.amp(label("A", "H")) == 0.8j
+    assert (apply(both.adjoint(), out) - v).norm() < 1e-12
+
+
+def test_adjoint_keeps_the_identity_of_a_label_a_tolerated_leak_reaches():
+    c, s = math.cos(0.3), math.sin(0.3)
+    dom = (label("S", "H"), label("S", "V"), label("A", "H"))
+    m = LinearMap({label("S", "H"): {label("S", "H"): c, label("S", "V"): s, label("A", "H"): 1e-13},
+                   label("S", "V"): {label("S", "H"): -s, label("S", "V"): c}},
+                  kind="unitary", domain=dom)
+    adj = m.adjoint()
+    assert adj.columns[label("A", "H")][label("A", "H")] == 1.0
+    v = StateVector({label("S", "H"): 0.6, label("A", "H"): 0.8})
+    assert (apply(compose(m, adj), v) - v).norm() < 1e-12
+
+
+def test_adjoint_of_a_general_map_has_a_zero_row_where_nothing_lands():
+    m = LinearMap({label("S"): {label("A"): 0.5}}, domain=(label("S"), label("A")))
+    adj = m.adjoint()
+    assert apply(adj, StateVector({label("S"): 1.0})) == StateVector()
+    assert apply(adj, StateVector({label("A"): 1.0})).amp(label("S")) == 0.5
+
+
 def test_fidelity_target_validation():
     s = StateVector({label("F", "H", 0): 1.0})
     with pytest.raises(NormalizationError):
