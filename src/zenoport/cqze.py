@@ -15,8 +15,15 @@ skipped, which suppresses the weak trace in the channel arm.
 
 Loss bookkeeping is scalar (no sink labels in the returned states): the
 dwell input is always a pure V slice, so each loss family reduces to one
-intensity coefficient per dwell and the outer recursion costs O(1) per
-cycle after a single O((1+a)N) precomputation per configuration.
+intensity coefficient per dwell.
+
+Shallow modules step both recursions cycle by cycle.  Deeper ones (see
+LOOP_BUDGET) run the exact tier: every cycle is a real 2x2 amplitude map
+with a quadratic loss row, the pair is the 4x4 lift of the map to
+(x^2, xy, y^2, loss), and a run of k equal cycles is the lift's k-th
+power by square-and-multiply, in fixed-point integers with _F fractional
+bits.  A module then costs O(log N + log M) and conserves probability to
+the float rounding of its outputs.
 """
 from __future__ import annotations
 
@@ -37,6 +44,19 @@ from .qstate import (
 )
 
 ATOL_SUM = 1e-12
+
+# A module runs the cycle loops when (1+av_rounds)*N + M <= LOOP_BUDGET and
+# the exact tier above it.  Below the line the loops stay inside the 1e-12
+# budget: a longdouble rotation misses c^2 + s^2 = 1 by about 1e-19 and a
+# float64 outer cycle rounds by about 1e-16, so the drift is at most
+# M*(1+a)N*1e-19 + M*1e-16 < 1e-13 (the product peaks at 256*256).  Small
+# modules are also cheaper in the loops: on a 2-core x86 VM, (8, 8) costs
+# 0.06 ms per module there against 0.14 ms in the exact tier (0.02 against
+# 0.05 ms with the dwell cached, as in a sweep row of up to hundreds of
+# modules), and the two break even near (40, 40).  Between that and the line
+# the loops cost at most about 0.4 ms more per module, and keeping them there
+# keeps every shallow result, the default sweep included, bit for bit.
+LOOP_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -149,19 +169,128 @@ class CnotOutcome:
             raise ConservationError(f"outcome probabilities sum to {total!r}, expected 1")
 
 
+# --- exact tier: fixed-point lifted maps ---------------------------------
+#
+# A lifted map is (A, q): A = (a, b, c, d) is the real 2x2 amplitude map
+# [[a, b], [c, d]] on (x, y), and q = (q0, q1, q2) is the loss it causes on
+# that input, q0*x^2 + q1*x*y + q2*y^2.  This is the 4x4 lift of A to
+# (x^2, xy, y^2, loss), [[Sym2(A), 0], [q, 1]], stored by its two blocks.
+# Entries are integers in units of 2**-_F.
+
+_F = 128
+_ONE = 1 << _F
+_GUARD = 32  # extra bits for the series in _cos_sin
+
+
+def _fx(x: float) -> int:
+    """Fixed-point value of a float (exact up to the last of _F bits)."""
+    num, den = float(x).as_integer_ratio()
+    return (num << _F) // den
+
+
+# pi in units of 2**-(_F + _GUARD): the first 41 hexadecimal digits of pi
+_PI = 0x3243F6A8885A308D313198A2E03707344A4093822
+
+
+@lru_cache(maxsize=4096)
+def _cos_sin(n: int) -> tuple[int, int]:
+    """cos and sin of pi/2n in fixed point, with c = sqrt(1 - s^2) so that
+    c^2 + s^2 = 1 to the last bit."""
+    x = _PI // (2 * n)
+    x2 = x * x >> (_F + _GUARD)
+    term, s, j = x, x, 1
+    while term:
+        term = term * x2 // ((j + 1) * (j + 2) << (_F + _GUARD))
+        j += 2
+        s += term if j % 4 == 1 else -term
+    s = min(_ONE, (s + (1 << (_GUARD - 1))) >> _GUARD)
+    return math.isqrt(_ONE * _ONE - s * s), s
+
+
+def _then(m1, m2):
+    """Lifted map of m1 followed by m2 (the 4x4 block product lift(m2)·lift(m1))."""
+    (a, b, c, d), q = m1
+    (e, f, g, h), (r0, r1, r2) = m2
+    amp = ((e * a + f * c) >> _F, (e * b + f * d) >> _F,
+           (g * a + h * c) >> _F, (g * b + h * d) >> _F)
+    # m2's loss row pulled back through A: r0*x'^2 + r1*x'y' + r2*y'^2
+    loss = (q[0] + ((r0 * a * a + r1 * a * c + r2 * c * c) >> 2 * _F),
+            q[1] + ((2 * (r0 * a * b + r2 * c * d) + r1 * (a * d + b * c)) >> 2 * _F),
+            q[2] + ((r0 * b * b + r1 * b * d + r2 * d * d) >> 2 * _F))
+    return amp, loss
+
+
+def _apply(m, vecs):
+    """Apply m to each real (x, y) pair of vecs; returns the pairs and the summed loss."""
+    (a, b, c, d), (q0, q1, q2) = m
+    lost = sum(q0 * x * x + q1 * x * y + q2 * y * y for x, y in vecs) >> 2 * _F
+    return tuple(((a * x + b * y) >> _F, (c * x + d * y) >> _F) for x, y in vecs), lost
+
+
+def _power(m, k: int, vecs):
+    """Apply the k-th power of m to vecs by square-and-multiply.
+
+    The powers of one map commute, so applying m^(2^i) for each set bit i
+    of k, lowest first, is k steps of m: O(log k) map products.
+    """
+    lost = 0
+    while k:
+        if k & 1:
+            vecs, step_loss = _apply(m, vecs)
+            lost += step_loss
+        k >>= 1
+        if k:
+            m = _then(m, m)
+    return vecs, lost
+
+
+def _dwell_exact(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
+                 eps_block_per: str, bit: int):
+    """The exact tier's dwell: `_dwell`'s recursion as lifted-map powers,
+    with results in fixed point."""
+    c, s = _cos_sin(n)
+    rot = ((c, -s, s, c), (0, 0, 0))
+    fam = "DB" if bit == 0 else "Block"
+
+    def visit(keep2: int):  # rotation, then the control event on H
+        return _then(rot, ((math.isqrt(keep2 << _F), 0, 0, _ONE), (_ONE - keep2, 0, 0)))
+
+    first = visit(_ONE - _fx(eps_reflect) if bit == 0 else _fx(eps_block))
+    later = visit(0) if bit == 1 and eps_block_per == "outer" else first
+    entrance_block = _then(rot, ((0, 0, 0, _ONE), (_ONE, 0, 0)))
+    coeffs = {"DB": 0, "Block": 0, "AV": 0}
+    vecs, pending = ((0, _ONE),), first
+    for r in range(av_rounds + 1):
+        visits = n if r == av_rounds else n - 1
+        if visits and pending is not None:
+            vecs, lost = _apply(pending, vecs)
+            coeffs[fam] += lost
+            visits, pending = visits - 1, None
+        vecs, lost = _power(later, visits, vecs)
+        coeffs[fam] += lost
+        if r < av_rounds:
+            vecs, lost = _apply(entrance_block, vecs)
+            coeffs["AV"] += lost
+    [(t01, t11)] = vecs
+    return t01, t11, tuple(sorted(coeffs.items()))
+
+
 @lru_cache(maxsize=None)
 def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
-           eps_block_per: str, bit: int) -> tuple[float, float, tuple[tuple[str, float], ...]]:
+           eps_block_per: str, bit: int, exact: bool = False) -> tuple:
     """Transfer of one full dwell of n inner cycles (plus av_rounds
     extension rounds) on a pure V input slice.
 
     Returns (t_HV, t_VV, loss coefficients): the dwell maps (0, l) to
     (t_HV*l, t_VV*l) and each family loses coeff*|l|^2.  Real entries only,
-    since every step is a real rotation or a real scaling.  The recursion
-    runs in extended precision: tens of thousands of chained double-float
-    rotations would otherwise drift the probability budget past 1e-12.
-    The outer cycle count plays no part, so the cache key leaves it out.
+    since every step is a real rotation or a real scaling.  With exact the
+    entries are fixed-point integers from `_dwell_exact`; otherwise floats
+    from a cycle loop in extended precision, which keeps a shallow dwell's
+    rounding far below the 1e-12 budget.  The outer cycle count plays no
+    part, so the cache key leaves it out.
     """
+    if exact:
+        return _dwell_exact(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
     one = np.longdouble(1.0)
     c = np.cos(np.longdouble(math.pi) / (2 * n))
     sn = np.sin(np.longdouble(math.pi) / (2 * n))
@@ -189,6 +318,59 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     return float(t01), float(t11), out
 
 
+def _outer_loop(vH: complex, vV: complex, cfg: ProtocolConfig, dwell: tuple, loss: dict):
+    """M outer cycles around the float `dwell`, stepped one by one in
+    complex float64; adds each family's loss to `loss` and returns the
+    output (H, V) amplitudes."""
+    c, sn = math.cos(cfg.theta_outer), math.sin(cfg.theta_outer)
+    t01, t11, coeff_items = dwell
+    for _ in range(cfg.M):
+        vH, vV = c * vH - sn * vV, sn * vH + c * vV
+        p = abs(vV) ** 2
+        loss["DA"] += (t01 * t01) * p
+        for famname, coeff in coeff_items:
+            loss[famname] += coeff * p
+        vV *= t11
+    return vH, vV
+
+
+def _outer_exact(vH: complex, vV: complex, cfg: ProtocolConfig, dwell: tuple, loss: dict):
+    """`_outer_loop` in the exact tier, around a fixed-point `dwell`: the
+    outer cycle diag(1, t_VV)·R(pi/2M) with the loss row of the rotated
+    |V|^2, raised to the M-th power.  The real and imaginary parts of the
+    input run through the same real map."""
+    t01, t11, coeff_items = dwell
+    c, s = _cos_sin(cfg.M)
+    cycle = ((c, -s, t11 * s >> _F, t11 * c >> _F),
+             (s * s >> _F, 2 * c * s >> _F, c * c >> _F))
+    vecs = ((_fx(vH.real), _fx(vV.real)), (_fx(vH.imag), _fx(vV.imag)))
+    ((hr, vr), (hi, vi)), sum_p = _power(cycle, cfg.M, vecs)
+    loss["DA"] += t01 * t01 * sum_p / _ONE ** 3
+    for famname, coeff in coeff_items:
+        loss[famname] += coeff * sum_p / _ONE ** 2
+    return complex(hr / _ONE, hi / _ONE), complex(vr / _ONE, vi / _ONE)
+
+
+def _module(aH: complex, aV: complex, bob: BobQubit, cfg: ProtocolConfig, exact: bool):
+    """Module output amplitudes by label and the loss families, from the
+    cycle loops or from the exact tier."""
+    outer = _outer_exact if exact else _outer_loop
+    loss = {"DA": 0.0, "DB": 0.0, "Block": 0.0, "AV": 0.0}
+    amps: dict = {}
+    for bit, w in ((0, bob.alpha), (1, bob.beta)):
+        if w == 0:
+            continue
+        dwell = _dwell(cfg.N, cfg.eps_reflect, cfg.eps_block, cfg.av_rounds,
+                       cfg.eps_block_per, bit, exact)
+        vH, vV = outer(w * aH, w * aV, cfg, dwell, loss)
+        b = str(bit)
+        if vH:
+            amps[label("F", "H", b)] = vH
+        if vV:
+            amps[label("F", "V", b)] = vV
+    return amps, loss
+
+
 def run_cqze(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> CqzeOutcome:
     """Full module: M outer cycles, each embedding one dwell.
 
@@ -200,27 +382,8 @@ def run_cqze(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> CqzeOutcome
     aH, aV = (complex(a) for a in pol_in)
     if not abs(abs(aH) ** 2 + abs(aV) ** 2 - 1.0) <= ATOL_SUM:
         raise NormalizationError("input polarization must be normalized")
-    c, sn = math.cos(cfg.theta_outer), math.sin(cfg.theta_outer)
-    loss = {"DA": 0.0, "DB": 0.0, "Block": 0.0, "AV": 0.0}
-    amps: dict = {}
-    for bit, w in ((0, bob.alpha), (1, bob.beta)):
-        if w == 0:
-            continue
-        t01, t11, coeff_items = _dwell(cfg.N, cfg.eps_reflect, cfg.eps_block,
-                                       cfg.av_rounds, cfg.eps_block_per, bit)
-        vH, vV = w * aH, w * aV
-        for _ in range(cfg.M):
-            vH, vV = c * vH - sn * vV, sn * vH + c * vV
-            p = abs(vV) ** 2
-            loss["DA"] += (t01 * t01) * p
-            for famname, coeff in coeff_items:
-                loss[famname] += coeff * p
-            vV *= t11
-        b = str(bit)
-        if vH:
-            amps[label("F", "H", b)] = vH
-        if vV:
-            amps[label("F", "V", b)] = vV
+    exact = (1 + cfg.av_rounds) * cfg.N + cfg.M > LOOP_BUDGET
+    amps, loss = _module(aH, aV, bob, cfg, exact)
     joint = StateVector(amps)
     return CqzeOutcome(
         joint=joint,

@@ -99,6 +99,13 @@ class StateVector(Mapping):
     def __len__(self) -> int:
         return len(self._amps)
 
+    # the dict's own views, so loops over a state skip Mapping's per-key lookups
+    def items(self):
+        return self._amps.items()
+
+    def values(self):
+        return self._amps.values()
+
     def amp(self, key: BasisLabel) -> complex:
         return self._amps.get(key, 0j)
 
@@ -322,11 +329,12 @@ def project(p: Projector, s: StateVector) -> tuple[StateVector, float]:
 
 def inner(a: StateVector, b: StateVector) -> complex:
     """Conjugate-linear in a, linear in b."""
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    a_amps, b_amps = a._amps, b._amps
+    small, big = (a_amps, b_amps) if len(a_amps) <= len(b_amps) else (b_amps, a_amps)
     total = 0j
     for k in small:
         if k in big:
-            total += a[k].conjugate() * b[k]
+            total += a_amps[k].conjugate() * b_amps[k]
     return total
 
 

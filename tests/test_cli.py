@@ -102,6 +102,14 @@ def test_counterport_deep_equator_run(tmp_path, capsys):
     assert rec["bob_purity"]["Port2"] > 0.9999999
 
 
+def test_counterport_deep_dwell_exits_0(capsys):
+    code, out = run(capsys, ["counterport", "--m", "100", "--n", "400000",
+                             "--alpha", "0.6", "--beta", "0.8"])
+    assert code == 0
+    rec = json.loads(out)
+    assert abs(rec["p_success"] + rec["p_lost"] - 1.0) < 1e-12
+
+
 def test_counterport_lossy_regression(capsys):
     code, out = run(capsys, ["counterport", "--eps-reflect", "0.10",
                              "--eps-block", "0.05",

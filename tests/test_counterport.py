@@ -260,6 +260,24 @@ def test_round2_matches_the_two_rail_gate():
                         assert abs(ports.amp(key) - norm * gate.joint.amp(key)) < 1e-12
 
 
+@pytest.mark.parametrize("cfg", [
+    # deep dwells once summed to 1 + 1.1e-12 in the extended-precision loop
+    ProtocolConfig(M=100, N=400000),
+    ProtocolConfig(M=300, N=300000),
+    # affordable only in logarithmic time
+    ProtocolConfig(M=10**6, N=10**7),
+    # lossy: the cycle loops once summed to 1 - 1.05e-12 and 1 - 1.28e-12
+    ProtocolConfig(M=10000, N=100, eps_reflect=0.04, eps_block=0.02, eps_block_per="outer"),
+    ProtocolConfig(M=100, N=200000, eps_reflect=0.1, eps_block=0.05, av_rounds=2),
+], ids=["100x400000", "300x300000", "1e6x1e7", "lossy-outer", "av2"])
+def test_deep_chains_conserve_probability(cfg):
+    r = counterport(BobQubit(0.6, 0.8), cfg)
+    assert abs(r.p_port1 + r.p_port2 + r.p_lost - 1.0) < 1e-12
+    assert abs(sum(r.loss_breakdown.values()) - r.p_lost) < 1e-12
+    assert abs(r.joint.norm2() - r.p_success) < 1e-12
+    assert 0.0 <= r.fidelity <= r.p_success
+
+
 def test_leaking_module_transfer_is_a_conservation_breach(monkeypatch, tmp_path, capsys):
     real = cp._module_transfers
 

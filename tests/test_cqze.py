@@ -1,17 +1,22 @@
 """Module evolution closed forms, the loss model, and the two-rail gate."""
 
+import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenoport.cqze import (
+    _ONE,
+    LOOP_BUDGET,
     BobQubit,
     CnotOutcome,
     CqzeOutcome,
     ProtocolConfig,
+    _cos_sin,
     _dwell,
+    _module,
     counterfactual_cnot,
     run_cqze,
 )
@@ -127,6 +132,8 @@ def sink_total(s, prefix):
     (2, 2, True, 0), (3, 3, True, 0), (2, 4, True, 0),
     (2, 2, False, 1), (2, 2, True, 1), (2, 2, False, 2), (2, 2, True, 2),
     (20, 100, False, 0), (10, 50, True, 0), (5, 20, True, 1), (6, 24, True, 2),
+    # above LOOP_BUDGET: the exact tier
+    (2, 600, False, 0), (1, 520, True, 0),
 ])
 def test_scalar_model_matches_interferometer(m, n, blocked, av):
     """The scalar dwell reduction reproduces the full circuit amplitude
@@ -141,6 +148,55 @@ def test_scalar_model_matches_interferometer(m, n, blocked, av):
     assert abs(sink_total(fin, "SinkD3") - o.loss_breakdown["DA"]) < 1e-12
     assert abs(sink_total(fin, "SinkAV") - o.loss_breakdown["AV"]) < 1e-12
     assert abs(sink_total(fin, "SinkBlock") - o.loss_breakdown["Block"]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 40000, 10**7])
+def test_fixed_point_rotation_is_exact(n):
+    c, s = _cos_sin(n)
+    assert 0 <= _ONE * _ONE - (c * c + s * s) <= 2 * c + 1  # c = isqrt(1 - s^2)
+    assert abs(s / _ONE - math.sin(math.pi / (2 * n))) <= 2.0 ** -52
+    assert abs(c / _ONE - math.cos(math.pi / (2 * n))) <= 2.0 ** -52
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 300), n=st.integers(1, 300),
+       er=st.sampled_from([0.0, 0.03, 0.5, 1.0]) | st.floats(0, 1),
+       eb=st.sampled_from([0.0, 0.02, 0.5, 1.0]) | st.floats(0, 1),
+       av=st.integers(0, 2), per=st.sampled_from(["inner", "outer"]),
+       beta2=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+       phases=st.tuples(*[st.floats(0, 2 * math.pi)] * 3), v2=st.floats(0, 1))
+# the first-visit leak with entrance blocks, also at N = 1 where every
+# round but the last is a single block
+@example(m=5, n=7, er=0.1, eb=0.3, av=1, per="outer", beta2=0.5, phases=(0.3, 1.0, 2.0), v2=0.3)
+@example(m=3, n=1, er=0.2, eb=0.4, av=2, per="outer", beta2=1.0, phases=(0.0, 0.0, 0.0), v2=0.0)
+@example(m=300, n=300, er=0.01, eb=0.005, av=2, per="inner", beta2=0.64, phases=(1.0, 2.0, 3.0),
+         v2=0.5)
+def test_exact_tier_matches_the_cycle_loops(m, n, er, eb, av, per, beta2, phases, v2):
+    """The fixed-point lifted maps and the cycle loops agree on every
+    amplitude and loss family, wherever both are affordable."""
+    bob = BobQubit(math.sqrt(1.0 - beta2), cmath.exp(1j * phases[0]) * math.sqrt(beta2))
+    a_h = cmath.exp(1j * phases[1]) * math.sqrt(1.0 - v2)
+    a_v = cmath.exp(1j * phases[2]) * math.sqrt(v2)
+    cfg = ProtocolConfig(M=m, N=n, eps_reflect=er, eps_block=eb, av_rounds=av,
+                         eps_block_per=per)
+    loop_amps, loop_loss = _module(a_h, a_v, bob, cfg, False)
+    exact_amps, exact_loss = _module(a_h, a_v, bob, cfg, True)
+    for k in loop_amps.keys() | exact_amps.keys():
+        assert abs(loop_amps.get(k, 0j) - exact_amps.get(k, 0j)) < 1e-13
+    for fam in loop_loss:
+        assert abs(loop_loss[fam] - exact_loss[fam]) < 1e-13
+    total = sum(abs(a) ** 2 for a in exact_amps.values()) + sum(exact_loss.values())
+    assert abs(total - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("m,n", [(10000, 100), (100000, 10)])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_deep_outer_chain_conserves(m, n, bit):
+    # the float64 outer loop once drifted to 1 - 1.05e-12 at (10000, 100)
+    assert n + m > LOOP_BUDGET  # the exact tier
+    o = run_cqze((1.0, 0.0), bit, ProtocolConfig(M=m, N=n))
+    assert abs(o.p_success + o.p_loss_DA + o.p_loss_DB - 1.0) < 1e-12
+    assert abs(o.joint.norm2() - o.p_success) < 1e-15
 
 
 def test_dwell_cache_ignores_the_outer_cycle_count():

@@ -53,6 +53,14 @@ def test_statevector_drops_zero_amplitudes():
     assert s.amp(label("A")) == 0
 
 
+def test_statevector_views_hold_the_stored_amplitudes():
+    s = StateVector({label("S"): 0.6, label("A"): 0.0, label("B", "V"): 0.8j})
+    assert list(s.items()) == [(label("S"), 0.6), (label("B", "V"), 0.8j)]
+    assert list(s.values()) == [0.6, 0.8j]
+    assert list(s.keys()) == [label("S"), label("B", "V")]
+    assert inner(s, StateVector({label("B", "V"): 1j, label("C"): 1.0})) == 0.8
+
+
 def test_statevector_arithmetic_and_norm():
     a = StateVector({label("S"): 0.6})
     b = StateVector({label("A"): 0.8})
