@@ -14,6 +14,7 @@ conservation breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -483,7 +484,9 @@ def _add_common(sp, keys: dict) -> None:
             sp.add_argument(flag, default=None, help=f"(default {default})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The zenoport parser, built on first use and shared by later calls; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="zenoport",
         description="Exchange-free qubit transport simulator and analysis toolkit.")

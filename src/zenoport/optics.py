@@ -29,7 +29,7 @@ from .qstate import (
     Projector,
     QStateError,
     StateVector,
-    apply,
+    _apply_pruned,
     compose,
     is_sink,
     label,
@@ -138,10 +138,13 @@ def _element_map(el: Element, index) -> LinearMap:
     return LinearMap(cols, kind="unitary", name=el.name, domain=dom)
 
 
-def _step_map(elements: tuple[Element, ...], index) -> LinearMap:
+def _step_map(elements: tuple[Element, ...], index, element_maps: dict) -> LinearMap:
     # columns stay in universe order: the adjoint's sums follow column order
     dom, pos, _ = index
-    maps = [_element_map(el, index) for el in elements]
+    for el in elements:  # element_maps carries the maps already built and audited
+        if el not in element_maps:
+            element_maps[el] = _element_map(el, index)
+    maps = [element_maps[el] for el in elements]
     m = reduce(compose, maps) if maps else LinearMap({}, kind="unitary", name="idle", domain=dom)
     return LinearMap({l: m.columns[l] for l in sorted(m.columns, key=pos.__getitem__)},
                      kind="unitary", name=m.name, domain=dom)
@@ -153,7 +156,7 @@ def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
 
 
 def step_map(elements: tuple[Element, ...], universe: tuple[BasisLabel, ...]) -> LinearMap:
-    return _step_map(elements, _label_index(universe))
+    return _step_map(elements, _label_index(universe), {})
 
 
 @dataclass
@@ -187,15 +190,23 @@ class CircuitSchedule:
             raise QStateError(f"stamp {stamp!r} not in schedule") from None
 
     def step_maps(self) -> tuple[LinearMap, ...]:
+        """One audited map per step; equal element tuples share one map object."""
         if self._maps is None:
             index = _label_index(self.universe)
-            self._maps = tuple(_step_map(els, index) for els in self.steps)
+            element_maps: dict[Element, LinearMap] = {}
+            maps: dict[tuple[Element, ...], LinearMap] = {}
+            for els in self.steps:
+                if els not in maps:
+                    maps[els] = _step_map(els, index, element_maps)
+            self._maps = tuple(maps[els] for els in self.steps)
         return self._maps
 
     def adjoint_step_maps(self) -> tuple[LinearMap, ...]:
         """Adjoint of each step map, same step order as step_maps()."""
         if self._adj_maps is None:
-            self._adj_maps = tuple(m.adjoint() for m in self.step_maps())
+            maps = self.step_maps()
+            adjoints = {m: m.adjoint() for m in dict.fromkeys(maps)}
+            self._adj_maps = tuple(adjoints[m] for m in maps)
         return self._adj_maps
 
     def validate(self) -> None:
@@ -315,9 +326,9 @@ def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int) -> list[StateVe
         steps = ((k, adj[k]) for k in range(i0 - 1, i1 - 1, -1))
     states = [s]
     for k, m in steps:
-        s = apply(m, s).pruned()
-        if not abs(s.norm2() - base) <= ATOL_CONSERVE:
-            raise ConservationError(f"probability drifted to {s.norm2():.15f} at stamp "
+        s, n2 = _apply_pruned(m, s)
+        if not abs(n2 - base) <= ATOL_CONSERVE:
+            raise ConservationError(f"probability drifted to {n2:.15f} at stamp "
                                     f"{c.stamps[k]} (started at {base:.15f})")
         states.append(s)
     return states

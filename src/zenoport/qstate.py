@@ -90,6 +90,13 @@ class StateVector(Mapping):
             if cv != 0:
                 self._amps[k] = cv
 
+    @classmethod
+    def _wrap(cls, amps: dict[BasisLabel, complex]) -> "StateVector":
+        """A state over amps as given: nonzero complex values keyed by BasisLabel."""
+        s = object.__new__(cls)
+        s._amps = amps
+        return s
+
     def __getitem__(self, key: BasisLabel) -> complex:
         return self._amps[key]
 
@@ -236,6 +243,10 @@ class LinearMap:
             src: {dst: complex(a) for dst, a in col.items() if a != 0}
             for src, col in columns.items()
         }
+        # every label a map can write into a state is checked here, once per map
+        for src, col in self.columns.items():
+            if not (isinstance(src, BasisLabel) and all(isinstance(d, BasisLabel) for d in col)):
+                raise QStateError(f"map {name or kind}: keys must be BasisLabel")
         self.domain = frozenset(self.columns if domain is None else domain)
         self.kind = kind
         self.name = name
@@ -279,11 +290,10 @@ class LinearMap:
         return f"LinearMap({self.name or self.kind}, {len(self.columns)} columns)"
 
 
-def apply(m: LinearMap, s: StateVector) -> StateVector:
-    """Apply m to s.  Errors if s has support outside m's domain."""
+def _accumulate(m: LinearMap, s: StateVector) -> dict[BasisLabel, complex]:
     out: dict[BasisLabel, complex] = {}
     cols = m.columns
-    for src, amp in s.items():
+    for src, amp in s._amps.items():
         col = cols.get(src)
         if col is None:
             if src not in m.domain:
@@ -292,7 +302,27 @@ def apply(m: LinearMap, s: StateVector) -> StateVector:
             continue
         for dst, a in col.items():
             out[dst] = out.get(dst, 0j) + a * amp
-    return StateVector(out)
+    return out
+
+
+def apply(m: LinearMap, s: StateVector) -> StateVector:
+    """Apply m to s.  Errors if s has support outside m's domain."""
+    return StateVector(_accumulate(m, s))
+
+
+def _apply_pruned(m: LinearMap, s: StateVector) -> tuple[StateVector, float]:
+    """apply(m, s).pruned() and its norm2(), in one pass over the sums.
+
+    The sums are complex and keyed by BasisLabel (LinearMap checks its keys),
+    so the kept amplitudes are wrapped as they are.
+    """
+    kept: dict[BasisLabel, complex] = {}
+    n2 = 0.0
+    for k, v in _accumulate(m, s).items():
+        if abs(v) > PRUNE_EPS:
+            kept[k] = v
+            n2 += v.real * v.real + v.imag * v.imag
+    return StateVector._wrap(kept), n2
 
 
 def compose(first: LinearMap, second: LinearMap) -> LinearMap:

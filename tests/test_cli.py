@@ -80,6 +80,34 @@ def test_no_subcommand_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_reused_parser_gives_the_same_run_after_a_rejection(capsys):
+    argv = ["counterport", "--m", "30", "--n", "700", "--alpha", "0.6", "--beta", "-0.8j"]
+    first = run(capsys, argv)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["counterport", "--m", "three"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(capsys, argv) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["counterport", "--help"], ["sweep", "-h"]])
+def test_help_of_the_reused_parser_matches_a_fresh_one(argv, capsys):
+    fresh = cli.build_parser.__wrapped__()
+    main(["paradox"])  # the memo has parsed a run before the help request
+    capsys.readouterr()
+    outs = []
+    for parser in (cli.build_parser(), fresh):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 0
+        outs.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().out == outs[0] == outs[1] != ""
+
+
 def test_counterport_default_run(capsys):
     code, out = run(capsys, ["counterport"])
     assert code == 0

@@ -12,6 +12,7 @@ from zenoport.optics import (
     block,
     build_paradox_circuit,
     element_map,
+    evolve,
     pbs,
     route,
     run_schedule,
@@ -392,3 +393,62 @@ def test_apply_rejects_a_label_outside_an_element_maps_domain():
     m = element_map(spr(0.3, "S"), small_universe())
     with pytest.raises(LabelMismatchError):
         apply(m, StateVector({label("F", "H"): 1.0}))
+
+
+# ------------------------------------------- one compile per distinct step
+
+def _ordered(m):
+    """Columns with their keys and entries in stored order."""
+    return [(src, list(col.items())) for src, col in m.columns.items()]
+
+
+@pytest.mark.parametrize("m, n, blocked, av", [(3, 7, False, 0), (4, 12, False, 1),
+                                               (3, 3, True, 0)],
+                         ids=["open-3-7", "av1-4-12", "blocked-3-3"])
+def test_shared_compile_matches_an_independent_one(m, n, blocked, av):
+    c = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)
+    maps, adjs = c.step_maps(), c.adjoint_step_maps()
+    for els, shared, adj in zip(c.steps, maps, adjs):
+        alone = step_map(els, c.universe)
+        assert _ordered(shared) == _ordered(alone)
+        assert shared.domain == alone.domain and shared.name == alone.name
+        assert _ordered(adj) == _ordered(alone.adjoint())
+    distinct = {id(x): x for x in maps}
+    assert len(distinct) == len(set(c.steps)) < len(c.steps)
+    assert len({id(x) for x in adjs}) == len(distinct)
+    for x in distinct.values():
+        assert dense_audit(x) is None
+
+
+def _bits(s):
+    return [(k, repr(v)) for k, v in s.items()]
+
+
+def test_evolve_steps_exactly_like_apply_then_prune():
+    c = build_paradox_circuit(3, 3, block_channel=True, av_rounds=1)
+    last = len(c.stamps) - 1
+    fwd = evolve(c, c.pre_state, 0, last)
+    s, ref = c.pre_state, [c.pre_state]
+    for m in c.step_maps():
+        s = apply(m, s).pruned()
+        assert abs(s.norm2() - 1.0) <= 1e-12
+        ref.append(s)
+    assert [_bits(x) for x in fwd] == [_bits(x) for x in ref]
+    post = StateVector({label("F", "H"): 0.6, label("F", "V"): 0.8j})
+    bwd = evolve(c, post, last, 0)
+    s, ref = post, [post]
+    for m in reversed(c.adjoint_step_maps()):
+        s = apply(m, s).pruned()
+        assert abs(s.norm2() - 1.0) <= 1e-12
+        ref.append(s)
+    assert [_bits(x) for x in bwd] == [_bits(x) for x in ref]
+
+
+def test_evolve_rejects_a_label_outside_the_universe():
+    c = build_paradox_circuit(2, 2)
+    stray = StateVector({label("S", "H"): 0.6, label("Z", "V"): 0.8})
+    last = len(c.stamps) - 1
+    with pytest.raises(LabelMismatchError):
+        evolve(c, stray, 0, last)
+    with pytest.raises(LabelMismatchError):
+        evolve(c, stray, last, 0)

@@ -142,6 +142,14 @@ def test_linear_map_requires_isometric_columns():
                    label("A"): {label("S"): r, label("A"): r}}, kind="unitary")
 
 
+@pytest.mark.parametrize("kind", ["unitary", "general"])
+def test_linear_map_rejects_keys_that_are_not_labels(kind):
+    with pytest.raises(QStateError, match="BasisLabel"):
+        LinearMap({("S", "H", "-"): {label("S"): 1.0}}, kind=kind)
+    with pytest.raises(QStateError, match="BasisLabel"):
+        LinearMap({label("S"): {"S": 1.0}}, kind=kind)
+
+
 def test_linear_map_apply_and_domain():
     m = LinearMap({label("S"): {label("A"): 1.0}, label("A"): {label("S"): 1.0}},
                   kind="unitary")
