@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .optics import CircuitSchedule, build_paradox_circuit, evolve
 from .qstate import (
+    PRUNE_EPS,
     Projector,
     QStateError,
     StateVector,
@@ -179,6 +180,7 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
     """
     i_pre, i_post = _pair_window(c, b)
     arms = arm_paths(c)
+    pis = [(arm, projector(paths=arm)) for arm in arms]
     out: dict[tuple[str, str], complex | None] = {}
 
     try:
@@ -190,23 +192,42 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
         k = i - i_pre
         inside = i_pre <= i <= i_post
         den = inner(bwd[k], fwd[k]) if inside else 0.0
-        for arm in arms:
+        for arm, pi in pis:
             if not inside or abs(den) < ATOL_DENOM:
                 out[(arm, stamp)] = None
                 continue
-            kept, _ = project(projector(paths=arm), fwd[k])
+            kept, _ = project(pi, fwd[k])
             out[(arm, stamp)] = inner(bwd[k], kept) / den
     return out
 
 
+def _rotated(psi: StateVector, p: dict, cm1: float, other: dict) -> StateVector:
+    """(psi + p * cm1 + other).pruned(), as StateVector arithmetic would sum it."""
+    out = dict(psi._amps)
+    for k, x in p.items():
+        t = x * cm1
+        if t != 0:
+            s = x + t
+            if s != 0:
+                out[k] = s
+            else:
+                del out[k]  # StateVector drops a zero sum; if other brings k back, it goes last
+    for k, v in other.items():
+        if v != 0:
+            out[k] = out.get(k, 0j) + v
+    return StateVector._wrap({k: v for k, v in out.items() if abs(v) > PRUNE_EPS})
+
+
 def _couple_pointer(pi: Projector, psi0: StateVector, psi1: StateVector,
                     epsilon: float) -> tuple[StateVector, StateVector]:
-    # pointer rotation by epsilon, applied only on the arm's support
-    p0, _ = project(pi, psi0)
-    p1, _ = project(pi, psi1)
+    # pointer rotation by epsilon, applied only on the arm's support:
+    # psi0 + p0*cm1 - p1*sn and psi1 + p1*cm1 + p0*sn, summed in that order
+    p0 = {k: x for k, x in psi0.items() if pi.matches(k)}
+    p1 = {k: y for k, y in psi1.items() if pi.matches(k)}
     cm1 = math.cos(epsilon / 2.0) - 1.0
     sn = math.sin(epsilon / 2.0)
-    return (psi0 + p0 * cm1 - p1 * sn).pruned(), (psi1 + p1 * cm1 + p0 * sn).pruned()
+    return (_rotated(psi0, p0, cm1, {k: (y * sn) * -1 for k, y in p1.items()}),
+            _rotated(psi1, p1, cm1, {k: x * sn for k, x in p0.items()}))
 
 
 def _pointer_signal(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int,
@@ -219,8 +240,13 @@ def _pointer_signal(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int
         psi0, psi1 = evolve(c, psi0, i, j)[-1], evolve(c, psi1, i, j)[-1]
         psi0, psi1 = _couple_pointer(pi, psi0, psi1, epsilon)
         i = j
+    return _pointer_readout(c, b.post[1], psi0, psi1, i, i_post)
+
+
+def _pointer_readout(c: CircuitSchedule, spec: Projector | StateVector, psi0: StateVector,
+                     psi1: StateVector, i: int, i_post: int) -> float:
+    """Evolve both pointer branches from stamp i to the post stamp and read the pointer."""
     psi0, psi1 = evolve(c, psi0, i, i_post)[-1], evolve(c, psi1, i, i_post)[-1]
-    spec = b.post[1]
     if isinstance(spec, StateVector):
         a0 = inner(spec, psi0)
         a1 = inner(spec, psi1)
@@ -271,15 +297,37 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
     return _pointer_signal(c, b, i_pre, i_post, arm, epsilon, range(i_pre, i_post + 1))
 
 
-def _report_cell(c: CircuitSchedule, b: BoundaryPair, arm: str, stamp: str,
-                 epsilon: float) -> dict:
+def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
+                 cells: list[tuple[str, str]], epsilon: float) -> list[dict]:
+    """Rows of one boundary pair's (arm, stamp) cells, from one forward and one
+    backward trajectory: the same sums as weak_value and simulate_weak_probe."""
+    i_pre, i_post = _pair_window(c, b)
+    fwd = evolve(c, b.pre[1], i_pre, i_post)
     try:
-        w = weak_value(projector(paths=arm), b, stamp, c)
-        wv: list[float] | None = [w.real, w.imag]
+        bwd: list[StateVector] | None = evolve(c, _post_state(b.post, fwd[-1]), i_post, i_pre)[::-1]
     except OrthogonalBoundariesError:
-        wv = None
-    sig = simulate_weak_probe(c, arm, stamp, epsilon, boundaries=b)
-    return {"arm": arm, "stamp": stamp, "weak_value": wv, "probe_signal": sig}
+        bwd = None
+    rows = []
+    for arm, stamp in cells:
+        i_t = c.index_of(stamp)
+        if not i_pre <= i_t <= i_post:
+            raise QStateError(f"stamp {stamp!r} lies outside the boundary window")
+        k = i_t - i_pre
+        pi, here = projector(paths=arm), fwd[k]
+        wv: list[float] | None = None
+        if bwd is not None:
+            den = inner(bwd[k], here)
+            if not abs(den) < ATOL_DENOM:
+                kept, _ = project(pi, here)
+                w = inner(bwd[k], kept) / den
+                wv = [w.real, w.imag]
+        sig = 0.0
+        if epsilon != 0.0:
+            sig = _pointer_readout(c, b.post[1], *_couple_pointer(pi, here, StateVector(), epsilon),
+                                   i_t, i_post)
+        rows.append({"arm": arm, "stamp": stamp, "weak_value": wv, "probe_signal": sig,
+                     "boundaries": bname})
+    return rows
 
 
 def paradox_report(M: int, N: int, *, av_rounds: int = 0,
@@ -292,30 +340,21 @@ def paradox_report(M: int, N: int, *, av_rounds: int = 0,
     the first-cycle end-to-end entry is suppressed as well.
     """
     c = build_paradox_circuit(M, N)
-    e2e = end_to_end_boundaries(c)
     first = "c1.in1"
-    second = "c2.in1" if M >= 2 else None
-
-    rows: list[dict] = []
-
-    def add(bname: str, b: BoundaryPair, sched: CircuitSchedule, arm: str, stamp: str | None):
-        if stamp is None:
-            return
-        cell = _report_cell(sched, b, arm, stamp, epsilon)
-        cell["boundaries"] = bname
-        rows.append(cell)
-
-    add("end-to-end", e2e, c, "S", "t0")  # sanity: source arm weak value is 1
-    add("end-to-end", e2e, c, "C", first)
-    add("end-to-end", e2e, c, "C", second)
-    add("cycle1", cycle_boundaries(c, 1), c, "C", first)
+    e2e_cells = [("S", "t0"), ("C", first)]  # sanity: source arm weak value is 1
     if M >= 2:
-        add("cycle2", cycle_boundaries(c, 2), c, "C", second)
+        e2e_cells.append(("C", "c2.in1"))
+
+    rows = _report_rows(c, "end-to-end", end_to_end_boundaries(c), e2e_cells, epsilon)
+    rows += _report_rows(c, "cycle1", cycle_boundaries(c, 1), [("C", first)], epsilon)
+    if M >= 2:
+        rows += _report_rows(c, "cycle2", cycle_boundaries(c, 2), [("C", "c2.in1")], epsilon)
 
     channel = {"end-to-end": channel_probe_signal(c, epsilon)}
     if av_rounds >= 1:
         cav = build_paradox_circuit(M, N, av_rounds=av_rounds)
-        add("end-to-end+av", end_to_end_boundaries(cav), cav, "C", first)
+        rows += _report_rows(cav, "end-to-end+av", end_to_end_boundaries(cav), [("C", first)],
+                             epsilon)
         channel["end-to-end+av"] = channel_probe_signal(cav, epsilon)
 
     return {"M": M, "N": N, "av_rounds": av_rounds, "epsilon": epsilon,
@@ -401,6 +440,27 @@ def _history_ket(h: History, f: Family, c: CircuitSchedule) -> StateVector:
     return s.pruned()
 
 
+def _family_kets(f: Family, c: CircuitSchedule) -> list[StateVector]:
+    """_history_ket of every history in histories() order, walking the slots as a
+    prefix tree: each prefix is evolved once, then projected onto each offer.
+    An empty projected state stays empty, so it is not evolved."""
+    ends = [c.index_of(stamp) for stamp, _ in f.slots] + [c.index_of(f.post[0])]
+    kets: list[StateVector] = []
+
+    def walk(depth: int, s: StateVector, i: int) -> None:
+        j = ends[depth]
+        if s:
+            s = evolve(c, s, i, j)[-1]
+        if depth == len(f.slots):
+            kets.append(project(f.post[1], s)[0].pruned())
+            return
+        for _, pi in f.slots[depth][1]:
+            walk(depth + 1, project(pi, s)[0], j)
+
+    walk(0, f.pre[1], c.index_of(f.pre[0]))
+    return kets
+
+
 def chain_ket(h: History, f: Family, c: CircuitSchedule) -> ChainKet:
     """Chain ket of one history, after validating f and that it offers h's events."""
     f.validate(c)
@@ -438,7 +498,7 @@ def evaluate_family(f: Family, c: CircuitSchedule) -> FamilyEvaluation:
     history order; the total sums the weights in history order.
     """
     f.validate(c)
-    kets = tuple(ChainKet(history=h, state=_history_ket(h, f, c)) for h in f.histories())
+    kets = tuple(ChainKet(history=h, state=s) for h, s in zip(f.histories(), _family_kets(f, c)))
     pair = next(((a.history, b.history) for a, b in itertools.combinations(kets, 2)
                  if abs(inner(a.state, b.state)) >= ATOL_CONSISTENT), None)
     return FamilyEvaluation(f, kets, pair, sum(k.weight for k in kets))

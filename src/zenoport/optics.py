@@ -146,8 +146,7 @@ def _step_map(elements: tuple[Element, ...], index, element_maps: dict) -> Linea
             element_maps[el] = _element_map(el, index)
     maps = [element_maps[el] for el in elements]
     m = reduce(compose, maps) if maps else LinearMap({}, kind="unitary", name="idle", domain=dom)
-    return LinearMap({l: m.columns[l] for l in sorted(m.columns, key=pos.__getitem__)},
-                     kind="unitary", name=m.name, domain=dom)
+    return m._ordered(pos.__getitem__)
 
 
 def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:

@@ -254,24 +254,42 @@ class LinearMap:
             self._audit()
 
     def _audit(self) -> None:
-        # the dense checks, with each implied identity column reduced to one entry
-        srcs = list(self.columns)
-        for i, si in enumerate(srcs):
-            ci = self.columns[si]
-            ni = sum(abs(a) ** 2 for a in ci.values())
+        # the dense checks, with each implied identity column reduced to one entry;
+        # two columns overlap only through the rows they share, so only those are summed
+        who = self.name or "unitary"
+        cols, srcs, dom = self.columns, list(self.columns), self.domain
+        rows: dict[BasisLabel, list[tuple[int, complex]]] = {}  # row -> (column index, entry)
+        overlaps: dict[tuple[int, int], complex] = {}
+        for i, col in enumerate(cols.values()):
+            ni = sum([abs(a) ** 2 for a in col.values()])
             if not abs(ni - 1.0) <= ATOL_UNITARY:
-                raise QStateError(f"map {self.name or 'unitary'}: column {si.ket()} has norm^2 {ni}")
-            for sj in srcs[i + 1:]:
-                cj = self.columns[sj]
-                ov = sum(ci[d].conjugate() * cj[d] for d in ci.keys() & cj.keys())
-                if not abs(ov) <= ATOL_UNITARY:
-                    raise QStateError(f"map {self.name or 'unitary'}: columns {si.ket()},{sj.ket()} not orthogonal")
-            for d, a in ci.items():
-                if d not in self.columns and d in self.domain and not abs(a) <= ATOL_UNITARY:
-                    raise QStateError(f"map {self.name or 'unitary'}: columns {si.ket()},{d.ket()} not orthogonal")
-        rng = {d for col in self.columns.values() for d in col}
-        if not self.columns.keys() <= rng <= self.domain:
-            raise QStateError(f"map {self.name or 'unitary'}: domain and range differ")
+                raise QStateError(f"map {who}: column {srcs[i].ket()} has norm^2 {ni}")
+            for d, a in col.items():
+                row = rows.get(d)
+                if row is None:
+                    rows[d] = [(i, a)]
+                    continue
+                for j, b in row:
+                    overlaps[j, i] = overlaps.get((j, i), 0j) + b.conjugate() * a
+                row.append((i, a))
+        if rows.keys() - cols.keys():  # rows whose column is the implied e_d
+            for d, row in rows.items():
+                if d not in cols and d in dom:
+                    for i, a in row:
+                        if not abs(a) <= ATOL_UNITARY:
+                            raise QStateError(f"map {who}: columns {srcs[i].ket()},{d.ket()} not orthogonal")
+        for (j, i), ov in overlaps.items():
+            if not abs(ov) <= ATOL_UNITARY:
+                raise QStateError(f"map {who}: columns {srcs[j].ket()},{srcs[i].ket()} not orthogonal")
+        if not cols.keys() <= rows.keys() <= dom:
+            raise QStateError(f"map {who}: domain and range differ")
+
+    def _ordered(self, key) -> "LinearMap":
+        """This audited map with its columns sorted by key; shares them, skips a second audit."""
+        m = object.__new__(LinearMap)
+        m.columns = {src: self.columns[src] for src in sorted(self.columns, key=key)}
+        m.domain, m.kind, m.name = self.domain, self.kind, self.name
+        return m
 
     def adjoint(self) -> "LinearMap":
         cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}

@@ -17,22 +17,23 @@ def criterion(request):
 
 
 @pytest.fixture
-def family_work(monkeypatch):
-    """Count Family.validate calls and per-history chain-ket evaluations."""
+def analysis_work(monkeypatch):
+    """Count Family.validate calls, and the evolve calls and steps the analysis engines make."""
     import zenoport.analysis as analysis
-    counts = {"validate": 0, "ket": 0}
-    validate, history_ket = analysis.Family.validate, analysis._history_ket
+    counts = {"validate": 0, "evolve": 0, "steps": 0}
+    validate, evolve = analysis.Family.validate, analysis.evolve
 
     def counted_validate(self, c):
         counts["validate"] += 1
         return validate(self, c)
 
-    def counted_ket(h, f, c):
-        counts["ket"] += 1
-        return history_ket(h, f, c)
+    def counted_evolve(c, s, i0, i1):
+        counts["evolve"] += 1
+        counts["steps"] += abs(i1 - i0)
+        return evolve(c, s, i0, i1)
 
     monkeypatch.setattr(analysis.Family, "validate", counted_validate)
-    monkeypatch.setattr(analysis, "_history_ket", counted_ket)
+    monkeypatch.setattr(analysis, "evolve", counted_evolve)
     return counts
 
 

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenoport.analysis as analysis
 from zenoport.analysis import (
@@ -39,6 +41,7 @@ from zenoport.qstate import (
     StateVector,
     inner,
     label,
+    project,
     projector,
 )
 
@@ -265,14 +268,24 @@ def test_evaluate_family_matches_the_per_history_engines(circuit):
 
 
 @pytest.mark.parametrize("engine", ["is_consistent", "history_probability"])
-def test_library_engines_validate_once_and_compute_each_ket_once(circuit, family_work,
+def test_library_engines_validate_once_and_compute_each_ket_once(circuit, analysis_work,
                                                                   engine):
     f = builtin_families(circuit)["cycle1"]
     if engine == "is_consistent":
         is_consistent(f, circuit)
     else:
         history_probability(f.histories()[0], f, circuit)
-    assert family_work == {"validate": 1, "ket": 18}
+    # 18 kets from a prefix tree of menus (2, 3, 3): 1 + 2 + 3 + 5 evolutions of
+    # nonempty prefixes, one step each, instead of 4 per history (72)
+    assert analysis_work == {"validate": 1, "evolve": 11, "steps": 11}
+
+
+def test_paradox_report_evolves_each_boundary_pair_once(analysis_work):
+    paradox_report(4, 12, av_rounds=1)
+    # 4 pairs x 2 trajectories, 2 pointer branches for each of 6 cells, and for
+    # each channel probe 2 per stamp (58 and 106 stamps) plus 2 to the post stamp;
+    # a report made 368 calls and 1,540 steps when every cell evolved its own pair
+    assert analysis_work == {"validate": 0, "evolve": 352, "steps": 1264}
 
 
 def test_history_probability_error_order(circuit):
@@ -394,14 +407,18 @@ def test_builtin_families_need_a_two_level_schedule():
         builtin_families(bare)
 
 
-def drifting_circuit():
-    """The (2, 2) circuit with its first step map scaled to lose probability."""
+def drifting_circuit(step=0, adjoint=False):
+    """The (2, 2) circuit with one step map (or its adjoint) scaled to lose probability."""
     c = build_paradox_circuit(2, 2)
-    first, *rest = c.step_maps()
-    lossy = LinearMap({src: {dst: 0.5 * a for dst, a in col.items()}
-                       for src, col in first.columns.items()}, kind="general", name="lossy",
-                      domain=first.domain)
-    c._maps = (lossy, *rest)
+    maps = list(c.adjoint_step_maps() if adjoint else c.step_maps())
+    m = maps[step]
+    maps[step] = LinearMap({src: {dst: 0.5 * a for dst, a in col.items()}
+                            for src, col in m.columns.items()}, kind="general", name="lossy",
+                           domain=m.domain)
+    if adjoint:
+        c._adj_maps = tuple(maps)
+    else:
+        c._maps = tuple(maps)
     return c
 
 
@@ -433,3 +450,106 @@ def test_paradox_conservation_breach_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(analysis, "channel_probe_signal", lambda *a, **k: 0.0)
     assert main(["paradox"]) == 3
     assert "conservation breach" in capsys.readouterr().err
+
+
+# ------------------------------------- shared trajectories and shared prefixes
+
+def _hex(z):
+    return [z.real.hex(), z.imag.hex()]
+
+
+def _bits(s):
+    return [(k, *_hex(v)) for k, v in s.items()]
+
+
+def _reference_weak_value(arm, b, stamp, c):
+    try:
+        return _hex(weak_value(projector(paths=arm), b, stamp, c))
+    except OrthogonalBoundariesError:
+        return None
+
+
+@pytest.mark.parametrize("av", [0, 1])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_paradox_rows_equal_the_per_cell_engines_bitwise(m, av):
+    eps = 2.5e-3
+    for n in range(2, 13):
+        report = paradox_report(m, n, av_rounds=av, epsilon=eps)
+        c = build_paradox_circuit(m, n)
+        pairs = {"end-to-end": (c, end_to_end_boundaries(c)),
+                 "cycle1": (c, cycle_boundaries(c, 1)), "cycle2": (c, cycle_boundaries(c, 2))}
+        channel = {"end-to-end": channel_probe_signal(c, eps)}
+        if av:
+            cav = build_paradox_circuit(m, n, av_rounds=av)
+            pairs["end-to-end+av"] = (cav, end_to_end_boundaries(cav))
+            channel["end-to-end+av"] = channel_probe_signal(cav, eps)
+        assert [r["boundaries"] for r in report["rows"]] == \
+            ["end-to-end"] * 3 + ["cycle1", "cycle2"] + ["end-to-end+av"] * av
+        for row in report["rows"]:
+            sched, b = pairs[row["boundaries"]]
+            wv = row["weak_value"]
+            assert (None if wv is None else _hex(complex(*wv))) == \
+                _reference_weak_value(row["arm"], b, row["stamp"], sched)
+            probe = simulate_weak_probe(sched, row["arm"], row["stamp"], eps, boundaries=b)
+            assert row["probe_signal"].hex() == probe.hex()
+        assert {k: v.hex() for k, v in report["channel_probe_signal"].items()} == \
+            {k: v.hex() for k, v in channel.items()}
+
+
+_AMPS = st.sampled_from([0.0, -0.0, 1e-16, -2e-16, 0.3, -0.45, 1e-3, 0.7071067811865476])
+_STATES = st.dictionaries(
+    st.sampled_from([label(p, pol) for p in ("C", "B", "SinkX") for pol in ("H", "V")]),
+    st.builds(complex, _AMPS, _AMPS), max_size=6).map(StateVector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(psi0=_STATES, psi1=_STATES,
+       epsilon=st.sampled_from([1e-9, 1e-4, 2.5e-3, 0.5, math.pi, 2.0 * math.pi]))
+def test_pointer_coupling_sums_like_state_vector_arithmetic(psi0, psi1, epsilon):
+    pi = projector(paths="C")
+    p0, _ = project(pi, psi0)
+    p1, _ = project(pi, psi1)
+    cm1 = math.cos(epsilon / 2.0) - 1.0
+    sn = math.sin(epsilon / 2.0)
+    ref0, ref1 = (psi0 + p0 * cm1 - p1 * sn).pruned(), (psi1 + p1 * cm1 + p0 * sn).pruned()
+    out0, out1 = analysis._couple_pointer(pi, psi0, psi1, epsilon)
+    assert (_bits(out0), _bits(out1)) == (_bits(ref0), _bits(ref1))
+
+
+def _dark_first_family(c):
+    """A family whose first slot offers C at c1.t1, where the photon never is."""
+    menu = tuple((a, projector(paths=a)) for a in ("A", "B", "C"))
+    entry = tuple((a, projector(paths=a)) for a in ("C", "A", "D"))
+    return Family("dark-first", ("t0", StateVector({label("S", "H"): 1.0})),
+                  ("t_final", projector(paths="F")),
+                  (("c1.t1", entry), ("c1.in1", menu), ("c1.in2", menu)))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 7), (4, 12)])
+def test_family_kets_equal_chain_kets_bitwise(m, n):
+    c = build_paradox_circuit(m, n)
+    dark = _dark_first_family(c)
+    assert not forward_state(c, dark.pre, "c1.t1").restricted(paths=["C"])
+    for f in [*builtin_families(c).values(), dark]:
+        ev = evaluate_family(f, c)
+        assert tuple(k.history for k in ev.kets) == f.histories()
+        for k in ev.kets:
+            assert _bits(k.state) == _bits(chain_ket(k.history, f, c).state)
+    dark_kets = evaluate_family(dark, c).kets
+    assert all(not k.state for k in dark_kets[:9]) and any(k.state for k in dark_kets[9:])
+
+
+@pytest.mark.parametrize("step, adjoint", [(0, False), (-1, False), (0, True)],
+                         ids=["first-step", "last-step", "first-adjoint"])
+def test_shared_trajectories_check_conservation(monkeypatch, step, adjoint):
+    monkeypatch.setattr(analysis, "build_paradox_circuit",
+                        lambda *a, **k: drifting_circuit(step, adjoint))
+    with pytest.raises(ConservationError, match="drifted"):
+        paradox_report(2, 2, av_rounds=1)
+
+
+@pytest.mark.parametrize("step", [0, -1], ids=["first-step", "last-step"])
+def test_shared_prefixes_check_conservation(step):
+    c = drifting_circuit(step)
+    with pytest.raises(ConservationError, match="drifted"):
+        evaluate_family(builtin_families(c)["final_via_cycle1"], c)

@@ -314,11 +314,12 @@ def test_histories_nan_pre_amplitude_is_not_normalized(tmp_path, capsys):
     assert "normalized" in capsys.readouterr().err
 
 
-def test_histories_evaluates_each_family_in_one_pass(family_work, capsys):
+def test_histories_evaluates_each_family_in_one_pass(analysis_work, capsys):
     code, _ = run(capsys, ["histories", "--m", "2", "--n", "2", "--family", "all"])
     assert code == 0
-    # 4 families of 18 histories: one validation per family, one ket per history
-    assert family_work == {"validate": 4, "ket": 72}
+    # 4 families of 18 histories: one validation per family, and each shared
+    # prefix evolved once (4 evolutions per history would make 288 calls)
+    assert analysis_work == {"validate": 4, "evolve": 44, "steps": 78}
 
 
 def test_conservation_breach_exits_3(monkeypatch, capsys):

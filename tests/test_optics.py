@@ -26,6 +26,7 @@ from zenoport.qstate import (
     QStateError,
     StateVector,
     apply,
+    compose,
     label,
     project,
     projector,
@@ -372,7 +373,13 @@ COS, SIN = math.cos(0.3), math.sin(0.3)
     ({SH: {SH: R, FH: R}}, "domain and range differ"),
     ({SH: {AH: 1.0}, AH: {FH: 1.0}}, "domain and range differ"),
     ({SH: {SH: math.sqrt(1.0 + 1e-11)}}, "has norm^2"),
-], ids=["leak-1e-11", "leak-1e-13", "lands-outside", "unreached-label", "norm-1e-11"])
+    # columns SH and SV share rows SH and SV: overlaps that cancel exactly, then a 1e-11 residue
+    ({SH: {SH: COS, SV: SIN}, SV: {SH: -SIN, SV: COS}}, None),
+    ({SH: {SH: COS, SV: SIN}, SV: {SH: -math.sin(0.3 + 1e-11), SV: math.cos(0.3 + 1e-11)}},
+     "not orthogonal"),
+    ({SH: {AH: 1.0}, AH: {SH: 1.0}, SV: {SV: -1.0}}, None),  # no two columns share a row
+], ids=["leak-1e-11", "leak-1e-13", "lands-outside", "unreached-label", "norm-1e-11",
+        "shared-rows-cancel", "shared-rows-residue-1e-11", "no-shared-row"])
 def test_local_audit_matches_the_dense_audit(columns, verdict):
     dom = small_universe()
     assert dense_audit(LinearMap(columns, domain=dom)) == verdict
@@ -402,6 +409,15 @@ def _ordered(m):
     return [(src, list(col.items())) for src, col in m.columns.items()]
 
 
+def _audited_product(els, universe):
+    """The step's element maps composed, then rebuilt and audited again in universe order."""
+    product = element_map(els[0], universe)
+    for el in els[1:]:
+        product = compose(product, element_map(el, universe))
+    return LinearMap({l: product.columns[l] for l in sorted(product.columns, key=universe.index)},
+                     kind="unitary", name=product.name, domain=frozenset(universe))
+
+
 @pytest.mark.parametrize("m, n, blocked, av", [(3, 7, False, 0), (4, 12, False, 1),
                                                (3, 3, True, 0)],
                          ids=["open-3-7", "av1-4-12", "blocked-3-3"])
@@ -410,7 +426,7 @@ def test_shared_compile_matches_an_independent_one(m, n, blocked, av):
     maps, adjs = c.step_maps(), c.adjoint_step_maps()
     for els, shared, adj in zip(c.steps, maps, adjs):
         alone = step_map(els, c.universe)
-        assert _ordered(shared) == _ordered(alone)
+        assert _ordered(shared) == _ordered(alone) == _ordered(_audited_product(els, c.universe))
         assert shared.domain == alone.domain and shared.name == alone.name
         assert _ordered(adj) == _ordered(alone.adjoint())
     distinct = {id(x): x for x in maps}
