@@ -21,7 +21,6 @@ from .qstate import (
     StateVector,
     apply,
     compose,
-    fidelity,
     inner,
     is_sink,
     label,

@@ -34,7 +34,7 @@ from .analysis import (
 from .counterport import FIDELITY_MODES, FidelityGrid, counterport, sample_bloch, sweep
 from .cqze import BobQubit, ProtocolConfig
 from .optics import build_paradox_circuit
-from .qstate import ConservationError, QStateError, StateVector, label
+from .qstate import ConservationError, QStateError, StateVector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -211,20 +211,13 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------- state JSON
 
 def state_to_obj(s: StateVector) -> list[dict]:
-    """JSON-friendly form of a state (inverse of state_from_obj)."""
+    """JSON-friendly form of a state: one row per label, sorted."""
     rows = []
     for k in sorted(s, key=lambda l: (l.path, l.pol, l.bob)):
         v = s[k]
         rows.append({"path": k.path, "pol": k.pol, "bob": k.bob,
                      "re": v.real, "im": v.imag})
     return rows
-
-
-def state_from_obj(rows: list[dict]) -> StateVector:
-    amps = {}
-    for r in rows:
-        amps[label(r["path"], r["pol"], r["bob"])] = complex(r["re"], r["im"])
-    return StateVector(amps)
 
 
 # --------------------------------------------------------------- weak map CSV
@@ -240,17 +233,6 @@ def weak_map_to_csv(c, trace: dict) -> str:
             else:
                 lines.append(f"{arm},{stamp},{v.real!r},{v.imag!r}")
     return "\n".join(lines) + "\n"
-
-
-def weak_map_from_csv(text: str) -> dict[tuple[str, str], complex | None]:
-    rows = [l for l in text.splitlines() if l.strip()]
-    if not rows or rows[0] != "arm,stamp,re,im":
-        raise QStateError("weak-value CSV must start with header arm,stamp,re,im")
-    out: dict[tuple[str, str], complex | None] = {}
-    for row in rows[1:]:
-        arm, stamp, re_s, im_s = row.split(",")
-        out[(arm, stamp)] = None if re_s == "" else complex(float(re_s), float(im_s))
-    return out
 
 
 # ------------------------------------------------------------------ sweep SVG

@@ -275,26 +275,6 @@ class FidelityGrid:
                              f"{float(self.avg_success_prob[i, j])!r}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "FidelityGrid":
-        rows = [l.strip() for l in text.splitlines() if l.strip()]
-        if not rows or rows[0] != "M,N,avg_fidelity,avg_success_prob":
-            raise QStateError("grid CSV must start with header M,N,avg_fidelity,avg_success_prob")
-        cells: dict[tuple[int, int], tuple[float, float]] = {}
-        for row in rows[1:]:
-            m_s, n_s, f_s, p_s = row.split(",")
-            cells[(int(m_s), int(n_s))] = (float(f_s), float(p_s))
-        m_values = tuple(sorted({m for m, _ in cells}))
-        n_values = tuple(sorted({n for _, n in cells}))
-        if len(cells) != len(m_values) * len(n_values):
-            raise QStateError("grid CSV is not a fully populated rectangle")
-        fid = np.empty((len(m_values), len(n_values)))
-        prob = np.empty_like(fid)
-        for (m, n), (f, p) in cells.items():
-            fid[m_values.index(m), n_values.index(n)] = f
-            prob[m_values.index(m), n_values.index(n)] = p
-        return cls(m_values, n_values, fid, prob)
-
     def to_json(self) -> dict:
         return {
             "m_values": list(self.m_values),
@@ -303,17 +283,6 @@ class FidelityGrid:
             "avg_success_prob": [[float(x) for x in row] for row in self.avg_success_prob],
             "meta": dict(self.meta),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FidelityGrid":
-        try:
-            return cls(tuple(int(m) for m in obj["m_values"]),
-                       tuple(int(n) for n in obj["n_values"]),
-                       np.asarray(obj["avg_fidelity"], dtype=float),
-                       np.asarray(obj["avg_success_prob"], dtype=float),
-                       dict(obj.get("meta", {})))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise QStateError(f"malformed grid JSON: {exc}") from None
 
 
 def _grid_row(args) -> tuple[list[float], list[float]]:

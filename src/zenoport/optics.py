@@ -17,7 +17,6 @@ SinkAV#m.k.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -31,11 +30,8 @@ from .qstate import (
     StateVector,
     _apply_pruned,
     compose,
-    is_sink,
     label,
     projector,
-    projector_from_spec,
-    projector_to_spec,
 )
 
 ELEMENT_KINDS = {"spr": 1, "pbs": 3, "block": 2, "route": 2}  # kind -> number of arms
@@ -207,96 +203,6 @@ class CircuitSchedule:
             adjoints = {m: m.adjoint() for m in dict.fromkeys(maps)}
             self._adj_maps = tuple(adjoints[m] for m in maps)
         return self._adj_maps
-
-    def validate(self) -> None:
-        """Re-run structural checks: arms exist, steps unitary, sinks fed once."""
-        paths = {l.path for l in self.universe}
-        for els in self.steps:
-            for el in els:
-                for arm in el.arms:
-                    if arm not in paths:
-                        raise QStateError(f"element {el.name} references unknown arm {arm!r}")
-        self.step_maps()  # unitarity audited at construction
-        fed: set[str] = set()
-        for els in self.steps:
-            here: set[str] = set()
-            for el in els:
-                for arm in el.arms:
-                    if is_sink(arm):
-                        here.add(arm)
-            dup = here & fed
-            if dup:
-                raise QStateError(f"sink labels fed more than once: {sorted(dup)}")
-            fed |= here
-
-    def to_text(self) -> str:
-        lines = ["zenoport-schedule v1", "meta " + json.dumps(self.meta, sort_keys=True)]
-        for a, c in sorted(self.aliases.items()):
-            lines.append(f"alias {a} {c}")
-        for l in self.universe:
-            lines.append(f"label {l.path} {l.pol} {l.bob}")
-        for k, v in sorted(self.pre_state.items()):
-            lines.append(f"pre {k.path} {k.pol} {k.bob} {v.real!r} {v.imag!r}")
-        if self.post_projector is not None:
-            lines.append("post " + projector_to_spec(self.post_projector))
-        lines.append(f"stamp {self.stamps[0]}")
-        for stamp, els in zip(self.stamps[1:], self.steps):
-            lines.append(f"stamp {stamp}")
-            for el in els:
-                rec = {"kind": el.kind, "name": el.name, "arms": list(el.arms),
-                       "params": {k: v for k, v in el.params}}
-                lines.append("element " + json.dumps(rec, sort_keys=True))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CircuitSchedule":
-        """Inverse of to_text; any malformed line raises QStateError."""
-        meta: dict[str, object] = {}
-        aliases: dict[str, str] = {}
-        universe: list[BasisLabel] = []
-        pre: dict[BasisLabel, complex] = {}
-        post = None
-        stamps: list[str] = []
-        steps: list[list[Element]] = []
-        lines = [l for l in text.splitlines() if l.strip()]
-        if not lines or lines[0].strip() != "zenoport-schedule v1":
-            raise QStateError("not a schedule file (missing 'zenoport-schedule v1' header)")
-        for line in lines[1:]:
-            tag, _, rest = line.strip().partition(" ")
-            try:
-                if tag == "meta":
-                    meta = json.loads(rest)
-                    if not isinstance(meta, dict):
-                        raise QStateError(f"schedule meta must be a JSON object: {rest!r}")
-                elif tag == "alias":
-                    a, c = rest.split()
-                    aliases[a] = c
-                elif tag == "label":
-                    path, pol, bob = rest.split()
-                    universe.append(label(path, pol, bob))
-                elif tag == "pre":
-                    path, pol, bob, re_s, im_s = rest.split()
-                    pre[label(path, pol, bob)] = complex(float(re_s), float(im_s))
-                elif tag == "post":
-                    post = projector_from_spec(rest)
-                elif tag == "stamp":
-                    stamps.append(rest)
-                    if len(stamps) > 1:
-                        steps.append([])
-                elif tag == "element":
-                    rec = json.loads(rest)
-                    params = rec.get("params", {})
-                    for k, v in params.items():
-                        if isinstance(v, list):
-                            params[k] = tuple(v)
-                    steps[-1].append(Element(rec["kind"], rec["name"], tuple(rec["arms"]),
-                                             tuple(sorted(params.items()))))
-                else:
-                    raise QStateError(f"unknown schedule line tag {tag!r}")
-            except (ValueError, LookupError, TypeError, AttributeError) as exc:
-                raise QStateError(f"malformed schedule line {line.strip()!r}: {exc}") from None
-        return cls(tuple(stamps), tuple(tuple(s) for s in steps), tuple(universe),
-                   StateVector(pre), post, aliases, meta)
 
 
 @dataclass

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 ATOL_NORM = 1e-12
 ATOL_UNITARY = 1e-12
-ATOL_TARGET = 1e-9
 PRUNE_EPS = 1e-15
 
 POLS = ("H", "V")
@@ -148,9 +147,6 @@ class StateVector(Mapping):
             out[k] = out.get(k, 0j) + v
         return StateVector(out)
 
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return self + (other * -1)
-
     def __mul__(self, scalar: complex) -> "StateVector":
         return StateVector({k: v * scalar for k, v in self._amps.items()})
 
@@ -165,18 +161,15 @@ class StateVector(Mapping):
 class Projector:
     """Projector onto a product of path, polarization and control-bit sets.
 
-    None means "all values"; an explicit label set may be given instead.
-    Applying twice equals applying once exactly (membership tests only).
+    None means "all values".  Applying twice equals applying once exactly
+    (membership tests only).
     """
 
     paths: frozenset[str] | None = None
     pols: frozenset[str] | None = None
     bobs: frozenset[str] | None = None
-    labels: frozenset[BasisLabel] | None = None
 
     def matches(self, lbl: BasisLabel) -> bool:
-        if self.labels is not None:
-            return lbl in self.labels
         return ((self.paths is None or lbl.path in self.paths)
                 and (self.pols is None or lbl.pol in self.pols)
                 and (self.bobs is None or lbl.bob in self.bobs))
@@ -201,9 +194,7 @@ _SPEC_KEYS = ("paths", "pols", "bobs")
 
 
 def projector_to_spec(p: Projector) -> str:
-    """JSON text of a path/pol/bob projector: null is "any value", [] is "no value"."""
-    if p.labels is not None:
-        raise QStateError("text form supports path/pol/bob projectors only")
+    """JSON text of a projector: null is "any value", [] is "no value"."""
     return json.dumps({k: None if v is None else sorted(v)
                        for k, v in zip(_SPEC_KEYS, (p.paths, p.pols, p.bobs))}, sort_keys=True)
 
@@ -384,33 +375,3 @@ def inner(a: StateVector, b: StateVector) -> complex:
         if k in big:
             total += a_amps[k].conjugate() * b_amps[k]
     return total
-
-
-def fidelity(target: StateVector, s: StateVector,
-             paths: Iterable[str] | None = None) -> float:
-    """Overlap of s's polarization content on the given paths with a target.
-
-    target must be normalized (1e-9) and supported on a single path's
-    polarization subspace; its path name is irrelevant, only the pol state
-    counts.  Returns sum over (path, control-bit) branches of
-    |<target_pol | s branch>|^2, which is p(path) times the expectation of
-    the target projector on that branch.  Sinks never count, so with
-    paths=None (all non-sink paths in s) lost amplitude scores zero.
-    """
-    if not abs(target.norm() - 1.0) <= ATOL_TARGET:
-        raise NormalizationError(f"fidelity target norm {target.norm()} outside 1 +/- {ATOL_TARGET}")
-    tpaths = {k.path for k in target}
-    tbobs = {k.bob for k in target}
-    if len(tpaths) > 1 or len(tbobs) > 1:
-        raise QStateError("fidelity target must live on a single path and control-bit value")
-    tau = {k.pol: v for k, v in target.items()}
-    want = None if paths is None else set(paths)
-    branches: dict[tuple[str, str], complex] = {}
-    for k, v in s.items():
-        if is_sink(k.path):
-            continue
-        if want is not None and k.path not in want:
-            continue
-        key = (k.path, k.bob)
-        branches[key] = branches.get(key, 0j) + tau.get(k.pol, 0j).conjugate() * v
-    return sum(abs(x) ** 2 for x in branches.values())

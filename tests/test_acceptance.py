@@ -98,7 +98,7 @@ def test_criterion_2c_gate_action_at_equal_depth(criterion):
             j = run_cqze((1.0, 0.0), q, ProtocolConfig(M=m, N=n)).joint.normalized()
             target = StateVector({label("F", "H", "0"): q.alpha,
                                   label("F", "V", "1"): q.beta})
-            worst = max(worst, (j - target).norm())
+            worst = max(worst, (j + target * -1).norm())
         return worst
 
     # pinned behavior: a deep inner chain does meet the figure

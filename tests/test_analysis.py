@@ -511,7 +511,7 @@ def test_pointer_coupling_sums_like_state_vector_arithmetic(psi0, psi1, epsilon)
     p1, _ = project(pi, psi1)
     cm1 = math.cos(epsilon / 2.0) - 1.0
     sn = math.sin(epsilon / 2.0)
-    ref0, ref1 = (psi0 + p0 * cm1 - p1 * sn).pruned(), (psi1 + p1 * cm1 + p0 * sn).pruned()
+    ref0, ref1 = (psi0 + p0 * cm1 + p1 * sn * -1).pruned(), (psi1 + p1 * cm1 + p0 * sn).pruned()
     out0, out1 = analysis._couple_pointer(pi, psi0, psi1, epsilon)
     assert (_bits(out0), _bits(out1)) == (_bits(ref0), _bits(ref1))
 

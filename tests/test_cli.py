@@ -5,17 +5,12 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from readers import read_grid_csv, read_grid_json, read_state, read_weak_map_csv
 
 import zenoport.cli as cli
-from zenoport.cli import (
-    load_config,
-    main,
-    state_from_obj,
-    state_to_obj,
-    svg_heatmap,
-    weak_map_from_csv,
-)
-from zenoport.counterport import FidelityGrid
+from zenoport.cli import load_config, main, state_to_obj, svg_heatmap
+from zenoport.counterport import counterport
+from zenoport.cqze import BobQubit, ProtocolConfig
 from zenoport.qstate import ConservationError, StateVector, label
 
 
@@ -61,6 +56,44 @@ def test_bad_control_amplitudes(capsys):
     assert main(["counterport", "--alpha", "1", "--beta", "1"]) == 2
     assert main(["counterport", "--alpha", "nan", "--beta", "0"]) == 2
     capsys.readouterr()
+    # |alpha|^2 overflows a float: an error line, not a traceback
+    assert main(["counterport", "--alpha", "1e155", "--beta", "0"]) == 2
+    assert capsys.readouterr().err == "error: control qubit norm^2 = inf, expected 1\n"
+
+
+@pytest.mark.parametrize("amps", [{"alpha": 1e200, "beta": 0}, {"alpha": "1", "beta": "1e155+1e155j"}])
+def test_overflowing_control_amplitude_in_config_exits_2(amps, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(amps))
+    assert main(["counterport", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: control qubit norm^2 = inf")
+
+
+def _exit_code(argv) -> int:
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_EXTREME = ["nan", "inf", "-inf", "1e155", "1e308", "5e-324"]
+_NUMERIC_FLAGS = [
+    ("counterport", "--alpha"), ("counterport", "--beta"),
+    ("counterport", "--eps-reflect"), ("counterport", "--eps-block"),
+    ("sweep", "--eps-reflect"), ("sweep", "--eps-block"),
+    ("paradox", "--epsilon"),
+]
+
+
+@pytest.mark.parametrize("value", _EXTREME)
+@pytest.mark.parametrize("sub, flag", _NUMERIC_FLAGS)
+def test_extreme_numeric_values_exit_cleanly(sub, flag, value, tmp_path, capsys):
+    argv = [sub, f"{flag}={value}"]
+    if sub == "sweep":
+        argv += ["--m-max", "2", "--n-max", "2", "--samples", "2", "--out-dir", str(tmp_path)]
+    assert _exit_code(argv) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_negative_complex_amplitudes_as_separate_values(capsys):
@@ -150,9 +183,17 @@ def test_counterport_lossy_regression(capsys):
     assert abs(sum(rec["loss_breakdown"].values()) - rec["p_lost"]) < 1e-12
 
 
-def test_state_json_round_trip():
+def test_state_json_round_trip(capsys):
     s = StateVector({label("F", "H", "0"): 0.6, label("F", "V", "1"): 0.8j})
-    assert state_from_obj(state_to_obj(s)) == s
+    assert read_state(state_to_obj(s)) == s
+    code, out = run(capsys, ["counterport", "--m", "3", "--n", "4",
+                             "--alpha", "0.6", "--beta", "0.8j"])
+    assert code == 0
+    rounds = json.loads(out)["rounds"]
+    want = counterport(BobQubit(0.6, 0.8j), ProtocolConfig(M=3, N=4)).round_trace
+    assert sorted(rounds) == sorted(want)
+    for name, rows in rounds.items():
+        assert read_state(rows) == want[name]
 
 
 def sweep_args(out_dir, extra=()):
@@ -165,10 +206,10 @@ def test_sweep_outputs(tmp_path, capsys):
     code, out = run(capsys, sweep_args(tmp_path))
     assert code == 0
     assert "best avg fidelity" in out
-    grid = FidelityGrid.from_csv((tmp_path / "sweep.csv").read_text())
+    grid = read_grid_csv((tmp_path / "sweep.csv").read_text())
     assert grid.cell(2, 3)[0] > 2.0 / 3.0 > grid.cell(1, 1)[0]
     loaded = json.loads((tmp_path / "sweep.json").read_text())
-    again = FidelityGrid.from_json(loaded)
+    again = read_grid_json(loaded)
     assert again.cell(2, 3) == grid.cell(2, 3)
     svg = (tmp_path / "sweep.svg").read_text()
     ET.fromstring(svg)  # must be well formed
@@ -193,7 +234,7 @@ def test_sweep_ideal_flag_zeroes_the_leaks(tmp_path, capsys):
     assert code == 0
     loaded = json.loads((tmp_path / "sweep.json").read_text())
     assert loaded["meta"]["eps_reflect"] == 0.0
-    grid = FidelityGrid.from_json(loaded)
+    grid = read_grid_json(loaded)
     assert grid.cell(6, 6)[0] > grid.cell(2, 2)[0]  # deeper chains do better
 
 
@@ -222,7 +263,7 @@ def test_paradox_epsilon_bounds(capsys):
 def test_weakvalues_csv_output(capsys):
     code, out = run(capsys, ["weakvalues"])
     assert code == 0
-    trace = weak_map_from_csv(out)
+    trace = read_weak_map_csv(out)
     assert abs(trace[("A", "c1.in1")] - 1.0) < 1e-10
     assert abs(trace[("C", "c2.in1")]) < 1e-10
     stamps = {stamp for _, stamp in trace}
@@ -235,7 +276,7 @@ def test_weakvalues_csv_output(capsys):
 def test_weakvalues_cycle_window(capsys):
     code, out = run(capsys, ["weakvalues", "--boundaries", "cycle1"])
     assert code == 0
-    trace = weak_map_from_csv(out)
+    trace = read_weak_map_csv(out)
     assert trace[("A", "t_final")] is None
     assert abs(trace[("C", "c1.in1")]) < 1e-10
     assert main(["weakvalues", "--boundaries", "sideways"]) == 2

@@ -51,8 +51,6 @@ def test_bob_qubit_validation():
         BobQubit(1.0, 1.0)
     with pytest.raises(NormalizationError):
         BobQubit(math.nan, 0.0)
-    assert BobQubit.reflecting().alpha == 1.0
-    assert BobQubit.blocking().beta == 1.0
     with pytest.raises(QStateError):
         run_cqze((1.0, 0.0), 2, ProtocolConfig(M=2, N=2))
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from zenoport.qstate import (
     BasisLabel,
-    Projector,
     ConservationError,
     LabelMismatchError,
     LinearMap,
@@ -16,7 +15,6 @@ from zenoport.qstate import (
     StateVector,
     apply,
     compose,
-    fidelity,
     inner,
     is_sink,
     label,
@@ -66,7 +64,7 @@ def test_statevector_arithmetic_and_norm():
     b = StateVector({label("A"): 0.8})
     s = a + b
     assert s.norm2() == pytest.approx(1.0, abs=1e-15)
-    assert (s - a).norm() == pytest.approx(0.8, abs=1e-15)
+    assert (s + a * -1).norm() == pytest.approx(0.8, abs=1e-15)
     scaled = s * 0.5
     assert scaled.amp(label("S")) == pytest.approx(0.3)
 
@@ -97,12 +95,6 @@ def test_projector_matching_and_project():
     assert len(kept_all) == 2
 
 
-def test_projector_label_set():
-    pi = Projector(labels=frozenset([label("S", "H")]))
-    assert pi.matches(label("S", "H"))
-    assert not pi.matches(label("S", "V"))
-
-
 def test_projector_spec_keeps_any_value_apart_from_no_value():
     anything = projector(paths="F")
     nothing = projector(paths="F", pols=())
@@ -111,8 +103,6 @@ def test_projector_spec_keeps_any_value_apart_from_no_value():
     for pi in (anything, nothing, projector(paths=("A", "B"), pols="R", bobs=(0, 1))):
         assert projector_from_spec(projector_to_spec(pi)) == pi
     assert not projector_from_spec(projector_to_spec(nothing)).matches(label("F", "H"))
-    with pytest.raises(QStateError):
-        projector_to_spec(Projector(labels=frozenset([label("F")])))
 
 
 @pytest.mark.parametrize("text", [
@@ -166,7 +156,7 @@ def test_adjoint_inverts_unitary():
                   kind="unitary")
     both = compose(m, m.adjoint())
     v = StateVector({label("S", "H"): 0.6, label("S", "V"): 0.8j})
-    assert (apply(both, v) - v).norm() < 1e-12
+    assert (apply(both, v) + v * -1).norm() < 1e-12
 
 
 def test_compose_order():
@@ -205,7 +195,7 @@ def test_local_maps_compose_and_invert_on_their_domain():
     out = apply(both, v)
     assert out.amp(label("A", "V")) == pytest.approx(0.6 * s)
     assert out.amp(label("A", "H")) == 0.8j
-    assert (apply(both.adjoint(), out) - v).norm() < 1e-12
+    assert (apply(both.adjoint(), out) + v * -1).norm() < 1e-12
 
 
 def test_adjoint_keeps_the_identity_of_a_label_a_tolerated_leak_reaches():
@@ -217,7 +207,7 @@ def test_adjoint_keeps_the_identity_of_a_label_a_tolerated_leak_reaches():
     adj = m.adjoint()
     assert adj.columns[label("A", "H")][label("A", "H")] == 1.0
     v = StateVector({label("S", "H"): 0.6, label("A", "H"): 0.8})
-    assert (apply(compose(m, adj), v) - v).norm() < 1e-12
+    assert (apply(compose(m, adj), v) + v * -1).norm() < 1e-12
 
 
 def test_adjoint_of_a_general_map_has_a_zero_row_where_nothing_lands():
@@ -225,26 +215,6 @@ def test_adjoint_of_a_general_map_has_a_zero_row_where_nothing_lands():
     adj = m.adjoint()
     assert apply(adj, StateVector({label("S"): 1.0})) == StateVector()
     assert apply(adj, StateVector({label("A"): 1.0})).amp(label("S")) == 0.5
-
-
-def test_fidelity_target_validation():
-    s = StateVector({label("F", "H", 0): 1.0})
-    with pytest.raises(NormalizationError):
-        fidelity(StateVector({label("F", "H"): 0.5}), s)
-    with pytest.raises(NormalizationError):
-        fidelity(StateVector({label("F", "H"): math.nan}), s)
-    with pytest.raises(QStateError):
-        fidelity(StateVector({label("F", "H"): 0.8, label("S", "H"): 0.6}), s)
-
-
-def test_fidelity_branch_overlap_and_sink_exclusion():
-    target = StateVector({label("F", "H"): 0.6, label("F", "V"): 0.8})
-    s = StateVector({label("F", "H", 0): 0.6, label("F", "V", 0): 0.8})
-    assert fidelity(target, s) == pytest.approx(1.0, abs=1e-12)
-    half = StateVector({label("F", "H", 0): 0.6 * math.sqrt(0.5),
-                        label("F", "V", 0): 0.8 * math.sqrt(0.5),
-                        label("SinkD3#1", "H"): math.sqrt(0.5)})
-    assert fidelity(target, half) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_conservation_error_is_qstate_error():
