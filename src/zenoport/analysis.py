@@ -2,11 +2,12 @@
 
 Two complementary engines answer the same question:
 
-* a two-state-vector engine that evolves a pre-selected state forward and a
-  post-selected state backward and reports weak values, together with an
-  explicit weakly coupled pointer whose first-order signal reproduces them;
+* a two-state-vector engine that evolves a boundary pair's pre-selected state
+  forward and its post-selected state backward once and reads weak values
+  and weakly coupled pointer signals off the two trajectories;
 * a consistent-histories engine that composes chain kets from per-stamp
-  projector choices and checks families for pairwise orthogonality.
+  projector choices in one prefix-tree walk and checks families for
+  pairwise orthogonality.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _post_state(post: tuple[str, Projector | StateVector],
     """Normalized post-selected state at the post stamp.
 
     A projector post is resolved against fwd, the forward state at the post
-    stamp (unused for a state post): project, then normalize.  Vanishing overlap means the boundaries
-    are orthogonal.
+    stamp (unused for a state post): project, then normalize.  Vanishing
+    overlap means the boundaries are orthogonal.
     """
     stamp, spec = post
     if isinstance(spec, StateVector):
@@ -139,28 +140,44 @@ def backward_state(c: CircuitSchedule, post: tuple[str, Projector | StateVector]
     return evolve(c, _post_state(post, fwd), i1, i0)[-1]
 
 
-def _two_states(c: CircuitSchedule, b: BoundaryPair, i_pre: int,
-                i_post: int) -> tuple[list[StateVector], list[StateVector]]:
-    """Forward and backward states at stamps i_pre..i_post, both in stamp order."""
+def _window_index(c: CircuitSchedule, t: str, i_pre: int, i_post: int) -> int:
+    i_t = c.index_of(t)
+    if not i_pre <= i_t <= i_post:
+        raise QStateError(f"stamp {t!r} lies outside the boundary window")
+    return i_t
+
+
+def _trajectories(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int
+                  ) -> tuple[list[StateVector], list[StateVector] | None]:
+    """Forward and backward states at stamps i_pre..i_post, both in stamp order;
+    None for the backward list when the boundaries are orthogonal."""
     fwd = evolve(c, b.pre[1], i_pre, i_post)
-    bwd = evolve(c, _post_state(b.post, fwd[-1]), i_post, i_pre)
-    return fwd, bwd[::-1]
+    try:
+        post = _post_state(b.post, fwd[-1])
+    except OrthogonalBoundariesError:
+        return fwd, None
+    return fwd, evolve(c, post, i_post, i_pre)[::-1]
+
+
+def _weak_values(pis: list[Projector], fwd: StateVector,
+                 bwd: StateVector) -> list[complex] | None:
+    """Weak value of each projector between a forward and a backward state at
+    one stamp; None when their transition amplitude vanishes."""
+    den = inner(bwd, fwd)
+    if abs(den) < ATOL_DENOM:
+        return None
+    return [inner(bwd, project(pi, fwd)[0]) / den for pi in pis]
 
 
 def weak_value(pi: Projector, b: BoundaryPair, t: str, c: CircuitSchedule) -> complex:
     """Two-state-vector weak value of pi at stamp t between the pair's boundaries."""
     i_pre, i_post = _pair_window(c, b)
-    i_t = c.index_of(t)
-    if not i_pre <= i_t <= i_post:
-        raise QStateError(f"stamp {t!r} lies outside the boundary window")
-    fwds, bwds = _two_states(c, b, i_pre, i_post)
-    fwd, bwd = fwds[i_t - i_pre], bwds[i_t - i_pre]
-    den = inner(bwd, fwd)
-    if abs(den) < ATOL_DENOM:
-        raise OrthogonalBoundariesError(
-            f"transition amplitude {den!r} below {ATOL_DENOM} at stamp {t!r}")
-    kept, _ = project(pi, fwd)
-    return inner(bwd, kept) / den
+    k = _window_index(c, t, i_pre, i_post) - i_pre
+    fwd, bwd = _trajectories(c, b, i_pre, i_post)
+    w = None if bwd is None else _weak_values([pi], fwd[k], bwd[k])
+    if w is None:
+        raise OrthogonalBoundariesError(f"the boundaries are orthogonal at stamp {t!r}")
+    return w[0]
 
 
 def arm_paths(c: CircuitSchedule) -> tuple[str, ...]:
@@ -180,24 +197,15 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
     """
     i_pre, i_post = _pair_window(c, b)
     arms = arm_paths(c)
-    pis = [(arm, projector(paths=arm)) for arm in arms]
+    fwd, bwd = _trajectories(c, b, i_pre, i_post)
+    pis = [projector(paths=arm) for arm in arms]
     out: dict[tuple[str, str], complex | None] = {}
-
-    try:
-        fwd, bwd = _two_states(c, b, i_pre, i_post)
-    except OrthogonalBoundariesError:
-        return {(a, st): None for a in arms for st in c.stamps}
-
     for i, stamp in enumerate(c.stamps):
-        k = i - i_pre
-        inside = i_pre <= i <= i_post
-        den = inner(bwd[k], fwd[k]) if inside else 0.0
-        for arm, pi in pis:
-            if not inside or abs(den) < ATOL_DENOM:
-                out[(arm, stamp)] = None
-                continue
-            kept, _ = project(pi, fwd[k])
-            out[(arm, stamp)] = inner(bwd[k], kept) / den
+        ws = None
+        if bwd is not None and i_pre <= i <= i_post:
+            ws = _weak_values(pis, fwd[i - i_pre], bwd[i - i_pre])
+        for a, arm in enumerate(arms):
+            out[(arm, stamp)] = None if ws is None else ws[a]
     return out
 
 
@@ -230,23 +238,8 @@ def _couple_pointer(pi: Projector, psi0: StateVector, psi1: StateVector,
             _rotated(psi1, p1, cm1, {k: x * sn for k, x in p0.items()}))
 
 
-def _pointer_signal(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int,
-                    arm: str, epsilon: float, at: tuple[int, ...] | range) -> float:
-    """Conditioned pointer signal of a probe on arm coupled at stamp indices at."""
-    pi = projector(paths=arm)
-    psi0, psi1 = b.pre[1], StateVector()
-    i = i_pre
-    for j in at:
-        psi0, psi1 = evolve(c, psi0, i, j)[-1], evolve(c, psi1, i, j)[-1]
-        psi0, psi1 = _couple_pointer(pi, psi0, psi1, epsilon)
-        i = j
-    return _pointer_readout(c, b.post[1], psi0, psi1, i, i_post)
-
-
-def _pointer_readout(c: CircuitSchedule, spec: Projector | StateVector, psi0: StateVector,
-                     psi1: StateVector, i: int, i_post: int) -> float:
-    """Evolve both pointer branches from stamp i to the post stamp and read the pointer."""
-    psi0, psi1 = evolve(c, psi0, i, i_post)[-1], evolve(c, psi1, i, i_post)[-1]
+def _read_pointer(spec: Projector | StateVector, psi0: StateVector, psi1: StateVector) -> float:
+    """Conditioned transverse pointer reading of both branches at the post stamp."""
     if isinstance(spec, StateVector):
         a0 = inner(spec, psi0)
         a1 = inner(spec, psi1)
@@ -260,6 +253,14 @@ def _pointer_readout(c: CircuitSchedule, spec: Projector | StateVector, psi0: St
     if den < P_EMPTY:
         return 0.0
     return num / den
+
+
+def _probe(c: CircuitSchedule, spec: Projector | StateVector, pi: Projector, here: StateVector,
+           i_t: int, i_post: int, epsilon: float) -> float:
+    """Pointer signal of one coupling of pi to the forward state here at stamp i_t:
+    both pointer branches ride the schedule to the post stamp i_post."""
+    psi0, psi1 = _couple_pointer(pi, here, StateVector(), epsilon)
+    return _read_pointer(spec, evolve(c, psi0, i_t, i_post)[-1], evolve(c, psi1, i_t, i_post)[-1])
 
 
 def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
@@ -276,10 +277,9 @@ def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
         return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
-    i_t = c.index_of(t)
-    if not i_pre <= i_t <= i_post:
-        raise QStateError(f"stamp {t!r} lies outside the boundary window")
-    return _pointer_signal(c, b, i_pre, i_post, arm, epsilon, (i_t,))
+    i_t = _window_index(c, t, i_pre, i_post)
+    here = evolve(c, b.pre[1], i_pre, i_t)[-1]
+    return _probe(c, b.post[1], projector(paths=arm), here, i_t, i_post, epsilon)
 
 
 def channel_probe_signal(c: CircuitSchedule, epsilon: float,
@@ -294,39 +294,29 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
         return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
-    return _pointer_signal(c, b, i_pre, i_post, arm, epsilon, range(i_pre, i_post + 1))
+    pi = projector(paths=arm)
+    psi0, psi1 = _couple_pointer(pi, b.pre[1], StateVector(), epsilon)
+    for j in range(i_pre + 1, i_post + 1):
+        psi0, psi1 = _couple_pointer(pi, evolve(c, psi0, j - 1, j)[-1],
+                                     evolve(c, psi1, j - 1, j)[-1], epsilon)
+    return _read_pointer(b.post[1], psi0, psi1)
 
 
 def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
                  cells: list[tuple[str, str]], epsilon: float) -> list[dict]:
     """Rows of one boundary pair's (arm, stamp) cells, from one forward and one
-    backward trajectory: the same sums as weak_value and simulate_weak_probe."""
+    backward trajectory."""
     i_pre, i_post = _pair_window(c, b)
-    fwd = evolve(c, b.pre[1], i_pre, i_post)
-    try:
-        bwd: list[StateVector] | None = evolve(c, _post_state(b.post, fwd[-1]), i_post, i_pre)[::-1]
-    except OrthogonalBoundariesError:
-        bwd = None
+    fwd, bwd = _trajectories(c, b, i_pre, i_post)
     rows = []
     for arm, stamp in cells:
-        i_t = c.index_of(stamp)
-        if not i_pre <= i_t <= i_post:
-            raise QStateError(f"stamp {stamp!r} lies outside the boundary window")
-        k = i_t - i_pre
-        pi, here = projector(paths=arm), fwd[k]
-        wv: list[float] | None = None
-        if bwd is not None:
-            den = inner(bwd[k], here)
-            if not abs(den) < ATOL_DENOM:
-                kept, _ = project(pi, here)
-                w = inner(bwd[k], kept) / den
-                wv = [w.real, w.imag]
-        sig = 0.0
-        if epsilon != 0.0:
-            sig = _pointer_readout(c, b.post[1], *_couple_pointer(pi, here, StateVector(), epsilon),
-                                   i_t, i_post)
-        rows.append({"arm": arm, "stamp": stamp, "weak_value": wv, "probe_signal": sig,
-                     "boundaries": bname})
+        i_t = _window_index(c, stamp, i_pre, i_post)
+        here, pi = fwd[i_t - i_pre], projector(paths=arm)
+        w = None if bwd is None else _weak_values([pi], here, bwd[i_t - i_pre])
+        sig = 0.0 if epsilon == 0.0 else _probe(c, b.post[1], pi, here, i_t, i_post, epsilon)
+        rows.append({"arm": arm, "stamp": stamp,
+                     "weak_value": None if w is None else [w[0].real, w[0].imag],
+                     "probe_signal": sig, "boundaries": bname})
     return rows
 
 
@@ -428,47 +418,48 @@ class ChainKet:
         return self.state.norm2()
 
 
-def _history_ket(h: History, f: Family, c: CircuitSchedule) -> StateVector:
-    """Alternate unitary steps and history projectors, then apply the post projector."""
-    s = f.pre[1]
-    i = c.index_of(f.pre[0])
-    for stamp, pi in h.events:
-        j = c.index_of(stamp)
-        s, _ = project(pi, evolve(c, s, i, j)[-1])
-        i = j
-    s, _ = project(f.post[1], evolve(c, s, i, c.index_of(f.post[0]))[-1])
-    return s.pruned()
+def _kets(c: CircuitSchedule, pre: tuple[str, StateVector],
+          slots: list[tuple[str, list[Projector]]], post: tuple[str, Projector]
+          ) -> list[StateVector]:
+    """Chain ket of every choice of one projector per slot, in product order.
 
-
-def _family_kets(f: Family, c: CircuitSchedule) -> list[StateVector]:
-    """_history_ket of every history in histories() order, walking the slots as a
-    prefix tree: each prefix is evolved once, then projected onto each offer.
-    An empty projected state stays empty, so it is not evolved."""
-    ends = [c.index_of(stamp) for stamp, _ in f.slots] + [c.index_of(f.post[0])]
+    Each prefix of the slot tree is evolved once, then projected onto each
+    offer; an empty projected state stays empty, so it is not evolved.
+    """
+    i_pre = c.index_of(pre[0])
+    ends = [c.index_of(stamp) for stamp, _ in slots] + [c.index_of(post[0])]
+    if any(i >= j for i, j in zip([i_pre, *ends], ends)):
+        raise QStateError("history stamps must strictly increase from pre to post")
     kets: list[StateVector] = []
 
     def walk(depth: int, s: StateVector, i: int) -> None:
         j = ends[depth]
         if s:
             s = evolve(c, s, i, j)[-1]
-        if depth == len(f.slots):
-            kets.append(project(f.post[1], s)[0].pruned())
+        if depth == len(slots):
+            kets.append(project(post[1], s)[0].pruned())
             return
-        for _, pi in f.slots[depth][1]:
+        for pi in slots[depth][1]:
             walk(depth + 1, project(pi, s)[0], j)
 
-    walk(0, f.pre[1], c.index_of(f.pre[0]))
+    walk(0, pre[1], i_pre)
     return kets
+
+
+def _chain_ket(h: History, f: Family, c: CircuitSchedule) -> ChainKet:
+    """Chain ket of h in the validated family f, which must offer each of h's events."""
+    offered = {(stamp, pi) for stamp, offers in f.slots for _, pi in offers}
+    for ev in h.events:
+        if ev not in offered:
+            raise QStateError(f"history event at {ev[0]!r} is not offered by the family")
+    slots = [(stamp, [pi]) for stamp, pi in h.events]
+    return ChainKet(history=h, state=_kets(c, f.pre, slots, f.post)[0])
 
 
 def chain_ket(h: History, f: Family, c: CircuitSchedule) -> ChainKet:
     """Chain ket of one history, after validating f and that it offers h's events."""
     f.validate(c)
-    offered = {(stamp, pi) for stamp, offers in f.slots for _, pi in offers}
-    for ev in h.events:
-        if ev not in offered:
-            raise QStateError(f"history event at {ev[0]!r} is not offered by the family")
-    return ChainKet(history=h, state=_history_ket(h, f, c))
+    return _chain_ket(h, f, c)
 
 
 @dataclass(frozen=True)
@@ -498,7 +489,9 @@ def evaluate_family(f: Family, c: CircuitSchedule) -> FamilyEvaluation:
     history order; the total sums the weights in history order.
     """
     f.validate(c)
-    kets = tuple(ChainKet(history=h, state=s) for h, s in zip(f.histories(), _family_kets(f, c)))
+    slots = [(stamp, [pi for _, pi in offers]) for stamp, offers in f.slots]
+    kets = tuple(ChainKet(history=h, state=s)
+                 for h, s in zip(f.histories(), _kets(c, f.pre, slots, f.post)))
     pair = next(((a.history, b.history) for a, b in itertools.combinations(kets, 2)
                  if abs(inner(a.state, b.state)) >= ATOL_CONSISTENT), None)
     return FamilyEvaluation(f, kets, pair, sum(k.weight for k in kets))
@@ -516,7 +509,7 @@ def history_probability(h: History, f: Family, c: CircuitSchedule) -> float:
     for k, prob in zip(ev.kets, ev.probabilities()):
         if k.history.events == h.events:
             return prob
-    return chain_ket(h, f, c).weight / ev.total  # h is not one of f.histories()
+    return _chain_ket(h, f, c).weight / ev.total  # h is not one of f.histories()
 
 
 def builtin_families(c: CircuitSchedule) -> dict[str, Family]:

@@ -80,6 +80,8 @@ class RunConfig:
 
 
 def _parse_complex(value, what: str) -> complex:
+    if isinstance(value, bool):
+        raise QStateError(f"{what} must be a number or a complex literal, not a boolean")
     if isinstance(value, (int, float, complex)):
         return complex(value)
     try:

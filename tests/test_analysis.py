@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import presence_reference as ref
 import zenoport.analysis as analysis
 from zenoport.analysis import (
     BoundaryPair,
@@ -283,9 +284,10 @@ def test_library_engines_validate_once_and_compute_each_ket_once(circuit, analys
 def test_paradox_report_evolves_each_boundary_pair_once(analysis_work):
     paradox_report(4, 12, av_rounds=1)
     # 4 pairs x 2 trajectories, 2 pointer branches for each of 6 cells, and for
-    # each channel probe 2 per stamp (58 and 106 stamps) plus 2 to the post stamp;
-    # a report made 368 calls and 1,540 steps when every cell evolved its own pair
-    assert analysis_work == {"validate": 0, "evolve": 352, "steps": 1264}
+    # each channel probe 2 per step (57 and 105 steps); a report made 368 calls
+    # and 1,540 steps when every cell evolved its own pair, and 352 calls when
+    # each channel probe also evolved zero steps at its pre and post stamps
+    assert analysis_work == {"validate": 0, "evolve": 344, "steps": 1264}
 
 
 def test_history_probability_error_order(circuit):
@@ -299,12 +301,25 @@ def test_history_probability_error_order(circuit):
     assert not isinstance(exc.value, InconsistentFamilyError)
 
 
-def test_history_probability_of_an_offered_partial_history(circuit):
+def test_history_probability_of_an_offered_partial_history(circuit, analysis_work):
     f = builtin_families(circuit)["cycle1"]
     partial = History(names=("A",), events=(f.histories()[0].events[0],))
+    prob = history_probability(partial, f, circuit)
+    assert analysis_work["validate"] == 1
     total = sum(chain_ket(h, f, circuit).weight for h in f.histories())
-    assert history_probability(partial, f, circuit) == \
-        chain_ket(partial, f, circuit).weight / total
+    assert prob == chain_ket(partial, f, circuit).weight / total
+
+
+@pytest.mark.parametrize("stamps", [("c1.in2", "c1.in1"), ("c1.in1", "c1.in1")],
+                         ids=["reversed", "same-stamp"])
+def test_chain_ket_refuses_histories_out_of_time_order(circuit, stamps):
+    f = builtin_families(circuit)["cycle1"]
+    h = History(names=("A", "B"), events=((stamps[0], projector(paths="A")),
+                                          (stamps[1], projector(paths="B"))))
+    with pytest.raises(QStateError, match="strictly increase"):
+        chain_ket(h, f, circuit)
+    with pytest.raises(QStateError, match="strictly increase"):
+        history_probability(h, f, circuit)
 
 
 def test_chain_kets_of_the_final_boundary_family(circuit):
@@ -462,11 +477,8 @@ def _bits(s):
     return [(k, *_hex(v)) for k, v in s.items()]
 
 
-def _reference_weak_value(arm, b, stamp, c):
-    try:
-        return _hex(weak_value(projector(paths=arm), b, stamp, c))
-    except OrthogonalBoundariesError:
-        return None
+def _hexed(z):
+    return None if z is None else _hex(z)
 
 
 @pytest.mark.parametrize("av", [0, 1])
@@ -478,19 +490,19 @@ def test_paradox_rows_equal_the_per_cell_engines_bitwise(m, av):
         c = build_paradox_circuit(m, n)
         pairs = {"end-to-end": (c, end_to_end_boundaries(c)),
                  "cycle1": (c, cycle_boundaries(c, 1)), "cycle2": (c, cycle_boundaries(c, 2))}
-        channel = {"end-to-end": channel_probe_signal(c, eps)}
+        channel = {"end-to-end": ref.channel_probe_signal(c, eps, pairs["end-to-end"][1])}
         if av:
             cav = build_paradox_circuit(m, n, av_rounds=av)
             pairs["end-to-end+av"] = (cav, end_to_end_boundaries(cav))
-            channel["end-to-end+av"] = channel_probe_signal(cav, eps)
+            channel["end-to-end+av"] = ref.channel_probe_signal(cav, eps, pairs["end-to-end+av"][1])
         assert [r["boundaries"] for r in report["rows"]] == \
             ["end-to-end"] * 3 + ["cycle1", "cycle2"] + ["end-to-end+av"] * av
         for row in report["rows"]:
             sched, b = pairs[row["boundaries"]]
             wv = row["weak_value"]
             assert (None if wv is None else _hex(complex(*wv))) == \
-                _reference_weak_value(row["arm"], b, row["stamp"], sched)
-            probe = simulate_weak_probe(sched, row["arm"], row["stamp"], eps, boundaries=b)
+                _hexed(ref.weak_value(projector(paths=row["arm"]), b, row["stamp"], sched))
+            probe = ref.simulate_weak_probe(sched, row["arm"], row["stamp"], eps, b)
             assert row["probe_signal"].hex() == probe.hex()
         assert {k: v.hex() for k, v in report["channel_probe_signal"].items()} == \
             {k: v.hex() for k, v in channel.items()}
@@ -534,9 +546,56 @@ def test_family_kets_equal_chain_kets_bitwise(m, n):
         ev = evaluate_family(f, c)
         assert tuple(k.history for k in ev.kets) == f.histories()
         for k in ev.kets:
-            assert _bits(k.state) == _bits(chain_ket(k.history, f, c).state)
+            assert _bits(k.state) == _bits(ref.history_ket(k.history, f, c))
+            assert _bits(chain_ket(k.history, f, c).state) == _bits(k.state)
     dark_kets = evaluate_family(dark, c).kets
     assert all(not k.state for k in dark_kets[:9]) and any(k.state for k in dark_kets[9:])
+
+
+def _boundary_pairs(c):
+    """The three standard pairs, a state post, and two orthogonal pairs: a post
+    projector that annihilates the forward state and a post state orthogonal
+    to it at every stamp."""
+    sh, fh = StateVector({label("S", "H"): 1.0}), StateVector({label("F", "H"): 1.0})
+    return {"end-to-end": end_to_end_boundaries(c), "cycle1": cycle_boundaries(c, 1),
+            "cycle2": cycle_boundaries(c, 2),
+            "state-post": BoundaryPair(("t0", sh), ("t_final", fh)),
+            "dark-projector": BoundaryPair(("t0", sh), ("c1.t1", projector(paths="C"))),
+            "dark-state": BoundaryPair(("t0", sh), ("c1.t1", StateVector({label("C", "H"): 1.0})))}
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["open", "blocked"])
+@pytest.mark.parametrize("av", [0, 1, 2])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_public_views_equal_the_reference_bitwise(m, av, blocked):
+    eps = 2.5e-3
+    # every N for open circuits; blocked ones carry a sink per channel visit and
+    # cost more, so each (M, av_rounds) takes every third N, offset so that every
+    # (M, N) and every (av_rounds, N) pair still occurs
+    for n in range(2 + (m + av) % 3, 13, 3) if blocked else range(2, 13):
+        c = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)
+        arms = arm_paths(c)
+        pairs = _boundary_pairs(c)
+        for j, (name, b) in enumerate(pairs.items()):
+            want_trace = ref.weak_trace_map(c, b)
+            trace = weak_trace_map(c, b)
+            assert {k: _hexed(v) for k, v in trace.items()} == \
+                {k: _hexed(v) for k, v in want_trace.items()}
+            assert name.startswith("dark") == all(v is None for v in trace.values())
+            # one cell per pair, spread over the arms and the window
+            i_pre, i_post = c.index_of(b.pre[0]), c.index_of(b.post[0])
+            arm, stamp = arms[(n + j) % len(arms)], c.stamps[i_pre + 3 * n % (i_post - i_pre + 1)]
+            want = want_trace[(arm, stamp)]  # the reference sums a cell as weak_value does
+            if want is None:
+                with pytest.raises(OrthogonalBoundariesError):
+                    weak_value(projector(paths=arm), b, stamp, c)
+            else:
+                assert _hex(weak_value(projector(paths=arm), b, stamp, c)) == _hex(want)
+            assert simulate_weak_probe(c, arm, stamp, eps, boundaries=b).hex() == \
+                ref.simulate_weak_probe(c, arm, stamp, eps, b).hex()
+        b = list(pairs.values())[n % len(pairs)]
+        assert channel_probe_signal(c, eps, boundaries=b).hex() == \
+            ref.channel_probe_signal(c, eps, b).hex()
 
 
 @pytest.mark.parametrize("step, adjoint", [(0, False), (-1, False), (0, True)],

@@ -69,6 +69,15 @@ def test_overflowing_control_amplitude_in_config_exits_2(amps, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: control qubit norm^2 = inf")
 
 
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_boolean_control_amplitude_in_config_exits_2(key, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"alpha": 1.0, "beta": 0.0, key: key == "alpha"}))
+    assert main(["counterport", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {key} must be a number or a complex literal, not a boolean\n"
+
+
 def _exit_code(argv) -> int:
     """main's return code, or the code of the SystemExit argparse raises."""
     try:
