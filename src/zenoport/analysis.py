@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .optics import CircuitSchedule, build_paradox_circuit, evolve
+from .optics import CircuitSchedule, _checked_step, build_paradox_circuit, evolve
 from .qstate import (
     PRUNE_EPS,
     Projector,
@@ -159,14 +159,25 @@ def _trajectories(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int
     return fwd, evolve(c, post, i_post, i_pre)[::-1]
 
 
-def _weak_values(pis: list[Projector], fwd: StateVector,
+def _weak_values(parts: list[StateVector], fwd: StateVector,
                  bwd: StateVector) -> list[complex] | None:
     """Weak value of each projector between a forward and a backward state at
-    one stamp; None when their transition amplitude vanishes."""
+    one stamp, given each projector's part of fwd; None when their transition
+    amplitude vanishes."""
     den = inner(bwd, fwd)
     if abs(den) < ATOL_DENOM:
         return None
-    return [inner(bwd, project(pi, fwd)[0]) / den for pi in pis]
+    return [inner(bwd, part) / den for part in parts]
+
+
+def _arm_parts(s: StateVector, arms: tuple[str, ...]) -> list[StateVector]:
+    """project(projector(paths=arm), s)[0] for every arm, in one pass over s."""
+    parts: dict[str, dict] = {arm: {} for arm in arms}
+    for k, v in s.items():
+        part = parts.get(k.path)
+        if part is not None:
+            part[k] = v
+    return [StateVector._wrap(parts[arm]) for arm in arms]
 
 
 def weak_value(pi: Projector, b: BoundaryPair, t: str, c: CircuitSchedule) -> complex:
@@ -174,7 +185,7 @@ def weak_value(pi: Projector, b: BoundaryPair, t: str, c: CircuitSchedule) -> co
     i_pre, i_post = _pair_window(c, b)
     k = _window_index(c, t, i_pre, i_post) - i_pre
     fwd, bwd = _trajectories(c, b, i_pre, i_post)
-    w = None if bwd is None else _weak_values([pi], fwd[k], bwd[k])
+    w = None if bwd is None else _weak_values([project(pi, fwd[k])[0]], fwd[k], bwd[k])
     if w is None:
         raise OrthogonalBoundariesError(f"the boundaries are orthogonal at stamp {t!r}")
     return w[0]
@@ -198,12 +209,12 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
     i_pre, i_post = _pair_window(c, b)
     arms = arm_paths(c)
     fwd, bwd = _trajectories(c, b, i_pre, i_post)
-    pis = [projector(paths=arm) for arm in arms]
     out: dict[tuple[str, str], complex | None] = {}
     for i, stamp in enumerate(c.stamps):
         ws = None
         if bwd is not None and i_pre <= i <= i_post:
-            ws = _weak_values(pis, fwd[i - i_pre], bwd[i - i_pre])
+            here = fwd[i - i_pre]
+            ws = _weak_values(_arm_parts(here, arms), here, bwd[i - i_pre])
         for a, arm in enumerate(arms):
             out[(arm, stamp)] = None if ws is None else ws[a]
     return out
@@ -295,10 +306,13 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
     pi = projector(paths=arm)
+    maps = c.step_maps()
     psi0, psi1 = _couple_pointer(pi, b.pre[1], StateVector(), epsilon)
-    for j in range(i_pre + 1, i_post + 1):
-        psi0, psi1 = _couple_pointer(pi, evolve(c, psi0, j - 1, j)[-1],
-                                     evolve(c, psi1, j - 1, j)[-1], epsilon)
+    for j in range(i_pre + 1, i_post + 1):  # both branches one step each, then couple again
+        m = maps[j - 1]
+        psi0 = _checked_step(c, m, psi0, psi0.norm2(), j)
+        psi1 = _checked_step(c, m, psi1, psi1.norm2(), j)
+        psi0, psi1 = _couple_pointer(pi, psi0, psi1, epsilon)
     return _read_pointer(b.post[1], psi0, psi1)
 
 
@@ -312,7 +326,7 @@ def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
     for arm, stamp in cells:
         i_t = _window_index(c, stamp, i_pre, i_post)
         here, pi = fwd[i_t - i_pre], projector(paths=arm)
-        w = None if bwd is None else _weak_values([pi], here, bwd[i_t - i_pre])
+        w = None if bwd is None else _weak_values([project(pi, here)[0]], here, bwd[i_t - i_pre])
         sig = 0.0 if epsilon == 0.0 else _probe(c, b.post[1], pi, here, i_t, i_post, epsilon)
         rows.append({"arm": arm, "stamp": stamp,
                      "weak_value": None if w is None else [w[0].real, w[0].imag],

@@ -54,6 +54,15 @@ class Element:
                 or not all(isinstance(a, str) for a in self.arms)):
             raise QStateError(f"element {self.name}: {self.kind} takes "
                               f"{ELEMENT_KINDS[self.kind]} arms, got {self.arms!r}")
+        # compiling a schedule looks every element up by hash, so it is computed once
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.arms, self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: a copy recomputes its own
+        return Element, (self.kind, self.name, self.arms, self.params)
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -137,10 +146,12 @@ def _element_map(el: Element, index) -> LinearMap:
 def _step_map(elements: tuple[Element, ...], index, element_maps: dict) -> LinearMap:
     # columns stay in universe order: the adjoint's sums follow column order
     dom, pos, _ = index
+    maps = []
     for el in elements:  # element_maps carries the maps already built and audited
-        if el not in element_maps:
-            element_maps[el] = _element_map(el, index)
-    maps = [element_maps[el] for el in elements]
+        em = element_maps.get(el)
+        if em is None:
+            em = element_maps[el] = _element_map(el, index)
+        maps.append(em)
     m = reduce(compose, maps) if maps else LinearMap({}, kind="unitary", name="idle", domain=dom)
     return m._ordered(pos.__getitem__)
 
@@ -190,10 +201,13 @@ class CircuitSchedule:
             index = _label_index(self.universe)
             element_maps: dict[Element, LinearMap] = {}
             maps: dict[tuple[Element, ...], LinearMap] = {}
+            out = []
             for els in self.steps:
-                if els not in maps:
-                    maps[els] = _step_map(els, index, element_maps)
-            self._maps = tuple(maps[els] for els in self.steps)
+                m = maps.get(els)
+                if m is None:
+                    m = maps[els] = _step_map(els, index, element_maps)
+                out.append(m)
+            self._maps = tuple(out)
         return self._maps
 
     def adjoint_step_maps(self) -> tuple[LinearMap, ...]:
@@ -216,6 +230,17 @@ class TrajectoryRecord:
         return self.states[self.schedule.resolve(stamp)]
 
 
+def _checked_step(c: CircuitSchedule, m: LinearMap, s: StateVector, base: float,
+                  k: int) -> StateVector:
+    """m applied to s and pruned; ConservationError unless its norm**2 at stamp k
+    stays within ATOL_CONSERVE of base."""
+    s, n2 = _apply_pruned(m, s)
+    if not abs(n2 - base) <= ATOL_CONSERVE:
+        raise ConservationError(f"probability drifted to {n2:.15f} at stamp "
+                                f"{c.stamps[k]} (started at {base:.15f})")
+    return s
+
+
 def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int) -> list[StateVector]:
     """States at stamps i0..i1 in stepping order, checking conservation per stamp.
 
@@ -231,10 +256,7 @@ def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int) -> list[StateVe
         steps = ((k, adj[k]) for k in range(i0 - 1, i1 - 1, -1))
     states = [s]
     for k, m in steps:
-        s, n2 = _apply_pruned(m, s)
-        if not abs(n2 - base) <= ATOL_CONSERVE:
-            raise ConservationError(f"probability drifted to {n2:.15f} at stamp "
-                                    f"{c.stamps[k]} (started at {base:.15f})")
+        s = _checked_step(c, m, s, base, k)
         states.append(s)
     return states
 
@@ -277,36 +299,40 @@ def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,
             for j in range(1, total + 1):
                 universe.append(label(f"SinkBlock#{m}.{j}", "H"))
 
-    outer_split = [spr(theta_m, "S", "HWP1"), pbs("S", "A", "D", "PBS1")]
-    inner_split = [spr(theta_n, "D", "HWP2"), pbs("D", "C", "B", "PBS2")]
+    # repeated elements and the plain inner step are built once and shared
+    hwp2, pbs2 = spr(theta_n, "D", "HWP2"), pbs("D", "C", "B", "PBS2")
+    outer_split = (spr(theta_m, "S", "HWP1"), pbs("S", "A", "D", "PBS1"))
+    plain_inner = (pbs2, hwp2, pbs2)
+    entrance_v = route("D", "V", "B", name="PBS2")
+    outer_merge = (route("A", "H", "S", name="OuterMerge"), route("D", "V", "S", name="OuterMerge"))
 
     stamps: list[str] = ["t0"]
     steps: list[tuple[Element, ...]] = []
     for m in range(1, M + 1):
-        steps.append(tuple(outer_split))
+        steps.append(outer_split)
         stamps.append(f"c{m}.t1")
         for j in range(1, total + 1):
-            els: list[Element] = []
-            if block_channel and j > 1:
-                els.append(block("C", f"SinkBlock#{m}.{j - 1}", name="BobBlock"))
-            if j > 1:
-                els.append(pbs("D", "C", "B", "PBS2"))
-            els.append(spr(theta_n, "D", "HWP2"))
-            if j % N == 0 and j // N <= av_rounds:
-                k = j // N
-                els.append(route("D", "H", f"SinkAV#{m}.{k}", name="EntranceBlock"))
-                els.append(route("D", "V", "B", name="PBS2"))
+            entrance = j % N == 0 and j // N <= av_rounds
+            if j > 1 and not block_channel and not entrance:
+                steps.append(plain_inner)
             else:
-                els.append(pbs("D", "C", "B", "PBS2"))
-            steps.append(tuple(els))
+                els: list[Element] = []
+                if block_channel and j > 1:
+                    els.append(block("C", f"SinkBlock#{m}.{j - 1}", name="BobBlock"))
+                if j > 1:
+                    els.append(pbs2)
+                els.append(hwp2)
+                if entrance:
+                    els.append(route("D", "H", f"SinkAV#{m}.{j // N}", name="EntranceBlock"))
+                    els.append(entrance_v)
+                else:
+                    els.append(pbs2)
+                steps.append(tuple(els))
             stamps.append(f"c{m}.in{j}")
         els = []
         if block_channel:
             els.append(block("C", f"SinkBlock#{m}.{total}", name="BobBlock"))
-        els.append(pbs("D", "C", "B", "PBS2"))
-        els.append(route("A", "H", "S", name="OuterMerge"))
-        els.append(route("D", "V", "S", name="OuterMerge"))
-        els.append(route("D", "H", f"SinkD3#{m}", name="D3Exhaust"))
+        els += (pbs2, *outer_merge, route("D", "H", f"SinkD3#{m}", name="D3Exhaust"))
         steps.append(tuple(els))
         stamps.append(f"c{m}.t4")
     steps.append((route("S", "H", "F", name="Exit"), route("S", "V", "F", name="Exit")))

@@ -53,13 +53,18 @@ class BasisLabel(NamedTuple):
         return f"|{self.path},{self.pol},{self.bob}>"
 
 
+def _canonical_pol(pol: str) -> str:
+    p = _POL_ALIASES.get(pol)
+    if p is None:
+        raise QStateError(f"unknown polarization {pol!r}")
+    return p
+
+
 def label(path: str, pol: str = "H", bob: str | int = NO_BOB) -> BasisLabel:
     """Build a canonical BasisLabel; accepts R/L polarization aliases."""
     if not path:
         raise QStateError("empty path name")
-    p = _POL_ALIASES.get(pol)
-    if p is None:
-        raise QStateError(f"unknown polarization {pol!r}")
+    p = _canonical_pol(pol)
     b = str(bob)
     if b not in _BOBS:
         raise QStateError(f"control bit must be 0, 1 or '-', got {bob!r}")
@@ -134,7 +139,7 @@ class StateVector(Mapping):
                    pols: Iterable[str] | None = None,
                    bobs: Iterable[str] | None = None) -> "StateVector":
         ps = None if paths is None else set(paths)
-        qs = None if pols is None else {_POL_ALIASES[p] for p in pols}
+        qs = None if pols is None else {_canonical_pol(p) for p in pols}
         bs = None if bobs is None else {str(b) for b in bobs}
         return StateVector({k: v for k, v in self._amps.items()
                             if (ps is None or k.path in ps)
@@ -186,7 +191,7 @@ def projector(paths: Iterable[str] | str | None = None,
             x = (x,)
         return frozenset(conv(v) for v in x)
     return Projector(paths=as_set(paths, str),
-                     pols=as_set(pols, lambda p: _POL_ALIASES[p]),
+                     pols=as_set(pols, _canonical_pol),
                      bobs=as_set(bobs, str))
 
 
@@ -244,6 +249,17 @@ class LinearMap:
         if kind == "unitary":
             self._audit()
 
+    @classmethod
+    def _trusted(cls, columns: dict[BasisLabel, dict[BasisLabel, complex]], kind: str,
+                 name: str, domain: frozenset[BasisLabel]) -> "LinearMap":
+        """A map over columns as given: nonzero complex entries keyed by labels of
+        checked maps.  Skips __init__'s copy and key check; a unitary is still audited."""
+        m = object.__new__(cls)
+        m.columns, m.domain, m.kind, m.name = columns, domain, kind, name
+        if kind == "unitary":
+            m._audit()
+        return m
+
     def _audit(self) -> None:
         # the dense checks, with each implied identity column reduced to one entry;
         # two columns overlap only through the rows they share, so only those are summed
@@ -290,10 +306,9 @@ class LinearMap:
         for lbl in [*self.columns, *cols]:  # rows the block leaves out: zero if stored, else identity
             row = cols.setdefault(lbl, {})
             if lbl not in self.columns and lbl in self.domain:
-                row[lbl] = 1.0
-        kind = "unitary" if self.kind == "unitary" else "general"
-        return LinearMap(cols, kind=kind, name=f"{self.name}^T" if self.name else "",
-                         domain=self.domain)
+                row[lbl] = 1 + 0j
+        return LinearMap._trusted(cols, self.kind, f"{self.name}^T" if self.name else "",
+                                  self.domain)
 
     def __repr__(self) -> str:
         return f"LinearMap({self.name or self.kind}, {len(self.columns)} columns)"
@@ -351,18 +366,19 @@ def compose(first: LinearMap, second: LinearMap) -> LinearMap:
                 continue
             for dst, b in col2.items():
                 acc[dst] = acc.get(dst, 0j) + b * a
+        if 0 in acc.values():  # a sum that cancels exactly is not stored
+            acc = {dst: v for dst, v in acc.items() if v != 0}
         cols[src] = acc
     for src, col in cols2.items():
         if src not in cols and src in first.domain:
             cols[src] = col
     kind = "unitary" if first.kind == "unitary" and second.kind == "unitary" else "general"
-    return LinearMap(cols, kind=kind, name=f"{first.name};{second.name}".strip(";"),
-                     domain=first.domain)
+    return LinearMap._trusted(cols, kind, f"{first.name};{second.name}".strip(";"), first.domain)
 
 
 def project(p: Projector, s: StateVector) -> tuple[StateVector, float]:
     """Project s onto p; returns the unnormalized part and its probability."""
-    kept = StateVector({k: v for k, v in s.items() if p.matches(k)})
+    kept = StateVector._wrap({k: v for k, v in s.items() if p.matches(k)})
     return kept, kept.norm2()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import presence_reference as ref
 import zenoport.analysis as analysis
+import zenoport.optics as optics
 from zenoport.analysis import (
     BoundaryPair,
     Family,
@@ -281,13 +282,22 @@ def test_library_engines_validate_once_and_compute_each_ket_once(circuit, analys
     assert analysis_work == {"validate": 1, "evolve": 11, "steps": 11}
 
 
-def test_paradox_report_evolves_each_boundary_pair_once(analysis_work):
+def test_paradox_report_evolves_each_boundary_pair_once(analysis_work, monkeypatch):
+    kernel, applied = optics._apply_pruned, []
+
+    def counted_kernel(m, s):
+        applied.append(m)
+        return kernel(m, s)
+
+    monkeypatch.setattr(optics, "_apply_pruned", counted_kernel)
     paradox_report(4, 12, av_rounds=1)
-    # 4 pairs x 2 trajectories, 2 pointer branches for each of 6 cells, and for
-    # each channel probe 2 per step (57 and 105 steps); a report made 368 calls
-    # and 1,540 steps when every cell evolved its own pair, and 352 calls when
-    # each channel probe also evolved zero steps at its pre and post stamps
-    assert analysis_work == {"validate": 0, "evolve": 344, "steps": 1264}
+    # 4 pairs x 2 trajectories and 2 pointer branches for each of 6 cells; each
+    # channel probe steps its two branches itself (57 and 105 steps), so it makes
+    # no evolve call but still applies 2 step maps per step.  A report made 368
+    # calls and 1,540 steps when every cell evolved its own pair, and 344 calls
+    # and 1,264 steps when each channel probe called evolve once per branch and step
+    assert analysis_work == {"validate": 0, "evolve": 20, "steps": 940}
+    assert len(applied) == 940 + 2 * (57 + 105) == 1264
 
 
 def test_history_probability_error_order(circuit):

@@ -1,12 +1,18 @@
 """Optical elements, schedules, and the nested interferometer builder."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenoport
 from zenoport.optics import (
     CircuitSchedule,
     Element,
@@ -403,6 +409,29 @@ def test_shared_compile_matches_an_independent_one(m, n, blocked, av):
         assert dense_audit(x) is None
 
 
+def _exact(m):
+    """Columns, entries (type and bits), domain, kind and name of a map, in stored order."""
+    cols = [(src, [(dst, type(a), a.real.hex(), a.imag.hex()) for dst, a in col.items()])
+            for src, col in m.columns.items()]
+    return cols, m.domain, m.kind, m.name
+
+
+@pytest.mark.parametrize("blocked, av", [(False, 0), (True, 0), (False, 1)],
+                         ids=["open", "blocked", "av1"])
+def test_products_equal_what_the_constructor_builds_from_their_columns(blocked, av):
+    c = build_paradox_circuit(3, 7, block_channel=blocked, av_rounds=av)
+    checked = [*c.adjoint_step_maps()]
+    for els in dict.fromkeys(c.steps):
+        product = element_map(els[0], c.universe)
+        checked.append(product.adjoint())
+        for el in els[1:]:
+            product = compose(product, element_map(el, c.universe))
+            checked += (product, product.adjoint())
+    for m in checked:
+        assert _exact(m) == _exact(LinearMap(m.columns, kind=m.kind, name=m.name,
+                                             domain=m.domain))
+
+
 def _bits(s):
     return [(k, repr(v)) for k, v in s.items()]
 
@@ -435,3 +464,86 @@ def test_evolve_rejects_a_label_outside_the_universe():
         evolve(c, stray, 0, last)
     with pytest.raises(LabelMismatchError):
         evolve(c, stray, last, 0)
+
+
+# ------------------------------------------------- builder and shared elements
+
+def _reference_build(M, N, block_channel, av_rounds):
+    """Stamps, steps, universe, aliases and meta as the builder made them with a
+    fresh element for every use."""
+    theta_m, theta_n, total = math.pi / (2 * M), math.pi / (2 * N), (1 + av_rounds) * N
+    universe = [label(arm, pol) for arm in ("S", "A", "B", "C", "D", "F") for pol in ("H", "V")]
+    for m in range(1, M + 1):
+        universe.append(label(f"SinkD3#{m}", "H"))
+        universe += [label(f"SinkAV#{m}.{k}", "H") for k in range(1, av_rounds + 1)]
+        if block_channel:
+            universe += [label(f"SinkBlock#{m}.{j}", "H") for j in range(1, total + 1)]
+    stamps, steps = ["t0"], []
+    for m in range(1, M + 1):
+        steps.append((spr(theta_m, "S", "HWP1"), pbs("S", "A", "D", "PBS1")))
+        stamps.append(f"c{m}.t1")
+        for j in range(1, total + 1):
+            els = []
+            if block_channel and j > 1:
+                els.append(block("C", f"SinkBlock#{m}.{j - 1}", name="BobBlock"))
+            if j > 1:
+                els.append(pbs("D", "C", "B", "PBS2"))
+            els.append(spr(theta_n, "D", "HWP2"))
+            if j % N == 0 and j // N <= av_rounds:
+                els.append(route("D", "H", f"SinkAV#{m}.{j // N}", name="EntranceBlock"))
+                els.append(route("D", "V", "B", name="PBS2"))
+            else:
+                els.append(pbs("D", "C", "B", "PBS2"))
+            steps.append(tuple(els))
+            stamps.append(f"c{m}.in{j}")
+        els = [block("C", f"SinkBlock#{m}.{total}", name="BobBlock")] if block_channel else []
+        els += [pbs("D", "C", "B", "PBS2"), route("A", "H", "S", name="OuterMerge"),
+                route("D", "V", "S", name="OuterMerge"),
+                route("D", "H", f"SinkD3#{m}", name="D3Exhaust")]
+        steps.append(tuple(els))
+        stamps.append(f"c{m}.t4")
+    steps.append((route("S", "H", "F", name="Exit"), route("S", "V", "F", name="Exit")))
+    stamps.append("t_final")
+    aliases = {}
+    if M == 2 and N == 2:
+        aliases = {"t1": "c1.t1", "t2": "c1.in1", "t3": "c1.in2", "t4": "c1.t4",
+                   "t'0": "c1.t4", "t'1": "c2.t1", "t'2": "c2.in1", "t'3": "c2.in2",
+                   "t'4": "c2.t4"}
+    meta = {"kind": "nested-paradox", "M": M, "N": N, "block_channel": block_channel,
+            "av_rounds": av_rounds}
+    return tuple(stamps), tuple(steps), tuple(universe), aliases, meta
+
+
+def test_builder_matches_a_fresh_element_builder():
+    for m in range(1, 6):
+        for n in range(1, 13):
+            for blocked in (False, True):
+                for av in range(3):
+                    c = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)
+                    assert (c.stamps, c.steps, c.universe, c.aliases, c.meta) == \
+                        _reference_build(m, n, blocked, av)
+    c = build_paradox_circuit(3, 7)
+    plain = [els for els in c.steps if els == c.steps[2]]
+    assert len(plain) == 3 * 6 and all(els is c.steps[2] for els in plain)
+
+
+def test_equal_elements_hash_equal():
+    a, b = pbs("D", "C", "B", "PBS2"), pbs("D", "C", "B", "PBS2")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert spr(0.0) == spr(-0.0) and hash(spr(0.0)) == hash(spr(-0.0))
+    assert len({a, b, spr(0.1, "D", "HWP2"), block("C", "SinkBlock#1.1")}) == 3
+
+
+def test_an_element_pickles_only_its_four_fields():
+    el = block("C", "SinkBlock#1.1", name="BobBlock")
+    assert el.__reduce__() == (Element, ("block", "BobBlock", ("C", "SinkBlock#1.1"),
+                                         (("pols", ("H",)),)))
+    # pickled under another string-hash seed, a copy still hashes as it does here
+    code = ("import pickle, sys; from zenoport.optics import block; "
+            "sys.stdout.buffer.write(pickle.dumps(block('C', 'SinkBlock#1.1', name='BobBlock')))")
+    env = {**os.environ, "PYTHONHASHSEED": "1",
+           "PYTHONPATH": str(Path(zenoport.__file__).parents[1])}
+    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+    copy = pickle.loads(data)
+    assert copy == el and hash(copy) == hash(el)

@@ -40,6 +40,15 @@ def test_label_rejects_unknown_parts():
         label("S", "H", "2")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: projector(pols="X"),
+    lambda: StateVector({label("S"): 1.0}).restricted(pols=["X"]),
+], ids=["projector", "restricted"])
+def test_unknown_polarization_is_a_qstate_error_everywhere(make):
+    with pytest.raises(QStateError, match="unknown polarization 'X'"):
+        make()
+
+
 def test_is_sink():
     assert is_sink("SinkD3#1")
     assert not is_sink("S")
@@ -168,6 +177,21 @@ def test_compose_order():
     assert apply(m, StateVector({label("S"): 1.0})).amp(label("B")) == 1.0
 
 
+def test_compose_stores_no_entry_whose_sum_cancels_exactly():
+    h, v, r = label("S", "H"), label("S", "V"), 1.0 / math.sqrt(2.0)
+    had = LinearMap({h: {h: r, v: r}, v: {h: r, v: -r}}, kind="unitary")
+    twice = compose(had, had)  # the off-diagonal sums r*r - r*r are exactly zero
+    assert {src: list(col) for src, col in twice.columns.items()} == {h: [h], v: [v]}
+
+
+def test_a_trusted_unitary_product_is_still_audited():
+    a, b = label("S", "H"), label("S", "V")
+    with pytest.raises(QStateError, match="norm"):
+        LinearMap._trusted({a: {a: 2 + 0j}}, "unitary", "bad", frozenset({a}))
+    with pytest.raises(QStateError, match="not orthogonal"):
+        LinearMap._trusted({a: {a: 1 + 0j}, b: {a: 1 + 0j}}, "unitary", "bad", frozenset({a, b}))
+
+
 def test_compose_rejects_a_range_outside_the_second_domain():
     swap = LinearMap({label("S"): {label("A"): 1.0}, label("A"): {label("S"): 1.0}},
                      kind="unitary", domain=(label("S"), label("A"), label("B")))
@@ -205,7 +229,8 @@ def test_adjoint_keeps_the_identity_of_a_label_a_tolerated_leak_reaches():
                    label("S", "V"): {label("S", "H"): -s, label("S", "V"): c}},
                   kind="unitary", domain=dom)
     adj = m.adjoint()
-    assert adj.columns[label("A", "H")][label("A", "H")] == 1.0
+    identity = adj.columns[label("A", "H")][label("A", "H")]
+    assert identity == 1.0 and type(identity) is complex  # as LinearMap(...) would store it
     v = StateVector({label("S", "H"): 0.6, label("A", "H"): 0.8})
     assert (apply(compose(m, adj), v) + v * -1).norm() < 1e-12
 
