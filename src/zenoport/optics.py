@@ -54,15 +54,6 @@ class Element:
                 or not all(isinstance(a, str) for a in self.arms)):
             raise QStateError(f"element {self.name}: {self.kind} takes "
                               f"{ELEMENT_KINDS[self.kind]} arms, got {self.arms!r}")
-        # compiling a schedule looks every element up by hash, so it is computed once
-        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.arms, self.params)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: a copy recomputes its own
-        return Element, (self.kind, self.name, self.arms, self.params)
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -299,10 +290,9 @@ def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,
             for j in range(1, total + 1):
                 universe.append(label(f"SinkBlock#{m}.{j}", "H"))
 
-    # repeated elements and the plain inner step are built once and shared
+    # repeated elements are built once and shared by every step that holds them
     hwp2, pbs2 = spr(theta_n, "D", "HWP2"), pbs("D", "C", "B", "PBS2")
     outer_split = (spr(theta_m, "S", "HWP1"), pbs("S", "A", "D", "PBS1"))
-    plain_inner = (pbs2, hwp2, pbs2)
     entrance_v = route("D", "V", "B", name="PBS2")
     outer_merge = (route("A", "H", "S", name="OuterMerge"), route("D", "V", "S", name="OuterMerge"))
 
@@ -312,22 +302,18 @@ def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,
         steps.append(outer_split)
         stamps.append(f"c{m}.t1")
         for j in range(1, total + 1):
-            entrance = j % N == 0 and j // N <= av_rounds
-            if j > 1 and not block_channel and not entrance:
-                steps.append(plain_inner)
+            els: list[Element] = []
+            if block_channel and j > 1:
+                els.append(block("C", f"SinkBlock#{m}.{j - 1}", name="BobBlock"))
+            if j > 1:
+                els.append(pbs2)
+            els.append(hwp2)
+            if j % N == 0 and j // N <= av_rounds:
+                els.append(route("D", "H", f"SinkAV#{m}.{j // N}", name="EntranceBlock"))
+                els.append(entrance_v)
             else:
-                els: list[Element] = []
-                if block_channel and j > 1:
-                    els.append(block("C", f"SinkBlock#{m}.{j - 1}", name="BobBlock"))
-                if j > 1:
-                    els.append(pbs2)
-                els.append(hwp2)
-                if entrance:
-                    els.append(route("D", "H", f"SinkAV#{m}.{j // N}", name="EntranceBlock"))
-                    els.append(entrance_v)
-                else:
-                    els.append(pbs2)
-                steps.append(tuple(els))
+                els.append(pbs2)
+            steps.append(tuple(els))
             stamps.append(f"c{m}.in{j}")
         els = []
         if block_channel:

@@ -226,6 +226,10 @@ class LinearMap:
     construction: the full map over the domain must have orthonormal columns
     within 1e-12 (sink rows included) and equal domain and range.  kind
     "general" skips the audit.
+
+    columns is read-only: compose's product and a schedule's compiled step
+    maps share column dicts with the maps they were built from, so a map is
+    changed only by building a new one.
     """
 
     __slots__ = ("columns", "domain", "kind", "name")
