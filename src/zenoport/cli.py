@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
@@ -42,9 +41,6 @@ EXIT_CONSERVATION = 3
 
 CLASSICAL_LIMIT = 2.0 / 3.0
 
-_SCHEMES = ("fibonacci", "seeded-uniform")
-_BLOCK_PER = ("inner", "outer")
-
 _DEFAULTS: dict[str, dict] = {
     "sweep": {
         "m_max": 20, "n_max": 20, "eps_reflect": 0.10, "eps_block": 0.05,
@@ -68,110 +64,82 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully merged, validated parameter block for one subcommand run."""
-
-    subcommand: str
-    params: dict
-
-    def __getitem__(self, key: str):
-        return self.params[key]
+def _rule(ok, what: str):
+    """A rule that returns each value ok accepts and says what the others must be."""
+    def rule(key, v):
+        if not ok(v):
+            raise QStateError(f"config key {key!r} must {what}")
+        return v
+    return rule
 
 
-def _parse_complex(value, what: str) -> complex:
-    if isinstance(value, bool):
-        raise QStateError(f"{what} must be a number or a complex literal, not a boolean")
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
+def _integer(lo: int):
+    is_int = _rule(lambda v: isinstance(v, int) and not isinstance(v, bool), "be an integer")
+    at_least = _rule(lambda v: v >= lo, f"be >= {lo}")
+    return lambda key, v: at_least(key, is_int(key, v))
+
+
+def _number(lo: float, hi: float):
+    is_number = _rule(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+                      "be a number")
+    within = _rule(lambda v: lo <= v <= hi, f"lie in [{lo}, {hi}]")
+    return lambda key, v: within(key, float(is_number(key, v)))
+
+
+def _choice(*choices: str):
+    return _rule(lambda v: v in choices, f"be one of {list(choices)}")
+
+
+def _complex(key, v) -> complex:
+    if isinstance(v, bool):
+        raise QStateError(f"{key} must be a number or a complex literal, not a boolean")
+    if isinstance(v, (int, float, complex)):
+        return complex(v)
     try:
-        return complex(str(value).replace(" ", ""))
+        return complex(str(v).replace(" ", ""))
     except ValueError:
-        raise QStateError(f"{what} is not a complex literal: {value!r}") from None
+        raise QStateError(f"{key} is not a complex literal: {v!r}") from None
 
 
-def _need_int(p: dict, key: str, lo: int) -> None:
-    v = p[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise QStateError(f"config key {key!r} must be an integer")
-    if v < lo:
-        raise QStateError(f"config key {key!r} must be >= {lo}")
+def _boundaries(key, v):
+    if v != "end-to-end" and not (isinstance(v, str) and v.startswith("cycle")
+                                  and v[5:].isdigit() and int(v[5:]) >= 1):
+        raise QStateError("boundaries must be 'end-to-end' or 'cycle<k>'")
+    return v
 
 
-def _need_float(p: dict, key: str, lo: float, hi: float) -> None:
-    v = p[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise QStateError(f"config key {key!r} must be a number")
-    if not lo <= float(v) <= hi:
-        raise QStateError(f"config key {key!r} must lie in [{lo}, {hi}]")
-    p[key] = float(v)
+def _family(key, v):
+    if not isinstance(v, str) or not v.strip():
+        raise QStateError("family must be a non-empty name")
+    return v
 
 
-def _need_choice(p: dict, key: str, choices) -> None:
-    if p[key] not in choices:
-        raise QStateError(f"config key {key!r} must be one of {list(choices)}")
+# One rule per config key, whatever subcommand takes it: a rule checks a value
+# and returns the value to use.
+_RULES = {
+    **dict.fromkeys(("m_max", "n_max", "m", "n", "samples", "workers"), _integer(1)),
+    "seed": _integer(-(2 ** 63)),
+    "av_rounds": _integer(0),
+    "eps_reflect": _number(0.0, 1.0),
+    "eps_block": _number(0.0, 1.0),
+    "epsilon": _number(1e-12, 0.5),
+    "eps_block_per": _choice("inner", "outer"),
+    "scheme": _choice("fibonacci", "seeded-uniform"),
+    "fidelity_mode": _choice(*FIDELITY_MODES),
+    "ideal": _rule(lambda v: isinstance(v, bool), "be a boolean"),
+    "alpha": _complex,
+    "beta": _complex,
+    "boundaries": _boundaries,
+    "family": _family,
+    "out_dir": _rule(lambda v: isinstance(v, str), "be a string path"),
+    **dict.fromkeys(("out", "json_out", "family_file"),
+                    _rule(lambda v: v is None or isinstance(v, str), "be a string path")),
+}
 
 
-def _need_opt_str(p: dict, key: str) -> None:
-    if p[key] is not None and not isinstance(p[key], str):
-        raise QStateError(f"config key {key!r} must be a string path")
-
-
-def _validate(sub: str, p: dict) -> None:
-    if sub == "sweep":
-        _need_int(p, "m_max", 1)
-        _need_int(p, "n_max", 1)
-        _need_int(p, "samples", 1)
-        _need_int(p, "workers", 1)
-        _need_int(p, "seed", -(2 ** 63))
-        _need_int(p, "av_rounds", 0)
-        _need_float(p, "eps_reflect", 0.0, 1.0)
-        _need_float(p, "eps_block", 0.0, 1.0)
-        _need_choice(p, "scheme", _SCHEMES)
-        _need_choice(p, "eps_block_per", _BLOCK_PER)
-        _need_choice(p, "fidelity_mode", FIDELITY_MODES)
-        if not isinstance(p["ideal"], bool):
-            raise QStateError("config key 'ideal' must be a boolean")
-        if not isinstance(p["out_dir"], str):
-            raise QStateError("config key 'out_dir' must be a string path")
-    elif sub == "counterport":
-        _need_int(p, "m", 1)
-        _need_int(p, "n", 1)
-        _need_int(p, "av_rounds", 0)
-        _need_float(p, "eps_reflect", 0.0, 1.0)
-        _need_float(p, "eps_block", 0.0, 1.0)
-        _need_choice(p, "eps_block_per", _BLOCK_PER)
-        _need_opt_str(p, "out")
-        _parse_complex(p["alpha"], "alpha")
-        _parse_complex(p["beta"], "beta")
-    elif sub == "paradox":
-        _need_int(p, "m", 1)
-        _need_int(p, "n", 1)
-        _need_int(p, "av_rounds", 0)
-        _need_float(p, "epsilon", 1e-12, 0.5)
-        _need_opt_str(p, "json_out")
-    elif sub == "weakvalues":
-        _need_int(p, "m", 1)
-        _need_int(p, "n", 1)
-        _need_int(p, "av_rounds", 0)
-        _need_opt_str(p, "out")
-        b = p["boundaries"]
-        if b != "end-to-end" and not (isinstance(b, str) and b.startswith("cycle")
-                                      and b[5:].isdigit() and int(b[5:]) >= 1):
-            raise QStateError("boundaries must be 'end-to-end' or 'cycle<k>'")
-    elif sub == "histories":
-        _need_int(p, "m", 1)
-        _need_int(p, "n", 1)
-        _need_opt_str(p, "family_file")
-        _need_opt_str(p, "json_out")
-        if not isinstance(p["family"], str) or not p["family"].strip():
-            raise QStateError("family must be a non-empty name")
-    else:  # pragma: no cover - argparse restricts subcommands
-        raise QStateError(f"unknown subcommand {sub!r}")
-
-
-def load_config(sub: str, config_path: str | None, flag_values: dict) -> RunConfig:
-    """Merge defaults, optional JSON config file and explicit flags."""
+def load_config(sub: str, config_path: str | None, flag_values: dict) -> dict:
+    """Merge defaults, optional JSON config file and explicit flags, and
+    apply each key's rule."""
     params = dict(_DEFAULTS[sub])
     if config_path is not None:
         try:
@@ -191,8 +159,7 @@ def load_config(sub: str, config_path: str | None, flag_values: dict) -> RunConf
     for key, value in flag_values.items():
         if value is not None:
             params[key] = value
-    _validate(sub, params)
-    return RunConfig(sub, params)
+    return {key: _RULES[key](key, value) for key, value in params.items()}
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -316,8 +283,7 @@ def svg_heatmap(grid: FidelityGrid, *, contour: float = CLASSICAL_LIMIT) -> str:
 
 # -------------------------------------------------------------- subcommands
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    p = cfg.params
+def cmd_sweep(p: dict) -> int:
     eps_r = 0.0 if p["ideal"] else p["eps_reflect"]
     eps_b = 0.0 if p["ideal"] else p["eps_block"]
     template = ProtocolConfig(M=1, N=1, eps_reflect=eps_r, eps_block=eps_b,
@@ -339,9 +305,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_counterport(cfg: RunConfig) -> int:
-    p = cfg.params
-    bob = BobQubit(_parse_complex(p["alpha"], "alpha"), _parse_complex(p["beta"], "beta"))
+def cmd_counterport(p: dict) -> int:
+    bob = BobQubit(p["alpha"], p["beta"])
     pcfg = ProtocolConfig(M=p["m"], N=p["n"], eps_reflect=p["eps_reflect"],
                           eps_block=p["eps_block"], av_rounds=p["av_rounds"],
                           eps_block_per=p["eps_block_per"])
@@ -373,8 +338,7 @@ def _format_cell(value) -> str:
     return f"{value:+.3e}"
 
 
-def cmd_paradox(cfg: RunConfig) -> int:
-    p = cfg.params
+def cmd_paradox(p: dict) -> int:
     report = paradox_report(p["m"], p["n"], av_rounds=p["av_rounds"], epsilon=p["epsilon"])
     print(f"M={report['M']} N={report['N']} av_rounds={report['av_rounds']} "
           f"epsilon={report['epsilon']:g}")
@@ -395,8 +359,7 @@ def _boundaries_for(c, spec: str) -> BoundaryPair:
     return cycle_boundaries(c, int(spec[5:]))
 
 
-def cmd_weakvalues(cfg: RunConfig) -> int:
-    p = cfg.params
+def cmd_weakvalues(p: dict) -> int:
     c = build_paradox_circuit(p["m"], p["n"], av_rounds=p["av_rounds"])
     b = _boundaries_for(c, p["boundaries"])
     trace = weak_trace_map(c, b)
@@ -404,8 +367,7 @@ def cmd_weakvalues(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_histories(cfg: RunConfig) -> int:
-    p = cfg.params
+def cmd_histories(p: dict) -> int:
     c = build_paradox_circuit(p["m"], p["n"])
     if p["family_file"] is not None:
         try:
@@ -514,8 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_bind_complex_values(argv))
     flag_values = {key: getattr(args, key) for key in _DEFAULTS[args.cmd]}
     try:
-        cfg = load_config(args.cmd, args.config, flag_values)
-        return _DISPATCH[args.cmd](cfg)
+        return _DISPATCH[args.cmd](load_config(args.cmd, args.config, flag_values))
     except ConservationError as exc:
         print(f"conservation breach: {exc}", file=sys.stderr)
         return EXIT_CONSERVATION

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cqze import BobQubit, ProtocolConfig, _as_bob, _two_rail, run_cqze
+from .cqze import ATOL_SUM, BobQubit, ProtocolConfig, _as_bob, _two_rail, run_cqze
 from .qstate import POLS, ConservationError, QStateError, StateVector, label
 
-ATOL_SUM = 1e-12
 R = 1.0 / math.sqrt(2.0)
 P_EMPTY = 1e-300  # below this arrival probability the conditional figure is defined as 0
 
@@ -310,8 +309,8 @@ def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
     """Average counterport fidelity over the sample for every (M, N) cell.
 
     cfg_template supplies the imperfection coefficients; its own M and N
-    are replaced cell by cell.  workers > 1 distributes grid rows over
-    processes; results are identical for any worker count.
+    are replaced cell by cell.  workers > 1 distributes grid rows over at
+    most one process per row; results are identical for any worker count.
     """
     if m_max < 1 or n_max < 1:
         raise QStateError("grid extents must be >= 1")
@@ -323,7 +322,8 @@ def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
     m_values = tuple(range(1, m_max + 1))
     n_values = tuple(range(1, n_max + 1))
     jobs = [(m, n_values, cfg_template, qubits, fidelity_mode) for m in m_values]
-    if workers is not None and workers > 1:
+    workers = min(workers or 1, len(jobs))  # a pool starts all its workers at once
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_grid_row, jobs))
     else:

@@ -41,6 +41,8 @@ from .qstate import (
     QStateError,
     StateVector,
     label,
+    project,
+    projector,
 )
 
 ATOL_SUM = 1e-12
@@ -426,11 +428,11 @@ def counterfactual_cnot(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> 
             for pol, a in zip(POLS, pair):
                 amps[label(port, pol, b)] = a
     joint = StateVector(amps)
-    port1 = joint.restricted(paths=("Port1",))
-    port2 = joint.restricted(paths=("Port2",))
+    port1, p_port1 = project(projector(paths="Port1"), joint)
+    port2, p_port2 = project(projector(paths="Port2"), joint)
     probs = {
-        "Port1": port1.norm2(),
-        "Port2": port2.norm2(),
+        "Port1": p_port1,
+        "Port2": p_port2,
         "DA": base.p_loss_DA,
         "DB": base.loss_breakdown["DB"],
         "Block": base.loss_breakdown["Block"],

@@ -16,7 +16,6 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
-ATOL_NORM = 1e-12
 ATOL_UNITARY = 1e-12
 PRUNE_EPS = 1e-15
 
@@ -134,17 +133,6 @@ class StateVector(Mapping):
 
     def pruned(self, eps: float = PRUNE_EPS) -> "StateVector":
         return StateVector({k: v for k, v in self._amps.items() if abs(v) > eps})
-
-    def restricted(self, paths: Iterable[str] | None = None,
-                   pols: Iterable[str] | None = None,
-                   bobs: Iterable[str] | None = None) -> "StateVector":
-        ps = None if paths is None else set(paths)
-        qs = None if pols is None else {_canonical_pol(p) for p in pols}
-        bs = None if bobs is None else {str(b) for b in bobs}
-        return StateVector({k: v for k, v in self._amps.items()
-                            if (ps is None or k.path in ps)
-                            and (qs is None or k.pol in qs)
-                            and (bs is None or k.bob in bs)})
 
     def __add__(self, other: "StateVector") -> "StateVector":
         out = dict(self._amps)

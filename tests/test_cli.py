@@ -78,6 +78,78 @@ def test_boolean_control_amplitude_in_config_exits_2(key, tmp_path, capsys):
         f"error: {key} must be a number or a complex literal, not a boolean\n"
 
 
+# Bad config-file values per key, with the error line each one draws.  A key
+# keeps its rule, and so its message, in every subcommand that takes it.
+_CHOICES = {
+    "eps_block_per": "['inner', 'outer']",
+    "scheme": "['fibonacci', 'seeded-uniform']",
+    "fidelity_mode": "['loss-inclusive', 'post-selected']",
+}
+_BAD_VALUES = {
+    **{key: [("abc", f"config key {key!r} must be an integer"),
+             (True, f"config key {key!r} must be an integer"),
+             (1.5, f"config key {key!r} must be an integer"),
+             (0, f"config key {key!r} must be >= 1")]
+       for key in ("m_max", "n_max", "samples", "workers", "m", "n")},
+    "seed": [(None, "config key 'seed' must be an integer"),
+             (2.0, "config key 'seed' must be an integer")],
+    "av_rounds": [(-1, "config key 'av_rounds' must be >= 0"),
+                  (False, "config key 'av_rounds' must be an integer")],
+    **{key: [(True, f"config key {key!r} must be a number"),
+             ("1", f"config key {key!r} must be a number"),
+             (-0.5, f"config key {key!r} must lie in [0.0, 1.0]"),
+             (float("nan"), f"config key {key!r} must lie in [0.0, 1.0]")]
+       for key in ("eps_reflect", "eps_block")},
+    "epsilon": [(None, "config key 'epsilon' must be a number"),
+                (0, "config key 'epsilon' must lie in [1e-12, 0.5]"),
+                (1, "config key 'epsilon' must lie in [1e-12, 0.5]")],
+    **{key: [("abc", f"config key {key!r} must be one of {choices}"),
+             (None, f"config key {key!r} must be one of {choices}")]
+       for key, choices in _CHOICES.items()},
+    "ideal": [(0, "config key 'ideal' must be a boolean"),
+              ("true", "config key 'ideal' must be a boolean")],
+    "out_dir": [(None, "config key 'out_dir' must be a string path"),
+                (0, "config key 'out_dir' must be a string path")],
+    **{key: [(0, f"config key {key!r} must be a string path"),
+             ([], f"config key {key!r} must be a string path")]
+       for key in ("out", "json_out", "family_file")},
+    **{key: [(True, f"{key} must be a number or a complex literal, not a boolean"),
+             ("abc", f"{key} is not a complex literal: 'abc'"),
+             (None, f"{key} is not a complex literal: None")]
+       for key in ("alpha", "beta")},
+    "boundaries": [("cycle0", "boundaries must be 'end-to-end' or 'cycle<k>'"),
+                   (None, "boundaries must be 'end-to-end' or 'cycle<k>'")],
+    "family": [("", "family must be a non-empty name"),
+               (" ", "family must be a non-empty name"),
+               (0, "family must be a non-empty name")],
+}
+
+
+@pytest.mark.parametrize("sub, key", [(sub, key) for sub, keys in cli._DEFAULTS.items()
+                                      for key in keys])
+def test_bad_config_value_exits_2_with_the_key_rule_message(sub, key, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    for value, message in _BAD_VALUES[key]:
+        path.write_text(json.dumps({key: value}))
+        assert main([sub, "--config", str(path)]) == 2, (key, value)
+        assert capsys.readouterr().err == f"error: {message}\n", (key, value)
+
+
+def test_load_config_applies_each_key_rule(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"m": 3, "eps_reflect": 0, "eps_block": 1, "alpha": 0.6,
+                                "beta": "0.8j"}))
+    cfg = load_config("counterport", str(path), {"eps_block_per": "outer"})
+    assert cfg["m"] == 3 and type(cfg["m"]) is int
+    assert type(cfg["eps_reflect"]) is float and type(cfg["eps_block"]) is float
+    assert cfg["alpha"] == 0.6 + 0j and cfg["beta"] == 0.8j
+    assert type(cfg["alpha"]) is complex and type(cfg["beta"]) is complex
+    assert cfg["eps_block_per"] == "outer"
+    cfg = load_config("paradox", None, {"epsilon": None})
+    assert type(cfg["epsilon"]) is float and cfg["epsilon"] == 1e-3
+    assert load_config("counterport", None, {})["alpha"] == 1 + 0j
+
+
 def _exit_code(argv) -> int:
     """main's return code, or the code of the SystemExit argparse raises."""
     try:

@@ -142,6 +142,35 @@ def test_sweep_worker_count_does_not_change_output():
     assert np.array_equal(a.avg_success_prob, b.avg_success_prob)
 
 
+def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
+    created = []
+
+    class InlinePool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cp, "ProcessPoolExecutor", InlinePool)
+    tmpl, sample = ProtocolConfig(M=1, N=1, eps_reflect=0.02), sample_bloch(4)
+    wide = sweep(3, 2, tmpl, sample, workers=10_000)
+    assert created == [3]
+    one = sweep(3, 2, tmpl, sample, workers=1)
+    sweep(1, 2, tmpl, sample, workers=8)
+    assert created == [3]  # one worker, or one row, needs no pool
+    assert np.array_equal(wide.avg_fidelity, one.avg_fidelity)
+    assert np.array_equal(wide.avg_success_prob, one.avg_success_prob)
+
+
 def test_sweep_validation():
     with pytest.raises(QStateError):
         sweep(0, 3, ProtocolConfig(M=1, N=1), sample_bloch(2))

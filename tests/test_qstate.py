@@ -42,8 +42,8 @@ def test_label_rejects_unknown_parts():
 
 @pytest.mark.parametrize("make", [
     lambda: projector(pols="X"),
-    lambda: StateVector({label("S"): 1.0}).restricted(pols=["X"]),
-], ids=["projector", "restricted"])
+    lambda: label("S", "X"),
+], ids=["projector", "label"])
 def test_unknown_polarization_is_a_qstate_error_everywhere(make):
     with pytest.raises(QStateError, match="unknown polarization 'X'"):
         make()
@@ -87,13 +87,6 @@ def test_statevector_normalized_and_pruned():
         StateVector().normalized()
 
 
-def test_statevector_restricted():
-    s = StateVector({label("S", "H"): 0.5, label("S", "V"): 0.5,
-                     label("A", "H", 1): 0.5, label("F", "V", 0): 0.5})
-    assert set(s.restricted(paths=("S",))) == {label("S", "H"), label("S", "V")}
-    assert set(s.restricted(pols=("V",), bobs=("0",))) == {label("F", "V", 0)}
-
-
 def test_projector_matching_and_project():
     s = StateVector({label("S", "H"): 0.6, label("A", "V"): 0.8})
     kept, p = project(projector(paths="S"), s)
@@ -102,6 +95,11 @@ def test_projector_matching_and_project():
     kept_all, p_all = project(projector(), s)
     assert p_all == pytest.approx(1.0, abs=1e-15)
     assert len(kept_all) == 2
+    s = StateVector({label("S", "H"): 0.5, label("S", "V"): 0.5,
+                     label("A", "H", 1): 0.5, label("F", "V", 0): 0.5})
+    assert set(project(projector(paths=("S",)), s)[0]) == {label("S", "H"), label("S", "V")}
+    kept, p = project(projector(pols=("V",), bobs=("0",)), s)
+    assert set(kept) == {label("F", "V", 0)} and p == 0.25
 
 
 def test_projector_spec_keeps_any_value_apart_from_no_value():
