@@ -87,6 +87,14 @@ def test_statevector_normalized_and_pruned():
         StateVector().normalized()
 
 
+def test_statevector_restricted():
+    s = StateVector({label("S", "H"): 0.5, label("S", "V"): 0.5,
+                     label("A", "H", 1): 0.5, label("F", "V", 0): 0.5})
+    assert set(project(projector(paths=("S",)), s)[0]) == {label("S", "H"), label("S", "V")}
+    kept, p = project(projector(pols=("V",), bobs=("0",)), s)
+    assert set(kept) == {label("F", "V", 0)} and p == 0.25
+
+
 def test_projector_matching_and_project():
     s = StateVector({label("S", "H"): 0.6, label("A", "V"): 0.8})
     kept, p = project(projector(paths="S"), s)
@@ -95,11 +103,6 @@ def test_projector_matching_and_project():
     kept_all, p_all = project(projector(), s)
     assert p_all == pytest.approx(1.0, abs=1e-15)
     assert len(kept_all) == 2
-    s = StateVector({label("S", "H"): 0.5, label("S", "V"): 0.5,
-                     label("A", "H", 1): 0.5, label("F", "V", 0): 0.5})
-    assert set(project(projector(paths=("S",)), s)[0]) == {label("S", "H"), label("S", "V")}
-    kept, p = project(projector(pols=("V",), bobs=("0",)), s)
-    assert set(kept) == {label("F", "V", 0)} and p == 0.25
 
 
 def test_projector_spec_keeps_any_value_apart_from_no_value():
