@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .cqze import P_EMPTY
 from .optics import CircuitSchedule, _checked_step, build_paradox_circuit, evolve
 from .qstate import (
     PRUNE_EPS,
@@ -34,7 +35,6 @@ from .qstate import (
 ATOL_DENOM = 1e-12
 ATOL_CONSISTENT = 1e-10
 ATOL_BOUNDARY_NORM = 1e-9
-P_EMPTY = 1e-300
 
 
 class OrthogonalBoundariesError(QStateError):
@@ -220,8 +220,8 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
     return out
 
 
-def _rotated(psi: StateVector, p: dict, cm1: float, other: dict) -> StateVector:
-    """(psi + p * cm1 + other).pruned(), as StateVector arithmetic would sum it."""
+def _rotated(psi: StateVector, p: dict, cm1: float, other: dict) -> tuple[StateVector, float]:
+    """(psi + p * cm1 + other).pruned(), as StateVector arithmetic would sum it, and its norm**2."""
     out = dict(psi._amps)
     for k, x in p.items():
         t = x * cm1
@@ -234,11 +234,16 @@ def _rotated(psi: StateVector, p: dict, cm1: float, other: dict) -> StateVector:
     for k, v in other.items():
         if v != 0:
             out[k] = out.get(k, 0j) + v
-    return StateVector._wrap({k: v for k, v in out.items() if abs(v) > PRUNE_EPS})
+    kept, n2 = {}, 0.0
+    for k, v in out.items():
+        if abs(v) > PRUNE_EPS:
+            kept[k] = v
+            n2 += v.real * v.real + v.imag * v.imag  # in StateVector.norm2's order
+    return StateVector._wrap(kept), n2
 
 
 def _couple_pointer(pi: Projector, psi0: StateVector, psi1: StateVector,
-                    epsilon: float) -> tuple[StateVector, StateVector]:
+                    epsilon: float) -> tuple[tuple[StateVector, float], tuple[StateVector, float]]:
     # pointer rotation by epsilon, applied only on the arm's support:
     # psi0 + p0*cm1 - p1*sn and psi1 + p1*cm1 + p0*sn, summed in that order
     p0 = {k: x for k, x in psi0.items() if pi.matches(k)}
@@ -270,7 +275,7 @@ def _probe(c: CircuitSchedule, spec: Projector | StateVector, pi: Projector, her
            i_t: int, i_post: int, epsilon: float) -> float:
     """Pointer signal of one coupling of pi to the forward state here at stamp i_t:
     both pointer branches ride the schedule to the post stamp i_post."""
-    psi0, psi1 = _couple_pointer(pi, here, StateVector(), epsilon)
+    (psi0, _), (psi1, _) = _couple_pointer(pi, here, StateVector(), epsilon)
     return _read_pointer(spec, evolve(c, psi0, i_t, i_post)[-1], evolve(c, psi1, i_t, i_post)[-1])
 
 
@@ -307,12 +312,11 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
     i_pre, i_post = _pair_window(c, b)
     pi = projector(paths=arm)
     maps = c.step_maps()
-    psi0, psi1 = _couple_pointer(pi, b.pre[1], StateVector(), epsilon)
+    (psi0, n0), (psi1, n1) = _couple_pointer(pi, b.pre[1], StateVector(), epsilon)
     for j in range(i_pre + 1, i_post + 1):  # both branches one step each, then couple again
         m = maps[j - 1]
-        psi0 = _checked_step(c, m, psi0, psi0.norm2(), j)
-        psi1 = _checked_step(c, m, psi1, psi1.norm2(), j)
-        psi0, psi1 = _couple_pointer(pi, psi0, psi1, epsilon)
+        (psi0, n0), (psi1, n1) = _couple_pointer(pi, _checked_step(c, m, psi0, n0, j),
+                                                 _checked_step(c, m, psi1, n1, j), epsilon)
     return _read_pointer(b.post[1], psi0, psi1)
 
 

@@ -83,7 +83,8 @@ def _number(lo: float, hi: float):
     is_number = _rule(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
                       "be a number")
     within = _rule(lambda v: lo <= v <= hi, f"lie in [{lo}, {hi}]")
-    return lambda key, v: within(key, float(is_number(key, v)))
+    # an int is compared exactly, so one too large for a float fails the range
+    return lambda key, v: float(within(key, is_number(key, v)))
 
 
 def _choice(*choices: str):

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cqze import ATOL_SUM, BobQubit, ProtocolConfig, _as_bob, _two_rail, run_cqze
-from .qstate import POLS, ConservationError, QStateError, StateVector, label
+from .cqze import (ATOL_SUM, P_EMPTY, BobQubit, ProtocolConfig, _as_bob, _require_one,
+                   _two_rail, run_cqze)
+from .qstate import POLS, QStateError, StateVector, label
 
 R = 1.0 / math.sqrt(2.0)
-P_EMPTY = 1e-300  # below this arrival probability the conditional figure is defined as 0
 
 FIDELITY_MODES = ("loss-inclusive", "post-selected")
 
@@ -52,9 +52,7 @@ class CounterportResult:
     round_trace: dict[str, StateVector]
 
     def __post_init__(self):
-        total = self.p_port1 + self.p_port2 + self.p_lost
-        if not abs(total - 1.0) <= ATOL_SUM:
-            raise ConservationError(f"port/loss probabilities sum to {total!r}, expected 1")
+        _require_one(self.p_port1 + self.p_port2 + self.p_lost, "port/loss probabilities sum to")
 
     @property
     def p_success(self) -> float:
@@ -87,7 +85,7 @@ def _module_transfers(cfg: ProtocolConfig):
     protocol is linear in the control amplitudes, so these two runs fix
     every run of the configuration.
     """
-    outs = [run_cqze((1.0, 0.0), bit, cfg) for bit in (0, 1)]
+    outs = [run_cqze(bit, cfg) for bit in (0, 1)]
     f_h = np.array([o.joint.amp(label("F", "H", str(b))) for b, o in enumerate(outs)])
     f_v = np.array([o.joint.amp(label("F", "V", str(b))) for b, o in enumerate(outs)])
     loss = {fam: np.array([o.loss_breakdown[fam] for o in outs]) for fam in outs[0].loss_breakdown}
@@ -147,8 +145,7 @@ def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
     total = p_success + p_lost
     bad = ~(np.abs(total - 1.0) <= ATOL_SUM)  # a NaN sum counts as a breach
     if bad.any():
-        first = float(np.asarray(total)[bad][0])
-        raise ConservationError(f"port/loss probabilities sum to {first!r}, expected 1")
+        _require_one(float(np.asarray(total)[bad][0]), "port/loss probabilities sum to")
     f_li = f_port["Port1"] + f_port["Port2"]
     f_ps = np.divide(f_li, p_success, out=np.zeros_like(f_li), where=p_success >= P_EMPTY)
     return _Transport(
@@ -229,25 +226,19 @@ def sample_bloch(count: int, scheme: str = "fibonacci", seed: int = 0) -> BlochS
     """
     if not isinstance(count, int) or count < 1:
         raise QStateError("sample count must be an integer >= 1")
-    qubits = []
     if scheme == "fibonacci":
         golden = math.pi * (3.0 - math.sqrt(5.0))
-        for i in range(count):
-            z = 1.0 if count == 1 else 1.0 - 2.0 * i / (count - 1)
-            phi = i * golden
-            theta = math.acos(max(-1.0, min(1.0, z)))
-            qubits.append(BobQubit(math.cos(theta / 2.0),
-                                   cmath.exp(1j * phi) * math.sin(theta / 2.0)))
+        points = [(1.0 if count == 1 else 1.0 - 2.0 * i / (count - 1), i * golden)
+                  for i in range(count)]
     elif scheme == "seeded-uniform":
         rng = random.Random(seed)
-        for _ in range(count):
-            z = rng.uniform(-1.0, 1.0)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            theta = math.acos(z)
-            qubits.append(BobQubit(math.cos(theta / 2.0),
-                                   cmath.exp(1j * phi) * math.sin(theta / 2.0)))
+        points = [(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(count)]
     else:
         raise QStateError(f"unknown sampling scheme {scheme!r}")
+    qubits = []
+    for z, phi in points:  # the point with z = cos(theta) and azimuth phi
+        theta = math.acos(max(-1.0, min(1.0, z)))
+        qubits.append(BobQubit(math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)))
     return BlochSample(tuple(qubits), count, scheme)
 
 

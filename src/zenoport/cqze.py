@@ -46,6 +46,7 @@ from .qstate import (
 )
 
 ATOL_SUM = 1e-12
+P_EMPTY = 1e-300  # below this probability a conditional figure is defined as 0
 
 # A module runs the cycle loops when (1+av_rounds)*N + M <= LOOP_BUDGET and
 # the exact tier above it.  Below the line the loops stay inside the 1e-12
@@ -59,6 +60,12 @@ ATOL_SUM = 1e-12
 # the loops cost at most about 0.4 ms more per module, and keeping them there
 # keeps every shallow result, the default sweep included, bit for bit.
 LOOP_BUDGET = 512
+
+
+def _require_one(total, what: str, error=ConservationError) -> None:
+    """Raise error unless total lies within ATOL_SUM of 1 (a NaN total fails)."""
+    if not abs(total - 1.0) <= ATOL_SUM:
+        raise error(f"{what} {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,7 @@ class BobQubit:
             n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         except OverflowError:  # an amplitude beyond ~1e154 cannot have norm 1
             n2 = math.inf
-        if not abs(n2 - 1.0) <= ATOL_SUM:
-            raise NormalizationError(f"control qubit norm^2 = {n2!r}, expected 1")
+        _require_one(n2, "control qubit norm^2 =", NormalizationError)
 
 
 def _as_bob(bob) -> BobQubit:
@@ -140,9 +146,8 @@ class CqzeOutcome:
     loss_breakdown: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        total = self.p_success + self.p_loss_DA + self.p_loss_DB
-        if not abs(total - 1.0) <= ATOL_SUM:
-            raise ConservationError(f"outcome probabilities sum to {total!r}, expected 1")
+        _require_one(self.p_success + self.p_loss_DA + self.p_loss_DB,
+                     "outcome probabilities sum to")
 
 
 @dataclass(frozen=True)
@@ -161,9 +166,7 @@ class CnotOutcome:
     loss_breakdown: dict[str, float]
 
     def __post_init__(self):
-        total = sum(self.probs.values())
-        if not abs(total - 1.0) <= ATOL_SUM:
-            raise ConservationError(f"outcome probabilities sum to {total!r}, expected 1")
+        _require_one(sum(self.probs.values()), "outcome probabilities sum to")
 
 
 # --- exact tier: fixed-point lifted maps ---------------------------------
@@ -348,9 +351,9 @@ def _outer_exact(vH: complex, vV: complex, cfg: ProtocolConfig, dwell: tuple, lo
     return complex(hr / _ONE, hi / _ONE), complex(vr / _ONE, vi / _ONE)
 
 
-def _module(aH: complex, aV: complex, bob: BobQubit, cfg: ProtocolConfig, exact: bool):
-    """Module output amplitudes by label and the loss families, from the
-    cycle loops or from the exact tier."""
+def _module(bob: BobQubit, cfg: ProtocolConfig, exact: bool):
+    """Module output amplitudes by label for a plain H input, and the loss
+    families, from the cycle loops or from the exact tier."""
     outer = _outer_exact if exact else _outer_loop
     loss = {"DA": 0.0, "DB": 0.0, "Block": 0.0, "AV": 0.0}
     amps: dict = {}
@@ -359,28 +362,20 @@ def _module(aH: complex, aV: complex, bob: BobQubit, cfg: ProtocolConfig, exact:
             continue
         dwell = _dwell(cfg.N, cfg.eps_reflect, cfg.eps_block, cfg.av_rounds,
                        cfg.eps_block_per, bit, exact)
-        vH, vV = outer(w * aH, w * aV, cfg, dwell, loss)
-        b = str(bit)
-        if vH:
-            amps[label("F", "H", b)] = vH
-        if vV:
-            amps[label("F", "V", b)] = vV
+        vH, vV = outer(w * (1 + 0j), w * 0j, cfg, dwell, loss)
+        amps[label("F", "H", str(bit))] = vH
+        amps[label("F", "V", str(bit))] = vV
     return amps, loss
 
 
-def run_cqze(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> CqzeOutcome:
-    """Full module: M outer cycles, each embedding one dwell.
-
-    pol_in is the (H, V) amplitude pair entering the module (normally
-    (1, 0): the two-rail gate handles general polarizations).  The joint
+def run_cqze(bob, cfg: ProtocolConfig) -> CqzeOutcome:
+    """Full module: M outer cycles, each embedding one dwell, on a plain H
+    photon (the two-rail gate handles other polarizations).  The joint
     output lives on path F with the control bit attached to each label.
     """
     bob = _as_bob(bob)
-    aH, aV = (complex(a) for a in pol_in)
-    if not abs(abs(aH) ** 2 + abs(aV) ** 2 - 1.0) <= ATOL_SUM:
-        raise NormalizationError("input polarization must be normalized")
     exact = (1 + cfg.av_rounds) * cfg.N + cfg.M > LOOP_BUDGET
-    amps, loss = _module(aH, aV, bob, cfg, exact)
+    amps, loss = _module(bob, cfg, exact)
     joint = StateVector(amps)
     return CqzeOutcome(
         joint=joint,
@@ -417,9 +412,8 @@ def counterfactual_cnot(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> 
     (rail1 - rail2)/sqrt2 carries it up to a pending polarization Z flip.
     """
     aH, aV = (complex(a) for a in pol_in)
-    if not abs(abs(aH) ** 2 + abs(aV) ** 2 - 1.0) <= ATOL_SUM:
-        raise NormalizationError("input polarization must be normalized")
-    base = run_cqze((1.0, 0.0), bob, cfg)
+    _require_one(abs(aH) ** 2 + abs(aV) ** 2, "input polarization norm^2 =", NormalizationError)
+    base = run_cqze(bob, cfg)
     amps: dict = {}
     for b in ("0", "1"):
         ports = _two_rail(aH, aV, base.joint.amp(label("F", "H", b)),

@@ -48,12 +48,12 @@ def test_criterion_1_inner_dwell_closed_form(criterion):
     t0 = time.perf_counter()
     # with one outer cycle the pi/2 rotation sends the whole photon through one dwell
     for n in range(1, 26):
-        out = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=1, N=n)).joint
+        out = run_cqze(1, ProtocolConfig(M=1, N=n)).joint
         want = math.cos(math.pi / (2 * n)) ** n
         assert abs(out.amp(label("F", "V", "1")) - want) < 1e-12
-    spot4 = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=1, N=4)).joint.amp(label("F", "V", "1"))
+    spot4 = run_cqze(1, ProtocolConfig(M=1, N=4)).joint.amp(label("F", "V", "1"))
     assert abs(spot4 - 0.728553) < 1e-6
-    spot20 = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=1, N=20)).joint.amp(label("F", "V", "1"))
+    spot20 = run_cqze(1, ProtocolConfig(M=1, N=20)).joint.amp(label("F", "V", "1"))
     assert abs(spot20 - 0.94012) < 1e-5
     elapsed_under(t0, 1.0)
 
@@ -62,10 +62,10 @@ def test_criterion_2a_reflecting_survival(criterion):
     criterion("2a", "reflecting control keeps R amplitude cos^M(pi/2M)")
     t0 = time.perf_counter()
     for m in range(1, 26):
-        o = run_cqze((1.0, 0.0), 0, ProtocolConfig(M=m, N=4))
+        o = run_cqze(0, ProtocolConfig(M=m, N=4))
         want = math.cos(math.pi / (2 * m)) ** m
         assert abs(o.joint.amp(label("F", "H", "0")) - want) < 1e-12
-    spot = run_cqze((1.0, 0.0), 0, ProtocolConfig(M=10, N=4))
+    spot = run_cqze(0, ProtocolConfig(M=10, N=4))
     assert abs(spot.joint.amp(label("F", "H", "0")) - 0.88348) < 1e-5
     elapsed_under(t0, 5.0)
 
@@ -73,7 +73,7 @@ def test_criterion_2a_reflecting_survival(criterion):
 def test_criterion_2b_blocking_flips(criterion):
     criterion("2b", "blocking control sends the photon to L with the bit at 1")
     t0 = time.perf_counter()
-    o = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=10, N=1000))
+    o = run_cqze(1, ProtocolConfig(M=10, N=1000))
     n = o.joint.normalized()
     assert abs(n.amp(label("F", "V", "1"))) > 0.9999
     assert abs(n.amp(label("F", "H", "1"))) < 0.01
@@ -95,7 +95,7 @@ def test_criterion_2c_gate_action_at_equal_depth(criterion):
     def worst_dev(m, n):
         worst = 0.0
         for q in sample_bloch(20).qubits:
-            j = run_cqze((1.0, 0.0), q, ProtocolConfig(M=m, N=n)).joint.normalized()
+            j = run_cqze(q, ProtocolConfig(M=m, N=n)).joint.normalized()
             target = StateVector({label("F", "H", "0"): q.alpha,
                                   label("F", "V", "1"): q.beta})
             worst = max(worst, (j + target * -1).norm())

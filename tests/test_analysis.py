@@ -534,8 +534,9 @@ def test_pointer_coupling_sums_like_state_vector_arithmetic(psi0, psi1, epsilon)
     cm1 = math.cos(epsilon / 2.0) - 1.0
     sn = math.sin(epsilon / 2.0)
     ref0, ref1 = (psi0 + p0 * cm1 + p1 * sn * -1).pruned(), (psi1 + p1 * cm1 + p0 * sn).pruned()
-    out0, out1 = analysis._couple_pointer(pi, psi0, psi1, epsilon)
+    (out0, n0), (out1, n1) = analysis._couple_pointer(pi, psi0, psi1, epsilon)
     assert (_bits(out0), _bits(out1)) == (_bits(ref0), _bits(ref1))
+    assert (n0.hex(), n1.hex()) == (float(out0.norm2()).hex(), float(out1.norm2()).hex())
 
 
 def _dark_first_family(c):

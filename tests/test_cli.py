@@ -98,11 +98,13 @@ _BAD_VALUES = {
     **{key: [(True, f"config key {key!r} must be a number"),
              ("1", f"config key {key!r} must be a number"),
              (-0.5, f"config key {key!r} must lie in [0.0, 1.0]"),
-             (float("nan"), f"config key {key!r} must lie in [0.0, 1.0]")]
+             (float("nan"), f"config key {key!r} must lie in [0.0, 1.0]"),
+             (10 ** 400, f"config key {key!r} must lie in [0.0, 1.0]")]  # beyond any float
        for key in ("eps_reflect", "eps_block")},
     "epsilon": [(None, "config key 'epsilon' must be a number"),
                 (0, "config key 'epsilon' must lie in [1e-12, 0.5]"),
-                (1, "config key 'epsilon' must lie in [1e-12, 0.5]")],
+                (1, "config key 'epsilon' must lie in [1e-12, 0.5]"),
+                (10 ** 400, "config key 'epsilon' must lie in [1e-12, 0.5]")],
     **{key: [("abc", f"config key {key!r} must be one of {choices}"),
              (None, f"config key {key!r} must be one of {choices}")]
        for key, choices in _CHOICES.items()},

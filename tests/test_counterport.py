@@ -17,8 +17,21 @@ from zenoport.counterport import (
     sample_bloch,
     sweep,
 )
-from zenoport.cqze import BobQubit, ProtocolConfig, counterfactual_cnot, run_cqze
-from zenoport.qstate import ConservationError, QStateError, StateVector, label
+from zenoport.cqze import (
+    BobQubit,
+    CnotOutcome,
+    CqzeOutcome,
+    ProtocolConfig,
+    counterfactual_cnot,
+    run_cqze,
+)
+from zenoport.qstate import (
+    ConservationError,
+    NormalizationError,
+    QStateError,
+    StateVector,
+    label,
+)
 
 # the package re-exports the function under the module's name
 cp = importlib.import_module("zenoport.counterport")
@@ -103,6 +116,56 @@ def test_bloch_sample_deterministic():
     assert a == sample_bloch(50, scheme="seeded-uniform", seed=7)
     b = sample_bloch(50, scheme="seeded-uniform", seed=8)
     assert a != b
+
+
+# hex() of (alpha, beta.real, beta.imag) for each sampled qubit; alpha is real
+BLOCH_HEX = {
+    ("fibonacci", 0, 1): [
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+    ],
+    ("fibonacci", 0, 2): [
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.1a62633145c07p-54", "-0x1.798869e0de833p-1", "0x1.59d9dd253cc13p-1"),
+    ],
+    ("fibonacci", 0, 7): [
+        ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.d363d1848dcbfp-1", "-0x1.344119683410ep-2", "0x1.1a62dcf526d38p-2"),
+        ("0x1.a20bd700c2c3ep-1", "0x1.9d7e4dedf393bp-5", "-0x1.2678b3390f95dp-1"),
+        ("0x1.6a09e667f3bcdp-1", "0x1.b88e8a13fd9b9p-2", "0x1.1f506cece8935p-1"),
+        ("0x1.279a74590331dp-1", "-0x1.9ba7e12708d64p-1", "-0x1.2343b29f2a050p-3"),
+        ("0x1.a20bd700c2c3dp-2", "0x1.8a5cdaf71f411p-1", "-0x1.f5b8f99967fc8p-2"),
+        ("0x1.1a62633145c07p-54", "-0x1.09d5b5fdcf922p-2", "0x1.ee7234cb65774p-1"),
+    ],
+    ("seeded-uniform", 0, 7): [
+        ("0x1.d67d3e9db692bp-1", "0x1.42d99db33e642p-6", "-0x1.9365621e029b0p-2"),
+        ("0x1.4c0a254018bcep-1", "-0x1.5d2e063b5e6adp-5", "0x1.851fb7c890618p-1"),
+        ("0x1.6e19098ba84dfp-1", "-0x1.27f4e1f22a34ap-1", "0x1.929f376d2e5b7p-2"),
+        ("0x1.c54930086b093p-1", "-0x1.390d8189ea3dep-3", "0x1.c1ab84b83254cp-2"),
+        ("0x1.6176de45ae891p-1", "-0x1.40bb53ff0e52bp-1", "-0x1.729c64d507c4ap-2"),
+        ("0x1.e7e90195d5badp-1", "-0x1.3644f67011a5cp-2", "-0x1.247763e62767fp-7"),
+        ("0x1.0fd007cd8f137p-1", "0x1.fa3dbe4bb3000p-6", "-0x1.b19a631d8a0edp-1"),
+    ],
+    ("seeded-uniform", 3, 7): [
+        ("0x1.f38615cacd546p-2", "-0x1.adccfbabb36d8p-1", "-0x1.ea755ffe22952p-3"),
+        ("0x1.376b278e0e548p-1", "-0x1.42cda2a650ef5p-1", "-0x1.edcdbffb07ccfp-2"),
+        ("0x1.9501355824858p-1", "0x1.1f0e7470afb4fp-1", "0x1.f56b0ee0a4eb4p-3"),
+        ("0x1.d6060e6adb18ep-4", "0x1.09aaf7090ff7ep-1", "-0x1.b1b837d4b7661p-1"),
+        ("0x1.04beca61370c6p-1", "0x1.5a7c6b4149a1ap-4", "0x1.b67f5dd8bf2e2p-1"),
+        ("0x1.fee244bc5375fp-1", "-0x1.099b0aeb611dap-4", "0x1.91b0e37c8ae0dp-7"),
+        ("0x1.d4442dd80f219p-1", "-0x1.998ad1818e1b1p-2", "0x1.ea67274d62492p-5"),
+    ],
+}
+
+
+@pytest.mark.parametrize("scheme, seed, count", [
+    (scheme, seed, count) for scheme, seed in (("fibonacci", 0), ("seeded-uniform", 0),
+                                               ("seeded-uniform", 3)) for count in (1, 2, 7)])
+def test_bloch_sample_bits_are_pinned(scheme, seed, count):
+    # a seeded-uniform sample of fewer qubits is a prefix of the 7-qubit one
+    want = BLOCH_HEX[(scheme, seed, count if scheme == "fibonacci" else 7)][:count]
+    qubits = sample_bloch(count, scheme, seed).qubits
+    assert [(q.alpha.real.hex(), q.beta.real.hex(), q.beta.imag.hex()) for q in qubits] == want
+    assert all(q.alpha.imag == 0.0 for q in qubits)
 
 
 def test_bloch_sample_validation():
@@ -235,12 +298,12 @@ def amp_matrix(s, path):
 def reference_protocol(bob, cfg):
     """The protocol step by step on (polarization, bit) matrices, with a
     module run of its own for round 1: (p_port1, p_port2, p_lost, fidelity)."""
-    r1 = run_cqze((1.0, 0.0), bob, cfg)
+    r1 = run_cqze(bob, cfg)
     between = HAD @ amp_matrix(r1.joint, "F") @ HAD
     p_lost = sum(r1.loss_breakdown.values())
     port1, port2 = np.zeros((2, 2), complex), np.zeros((2, 2), complex)
     for b in (0, 1):
-        base = run_cqze((1.0, 0.0), b, cfg)
+        base = run_cqze(b, cfg)
         f = amp_matrix(base.joint, "F")[:, b]
         g_h, g_v = between[:, b]
         rail1, rail2 = g_h * f, g_v * (FLIP @ f)
@@ -326,6 +389,41 @@ def test_leaking_module_transfer_is_a_conservation_breach(monkeypatch, tmp_path,
     assert "conservation breach" in capsys.readouterr().err
 
 
-def test_nan_port_probability_is_a_breach():
-    with pytest.raises(ConservationError):
-        CounterportResult(StateVector(), StateVector(), math.nan, 1.0, 0.0, {}, 1.0, 1.0, {}, {})
+def _transport_batch(total):
+    """Two protocol runs whose port and loss probabilities sum to 1 and to total."""
+    zeros = np.zeros((2, 2))
+    return cp._transport(np.ones(2), np.zeros(2), zeros, zeros,
+                         {"DA": np.array([[1.0, total], [0.0, 0.0]])})
+
+
+def _root2(total):
+    return math.sqrt(total) ** 2
+
+
+# site: (build it with a unit sum near total, the sum it forms, error type, message head)
+UNIT_SUM_CHECKS = {
+    "BobQubit": (lambda t: BobQubit(math.sqrt(t), 0.0), _root2, NormalizationError,
+                 "control qubit norm^2 ="),
+    "CqzeOutcome": (lambda t: CqzeOutcome(StateVector(), t, 0.0, 0.0), float, ConservationError,
+                    "outcome probabilities sum to"),
+    "CnotOutcome": (lambda t: CnotOutcome(StateVector(), StateVector(), StateVector(), True,
+                                          {"Port1": t}, {}),
+                    float, ConservationError, "outcome probabilities sum to"),
+    "cnot-input": (lambda t: counterfactual_cnot((math.sqrt(t), 0.0), 0, ProtocolConfig(M=2, N=2)),
+                   _root2, NormalizationError, "input polarization norm^2 ="),
+    "CounterportResult": (lambda t: CounterportResult(StateVector(), StateVector(), t, 0.0, 0.0,
+                                                      {}, 1.0, 1.0, {}, {}),
+                          float, ConservationError, "port/loss probabilities sum to"),
+    "transport": (_transport_batch, float, ConservationError, "port/loss probabilities sum to"),
+}
+
+
+@pytest.mark.parametrize("site", UNIT_SUM_CHECKS)
+def test_each_unit_sum_check_follows_one_rule(site):
+    build, summed, error, head = UNIT_SUM_CHECKS[site]
+    for total in (math.nan, 1.0 + 2e-12):  # a NaN sum is a miss too
+        with pytest.raises(error) as info:
+            build(total)
+        assert info.type is error
+        assert str(info.value) == f"{head} {summed(total)!r}, expected 1"
+    build(1.0 - 5e-13)  # within ATOL_SUM

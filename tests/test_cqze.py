@@ -11,8 +11,6 @@ from zenoport.cqze import (
     _ONE,
     LOOP_BUDGET,
     BobQubit,
-    CnotOutcome,
-    CqzeOutcome,
     ProtocolConfig,
     _cos_sin,
     _dwell,
@@ -21,13 +19,7 @@ from zenoport.cqze import (
     run_cqze,
 )
 from zenoport.optics import build_paradox_circuit, run_schedule
-from zenoport.qstate import (
-    ConservationError,
-    NormalizationError,
-    QStateError,
-    StateVector,
-    label,
-)
+from zenoport.qstate import NormalizationError, QStateError, label
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PLUS = BobQubit(INV_SQRT2, INV_SQRT2)
@@ -52,7 +44,7 @@ def test_bob_qubit_validation():
     with pytest.raises(NormalizationError):
         BobQubit(math.nan, 0.0)
     with pytest.raises(QStateError):
-        run_cqze((1.0, 0.0), 2, ProtocolConfig(M=2, N=2))
+        run_cqze(2, ProtocolConfig(M=2, N=2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 20, 25])
@@ -78,7 +70,7 @@ def test_open_dwell_returns_flipped(n):
 
 @pytest.mark.parametrize("m", [1, 2, 10, 25])
 def test_reflecting_control_survival_closed_form(m):
-    o = run_cqze((1.0, 0.0), 0, ProtocolConfig(M=m, N=3))
+    o = run_cqze(0, ProtocolConfig(M=m, N=3))
     want = math.cos(math.pi / (2 * m)) ** m
     assert abs(o.joint.amp(label("F", "H", "0")) - want) < 1e-12
     assert abs(o.p_success - want * want) < 1e-12
@@ -87,13 +79,13 @@ def test_reflecting_control_survival_closed_form(m):
 
 
 def test_reflecting_control_spot_value():
-    o = run_cqze((1.0, 0.0), 0, ProtocolConfig(M=10, N=5))
+    o = run_cqze(0, ProtocolConfig(M=10, N=5))
     assert abs(o.joint.amp(label("F", "H", "0")) - 0.88348) < 1e-5
 
 
 def test_blocking_control_flips_polarization():
     # deep inner chain: output converges onto V with the control at 1
-    o = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=20, N=2000))
+    o = run_cqze(1, ProtocolConfig(M=20, N=2000))
     n = o.joint.normalized()
     assert abs(n.amp(label("F", "V", "1"))) > 0.9999
     assert abs(n.amp(label("F", "H", "1"))) < 0.01
@@ -102,23 +94,9 @@ def test_blocking_control_flips_polarization():
 
 def test_input_polarization_must_be_normalized():
     with pytest.raises(NormalizationError):
-        run_cqze((1.0, 1.0), 0, ProtocolConfig(M=2, N=2))
-    with pytest.raises(NormalizationError):
         counterfactual_cnot((0.5, 0.5), 0, ProtocolConfig(M=2, N=2))
     with pytest.raises(NormalizationError):
-        run_cqze((math.nan, 0.0), 0, ProtocolConfig(M=2, N=2))
-    with pytest.raises(NormalizationError):
         counterfactual_cnot((math.nan, 0.0), 0, ProtocolConfig(M=2, N=2))
-
-
-@pytest.mark.parametrize("make", [
-    lambda: CqzeOutcome(StateVector(), math.nan, 0.0, 0.0),
-    lambda: CnotOutcome(StateVector(), StateVector(), StateVector(), True,
-                        {"Port1": math.nan, "Port2": 1.0}, {}),
-], ids=["CqzeOutcome", "CnotOutcome"])
-def test_nan_outcome_sums_are_breaches(make):
-    with pytest.raises(ConservationError):
-        make()
 
 
 def sink_total(s, prefix):
@@ -139,7 +117,7 @@ def test_scalar_model_matches_interferometer(m, n, blocked, av):
     c = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)
     fin = run_schedule(c).at("t_final")
     bit = 1 if blocked else 0
-    o = run_cqze((1.0, 0.0), bit, ProtocolConfig(M=m, N=n, av_rounds=av))
+    o = run_cqze(bit, ProtocolConfig(M=m, N=n, av_rounds=av))
     b = str(bit)
     assert abs(fin.amp(label("F", "H")) - o.joint.amp(label("F", "H", b))) < 1e-12
     assert abs(fin.amp(label("F", "V")) - o.joint.amp(label("F", "V", b))) < 1e-12
@@ -161,24 +139,20 @@ def test_fixed_point_rotation_is_exact(n):
        er=st.sampled_from([0.0, 0.03, 0.5, 1.0]) | st.floats(0, 1),
        eb=st.sampled_from([0.0, 0.02, 0.5, 1.0]) | st.floats(0, 1),
        av=st.integers(0, 2), per=st.sampled_from(["inner", "outer"]),
-       beta2=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
-       phases=st.tuples(*[st.floats(0, 2 * math.pi)] * 3), v2=st.floats(0, 1))
+       beta2=st.sampled_from([0.0, 1.0]) | st.floats(0, 1), phase=st.floats(0, 2 * math.pi))
 # the first-visit leak with entrance blocks, also at N = 1 where every
 # round but the last is a single block
-@example(m=5, n=7, er=0.1, eb=0.3, av=1, per="outer", beta2=0.5, phases=(0.3, 1.0, 2.0), v2=0.3)
-@example(m=3, n=1, er=0.2, eb=0.4, av=2, per="outer", beta2=1.0, phases=(0.0, 0.0, 0.0), v2=0.0)
-@example(m=300, n=300, er=0.01, eb=0.005, av=2, per="inner", beta2=0.64, phases=(1.0, 2.0, 3.0),
-         v2=0.5)
-def test_exact_tier_matches_the_cycle_loops(m, n, er, eb, av, per, beta2, phases, v2):
+@example(m=5, n=7, er=0.1, eb=0.3, av=1, per="outer", beta2=0.5, phase=0.3)
+@example(m=3, n=1, er=0.2, eb=0.4, av=2, per="outer", beta2=1.0, phase=0.0)
+@example(m=300, n=300, er=0.01, eb=0.005, av=2, per="inner", beta2=0.64, phase=1.0)
+def test_exact_tier_matches_the_cycle_loops(m, n, er, eb, av, per, beta2, phase):
     """The fixed-point lifted maps and the cycle loops agree on every
     amplitude and loss family, wherever both are affordable."""
-    bob = BobQubit(math.sqrt(1.0 - beta2), cmath.exp(1j * phases[0]) * math.sqrt(beta2))
-    a_h = cmath.exp(1j * phases[1]) * math.sqrt(1.0 - v2)
-    a_v = cmath.exp(1j * phases[2]) * math.sqrt(v2)
+    bob = BobQubit(math.sqrt(1.0 - beta2), cmath.exp(1j * phase) * math.sqrt(beta2))
     cfg = ProtocolConfig(M=m, N=n, eps_reflect=er, eps_block=eb, av_rounds=av,
                          eps_block_per=per)
-    loop_amps, loop_loss = _module(a_h, a_v, bob, cfg, False)
-    exact_amps, exact_loss = _module(a_h, a_v, bob, cfg, True)
+    loop_amps, loop_loss = _module(bob, cfg, False)
+    exact_amps, exact_loss = _module(bob, cfg, True)
     for k in loop_amps.keys() | exact_amps.keys():
         assert abs(loop_amps.get(k, 0j) - exact_amps.get(k, 0j)) < 1e-13
     for fam in loop_loss:
@@ -192,7 +166,7 @@ def test_exact_tier_matches_the_cycle_loops(m, n, er, eb, av, per, beta2, phases
 def test_deep_outer_chain_conserves(m, n, bit):
     # the float64 outer loop once drifted to 1 - 1.05e-12 at (10000, 100)
     assert n + m > LOOP_BUDGET  # the exact tier
-    o = run_cqze((1.0, 0.0), bit, ProtocolConfig(M=m, N=n))
+    o = run_cqze(bit, ProtocolConfig(M=m, N=n))
     assert abs(o.p_success + o.p_loss_DA + o.p_loss_DB - 1.0) < 1e-12
     assert abs(o.joint.norm2() - o.p_success) < 1e-15
 
@@ -201,10 +175,10 @@ def test_dwell_cache_ignores_the_outer_cycle_count():
     short = ProtocolConfig(M=3, N=7, eps_block=0.2, av_rounds=1)
     long = ProtocolConfig(M=9, N=7, eps_block=0.2, av_rounds=1)
     _dwell.cache_clear()
-    cold = run_cqze((1.0, 0.0), 1, long)
+    cold = run_cqze(1, long)
     _dwell.cache_clear()
-    run_cqze((1.0, 0.0), 1, short)
-    warm = run_cqze((1.0, 0.0), 1, long)
+    run_cqze(1, short)
+    warm = run_cqze(1, long)
     info = _dwell.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert warm.joint == cold.joint
@@ -213,7 +187,7 @@ def test_dwell_cache_ignores_the_outer_cycle_count():
 
 def test_reflection_leak_drains_success():
     grid = [0.0, 0.05, 0.10, 0.25, 0.50]
-    ps = [run_cqze((1.0, 0.0), 0, ProtocolConfig(M=5, N=5, eps_reflect=e)).p_success
+    ps = [run_cqze(0, ProtocolConfig(M=5, N=5, eps_reflect=e)).p_success
           for e in grid]
     assert all(a > b for a, b in zip(ps, ps[1:]))
     assert abs(ps[0] - 0.6054290497131064) < 1e-12
@@ -221,8 +195,8 @@ def test_reflection_leak_drains_success():
 
 def test_full_reflection_leak_equals_blocking():
     # eps_reflect = 1 absorbs every channel visit, same as a blocking control
-    a = run_cqze((1.0, 0.0), 0, ProtocolConfig(M=4, N=6, eps_reflect=1.0))
-    b = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=4, N=6))
+    a = run_cqze(0, ProtocolConfig(M=4, N=6, eps_reflect=1.0))
+    b = run_cqze(1, ProtocolConfig(M=4, N=6))
     assert abs(a.p_success - b.p_success) < 1e-12
     assert abs(a.p_loss_DA - b.p_loss_DA) < 1e-12
     assert abs(a.p_loss_DB - b.p_loss_DB) < 1e-12
@@ -233,12 +207,12 @@ def test_full_reflection_leak_equals_blocking():
 def test_block_leak_placement():
     """Per-visit and first-visit-only leak conventions agree for a single
     channel visit per dwell and split apart for longer dwells."""
-    one_i = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=3, N=1, eps_block=0.3))
-    one_o = run_cqze((1.0, 0.0), 1,
+    one_i = run_cqze(1, ProtocolConfig(M=3, N=1, eps_block=0.3))
+    one_o = run_cqze(1,
                      ProtocolConfig(M=3, N=1, eps_block=0.3, eps_block_per="outer"))
     assert abs(one_i.p_success - one_o.p_success) < 1e-15
-    tri_i = run_cqze((1.0, 0.0), 1, ProtocolConfig(M=3, N=3, eps_block=0.3))
-    tri_o = run_cqze((1.0, 0.0), 1,
+    tri_i = run_cqze(1, ProtocolConfig(M=3, N=3, eps_block=0.3))
+    tri_o = run_cqze(1,
                      ProtocolConfig(M=3, N=3, eps_block=0.3, eps_block_per="outer"))
     assert abs(tri_i.p_success - 0.25472881287837656) < 1e-12
     assert abs(tri_o.p_success - 0.23466325879723351) < 1e-12
@@ -258,7 +232,7 @@ def test_gate_output_frozen_values():
 def test_gate_ports_halve_the_module_output():
     cfg = ProtocolConfig(M=5, N=5)
     cn = counterfactual_cnot((1.0, 0.0), PLUS, cfg)
-    base = run_cqze((1.0, 0.0), PLUS, cfg)
+    base = run_cqze(PLUS, cfg)
     assert abs(cn.probs["Port1"] - base.p_success / 2) < 1e-12
     assert abs(cn.probs["Port2"] - base.p_success / 2) < 1e-12
     for k, v in base.joint.items():
@@ -282,7 +256,7 @@ def test_gate_flips_target_against_v_input():
 def test_outcome_probabilities_always_sum_to_one(m, n, er, eb, beta2):
     bob = BobQubit(math.sqrt(1.0 - beta2), math.sqrt(beta2))
     cfg = ProtocolConfig(M=m, N=n, eps_reflect=er, eps_block=eb)
-    o = run_cqze((1.0, 0.0), bob, cfg)
+    o = run_cqze(bob, cfg)
     assert abs(o.joint.norm2() - o.p_success) < 1e-12
     assert abs(o.p_success + o.p_loss_DA + o.p_loss_DB - 1.0) < 1e-12
     cn = counterfactual_cnot((0.6, 0.8), bob, cfg)
