@@ -299,8 +299,8 @@ def cmd_sweep(p: dict) -> int:
     _write_text(csv_path, grid.to_csv())
     _write_text(json_path, json.dumps(grid.to_json(), sort_keys=True, indent=2) + "\n")
     _write_text(svg_path, svg_heatmap(grid))
-    best = max((grid.cell(m, n)[0], m, n)
-               for m in grid.m_values for n in grid.n_values)
+    best = max((float(grid.avg_fidelity[i, j]), m, n)
+               for i, m in enumerate(grid.m_values) for j, n in enumerate(grid.n_values))
     print(f"wrote {csv_path} {json_path} {svg_path}")
     print(f"best avg fidelity {best[0]:.6f} at (M,N)=({best[1]},{best[2]})")
     return EXIT_OK

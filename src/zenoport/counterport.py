@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cqze import (ATOL_SUM, P_EMPTY, BobQubit, ProtocolConfig, _as_bob, _require_one,
-                   _two_rail, run_cqze)
+from .cqze import (ATOL_SUM, P_EMPTY, BobQubit, ProtocolConfig, _as_bob, _module,
+                   _require_one, _two_rail)
 from .qstate import POLS, QStateError, StateVector, label
 
 R = 1.0 / math.sqrt(2.0)
@@ -85,11 +85,13 @@ def _module_transfers(cfg: ProtocolConfig):
     protocol is linear in the control amplitudes, so these two runs fix
     every run of the configuration.
     """
-    outs = [run_cqze(bit, cfg) for bit in (0, 1)]
-    f_h = np.array([o.joint.amp(label("F", "H", str(b))) for b, o in enumerate(outs)])
-    f_v = np.array([o.joint.amp(label("F", "V", str(b))) for b, o in enumerate(outs)])
-    loss = {fam: np.array([o.loss_breakdown[fam] for o in outs]) for fam in outs[0].loss_breakdown}
-    return f_h, f_v, loss
+    outs = [_module(bit, cfg) for bit in (0, 1)]
+    for f_h, f_v, loss in outs:  # the per-bit unit-sum check of CqzeOutcome
+        _require_one(_abs2(f_h) + _abs2(f_v) + (loss["DA"] + loss["AV"])
+                     + (loss["DB"] + loss["Block"]), "outcome probabilities sum to")
+    f_h, f_v, losses = zip(*outs)
+    loss = {fam: np.array([x[fam] for x in losses]) for fam in losses[0]}
+    return np.array(f_h), np.array(f_v), loss
 
 
 @dataclass(frozen=True)

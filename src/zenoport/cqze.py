@@ -68,6 +68,14 @@ def _require_one(total, what: str, error=ConservationError) -> None:
         raise error(f"{what} {total!r}, expected 1")
 
 
+def _norm2(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2, or inf where it overflows (an amplitude beyond ~1e154)."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Cycle counts and imperfection coefficients for one module.
@@ -114,11 +122,7 @@ class BobQubit:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        try:
-            n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        except OverflowError:  # an amplitude beyond ~1e154 cannot have norm 1
-            n2 = math.inf
-        _require_one(n2, "control qubit norm^2 =", NormalizationError)
+        _require_one(_norm2(self.alpha, self.beta), "control qubit norm^2 =", NormalizationError)
 
 
 def _as_bob(bob) -> BobQubit:
@@ -351,39 +355,35 @@ def _outer_exact(vH: complex, vV: complex, cfg: ProtocolConfig, dwell: tuple, lo
     return complex(hr / _ONE, hi / _ONE), complex(vr / _ONE, vi / _ONE)
 
 
-def _module(bob: BobQubit, cfg: ProtocolConfig, exact: bool):
-    """Module output amplitudes by label for a plain H input, and the loss
-    families, from the cycle loops or from the exact tier."""
-    outer = _outer_exact if exact else _outer_loop
+def _module(bit: int, cfg: ProtocolConfig):
+    """Module output for one control bit and a plain H input: the F-H and
+    F-V amplitudes and the loss families, from the cycle loops or, above
+    LOOP_BUDGET, from the exact tier."""
+    exact = (1 + cfg.av_rounds) * cfg.N + cfg.M > LOOP_BUDGET
     loss = {"DA": 0.0, "DB": 0.0, "Block": 0.0, "AV": 0.0}
-    amps: dict = {}
-    for bit, w in ((0, bob.alpha), (1, bob.beta)):
-        if w == 0:
-            continue
-        dwell = _dwell(cfg.N, cfg.eps_reflect, cfg.eps_block, cfg.av_rounds,
-                       cfg.eps_block_per, bit, exact)
-        vH, vV = outer(w * (1 + 0j), w * 0j, cfg, dwell, loss)
-        amps[label("F", "H", str(bit))] = vH
-        amps[label("F", "V", str(bit))] = vV
-    return amps, loss
+    dwell = _dwell(cfg.N, cfg.eps_reflect, cfg.eps_block, cfg.av_rounds,
+                   cfg.eps_block_per, bit, exact)
+    f_h, f_v = (_outer_exact if exact else _outer_loop)(1 + 0j, 0j, cfg, dwell, loss)
+    return f_h, f_v, loss
 
 
 def run_cqze(bob, cfg: ProtocolConfig) -> CqzeOutcome:
     """Full module: M outer cycles, each embedding one dwell, on a plain H
     photon (the two-rail gate handles other polarizations).  The joint
-    output lives on path F with the control bit attached to each label.
+    output lives on path F with the control bit attached to each label;
+    each bit's module run is weighted by its control amplitude.
     """
     bob = _as_bob(bob)
-    exact = (1 + cfg.av_rounds) * cfg.N + cfg.M > LOOP_BUDGET
-    amps, loss = _module(bob, cfg, exact)
+    loss = {"DA": 0.0, "DB": 0.0, "Block": 0.0, "AV": 0.0}
+    amps: dict = {}
+    for bit, w in ((0, bob.alpha), (1, bob.beta)):
+        if w != 0:
+            f_h, f_v, bit_loss = _module(bit, cfg)
+            amps[label("F", "H", str(bit))], amps[label("F", "V", str(bit))] = w * f_h, w * f_v
+            loss = {fam: p + abs(w) ** 2 * bit_loss[fam] for fam, p in loss.items()}
     joint = StateVector(amps)
-    return CqzeOutcome(
-        joint=joint,
-        p_success=joint.norm2(),
-        p_loss_DA=loss["DA"] + loss["AV"],
-        p_loss_DB=loss["DB"] + loss["Block"],
-        loss_breakdown=loss,
-    )
+    return CqzeOutcome(joint=joint, p_success=joint.norm2(), p_loss_DA=loss["DA"] + loss["AV"],
+                       p_loss_DB=loss["DB"] + loss["Block"], loss_breakdown=loss)
 
 
 def _two_rail(g_h, g_v, f_h, f_v):
@@ -412,7 +412,7 @@ def counterfactual_cnot(pol_in: Sequence[complex], bob, cfg: ProtocolConfig) -> 
     (rail1 - rail2)/sqrt2 carries it up to a pending polarization Z flip.
     """
     aH, aV = (complex(a) for a in pol_in)
-    _require_one(abs(aH) ** 2 + abs(aV) ** 2, "input polarization norm^2 =", NormalizationError)
+    _require_one(_norm2(aH, aV), "input polarization norm^2 =", NormalizationError)
     base = run_cqze(bob, cfg)
     amps: dict = {}
     for b in ("0", "1"):

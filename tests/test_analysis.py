@@ -1,5 +1,6 @@
 """Forward/backward conditioning, weak values, probes, and history families."""
 
+import dataclasses
 import json
 import math
 
@@ -134,6 +135,28 @@ def test_boundary_pair_validation(circuit):
                        post=("t_final", projector(paths="F")))
     with pytest.raises(QStateError, match="normalized"):
         weak_value(projector(paths="A"), fat, "t2", circuit)
+
+
+_SH = StateVector({label("S", "H"): 1.0})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: forward_state(c, ("t2", _SH), "t1"), "stamp 't1' lies before the pre stamp 't2'"),
+    (lambda c: backward_state(c, ("t2", projector(paths="F")), "t3"),
+     "stamp 't3' lies after the post stamp 't2'"),
+    (lambda c: cycle_boundaries(dataclasses.replace(c, meta={}), 1),
+     "cycle boundaries are defined for nested-paradox schedules"),
+    (lambda c: end_to_end_boundaries(dataclasses.replace(c, post_projector=None)),
+     "schedule declares no post projector"),
+    (lambda c: analysis.FamilyEvaluation(builtin_families(c)["cycle1"], (), None, 0.0)
+     .probabilities(), "family 'cycle1' has zero total weight"),
+], ids=["forward-before-pre", "backward-after-post", "cycle-not-paradox",
+        "end-to-end-no-post", "family-zero-weight"])
+def test_boundary_and_family_input_checks(circuit, call, message):
+    with pytest.raises(QStateError) as info:
+        call(circuit)
+    assert info.type is QStateError
+    assert str(info.value) == message
 
 
 def test_weak_trace_map_end_to_end(circuit, bounds):

@@ -4,12 +4,13 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from readers import read_grid_csv, read_grid_json, read_state, read_weak_map_csv
 
 import zenoport.cli as cli
 from zenoport.cli import load_config, main, state_to_obj, svg_heatmap
-from zenoport.counterport import counterport
+from zenoport.counterport import FidelityGrid, counterport
 from zenoport.cqze import BobQubit, ProtocolConfig
 from zenoport.qstate import ConservationError, StateVector, label
 
@@ -321,6 +322,26 @@ def test_sweep_ideal_flag_zeroes_the_leaks(tmp_path, capsys):
     assert grid.cell(6, 6)[0] > grid.cell(2, 2)[0]  # deeper chains do better
 
 
+def test_sweep_best_cell_breaks_ties_toward_larger_m_then_n(monkeypatch, tmp_path, capsys):
+    fid = np.array([[0.9, 0.5], [0.9, 0.9], [0.2, 0.9]])
+    grid = FidelityGrid((1, 2, 3), (1, 2), fid, np.full((3, 2), 0.5), {})
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: grid)
+    code, out = run(capsys, ["sweep", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert out.splitlines()[-1] == "best avg fidelity 0.900000 at (M,N)=(3,2)"
+
+
+def test_sweep_into_a_path_under_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "out"
+    assert main(["sweep", "--m-max", "1", "--n-max", "1", "--samples", "1",
+                 "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out_dir / 'sweep.csv'}: ")
+    assert err.count("\n") == 1
+
+
 def test_sweep_rejects_bad_mode(capsys):
     assert main(["sweep", "--fidelity-mode", "hopeful"]) == 2
     capsys.readouterr()
@@ -364,6 +385,11 @@ def test_weakvalues_cycle_window(capsys):
     assert abs(trace[("C", "c1.in1")]) < 1e-10
     assert main(["weakvalues", "--boundaries", "sideways"]) == 2
     capsys.readouterr()
+
+
+def test_weakvalues_cycle_beyond_m_exits_2(capsys):
+    assert main(["weakvalues", "--m", "2", "--boundaries", "cycle3"]) == 2
+    assert capsys.readouterr().err == "error: cycle must be in 1..2\n"
 
 
 def test_histories_all(capsys):
@@ -428,6 +454,21 @@ def test_histories_malformed_family_file_exits_2(tmp_path, capsys, text):
         path.write_text(text)
     assert main(["histories", "--family-file", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    (_FAMILY_HEAD + _FAMILY_PRE + "pre t1 A H - 0.0 0.0\n" + 'post t_final {"paths": ["F"]}\n'
+     + _FAMILY_SLOT, "pre lines must share one stamp"),
+    (_FAMILY_HEAD + _FAMILY_PRE + 'post t_final {"paths": ["F"]}\n' + _FAMILY_SLOT
+     + "note hello\n", "unknown family line kind 'note'"),
+    (_FAMILY_HEAD + _FAMILY_PRE + 'post t_final {"paths": ["F"]}\n',
+     "family text needs pre, post and at least one slot line"),
+], ids=["two-pre-stamps", "unknown-line-kind", "no-slot-line"])
+def test_histories_family_file_structure_errors_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "fam.txt"
+    path.write_text(text)
+    assert main(["histories", "--family-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_histories_nan_pre_amplitude_is_not_normalized(tmp_path, capsys):

@@ -234,6 +234,38 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
     assert np.array_equal(wide.avg_success_prob, one.avg_success_prob)
 
 
+def test_sweep_builds_no_labeled_module_state(monkeypatch):
+    # the protocol is linear in the control amplitudes: a sweep reads each
+    # module's per-bit transfers and never builds a labeled module output
+    cfg = ProtocolConfig(M=1, N=1, eps_reflect=0.05, eps_block=0.03, av_rounds=1)
+    want = sweep(3, 3, cfg, sample_bloch(4))
+
+    def stub(*args, **kwargs):
+        raise AssertionError("a sweep built a labeled module state")
+
+    cqze = importlib.import_module("zenoport.cqze")
+    for mod in (cqze, cp):
+        for name in ("label", "StateVector", "run_cqze"):
+            monkeypatch.setattr(mod, name, stub, raising=False)
+    got = sweep(3, 3, cfg, sample_bloch(4))
+    assert np.array_equal(got.avg_fidelity, want.avg_fidelity)
+    assert np.array_equal(got.avg_success_prob, want.avg_success_prob)
+
+
+@pytest.mark.parametrize("per", ["inner", "outer"])
+@pytest.mark.parametrize("av", [0, 1, 2])
+@pytest.mark.parametrize("m,n", [(3, 4), (2, 600)], ids=["loops", "exact"])
+def test_module_transfers_are_the_per_bit_module_runs(m, n, av, per):
+    cfg = ProtocolConfig(M=m, N=n, eps_reflect=0.07, eps_block=0.03, av_rounds=av,
+                         eps_block_per=per)
+    f_h, f_v, loss = cp._module_transfers(cfg)
+    for bit in (0, 1):
+        o = run_cqze(bit, cfg)
+        assert f_h[bit] == o.joint.amp(label("F", "H", str(bit)))
+        assert f_v[bit] == o.joint.amp(label("F", "V", str(bit)))
+        assert {fam: v[bit] for fam, v in loss.items()} == o.loss_breakdown
+
+
 def test_sweep_validation():
     with pytest.raises(QStateError):
         sweep(0, 3, ProtocolConfig(M=1, N=1), sample_bloch(2))
@@ -400,6 +432,18 @@ def _root2(total):
     return math.sqrt(total) ** 2
 
 
+def _module_transfers_summing_to(total):
+    """Module transfers whose bit-1 run loses total to DA and passes nothing."""
+    real = cp._module
+
+    def module(bit, cfg):
+        return (0j, 0j, dict(DA=total, DB=0.0, Block=0.0, AV=0.0)) if bit else real(bit, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_module", module)
+        return cp._module_transfers(ProtocolConfig(M=2, N=2))
+
+
 # site: (build it with a unit sum near total, the sum it forms, error type, message head)
 UNIT_SUM_CHECKS = {
     "BobQubit": (lambda t: BobQubit(math.sqrt(t), 0.0), _root2, NormalizationError,
@@ -411,6 +455,8 @@ UNIT_SUM_CHECKS = {
                     float, ConservationError, "outcome probabilities sum to"),
     "cnot-input": (lambda t: counterfactual_cnot((math.sqrt(t), 0.0), 0, ProtocolConfig(M=2, N=2)),
                    _root2, NormalizationError, "input polarization norm^2 ="),
+    "module-transfers": (_module_transfers_summing_to, float, ConservationError,
+                         "outcome probabilities sum to"),
     "CounterportResult": (lambda t: CounterportResult(StateVector(), StateVector(), t, 0.0, 0.0,
                                                       {}, 1.0, 1.0, {}, {}),
                           float, ConservationError, "port/loss probabilities sum to"),
@@ -427,3 +473,11 @@ def test_each_unit_sum_check_follows_one_rule(site):
         assert info.type is error
         assert str(info.value) == f"{head} {summed(total)!r}, expected 1"
     build(1.0 - 5e-13)  # within ATOL_SUM
+
+
+def test_an_overflowing_input_polarization_reads_inf():
+    # the control qubit's norm overflows the same way (see test_cli's 1e155 amplitude)
+    with pytest.raises(NormalizationError) as info:
+        counterfactual_cnot((1e200, 0.0), 0, ProtocolConfig(M=2, N=2))
+    assert info.type is NormalizationError
+    assert str(info.value) == "input polarization norm^2 = inf, expected 1"

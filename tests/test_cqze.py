@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zenoport.cqze as cqze
 from zenoport.cqze import (
     _ONE,
     LOOP_BUDGET,
@@ -134,6 +135,18 @@ def test_fixed_point_rotation_is_exact(n):
     assert abs(c / _ONE - math.cos(math.pi / (2 * n))) <= 2.0 ** -52
 
 
+def in_tier(budget, bob, cfg):
+    """Amplitudes and losses of `_module` for each bit and of `run_cqze` for
+    bob, with LOOP_BUDGET set to budget (0 forces the exact tier, inf the
+    cycle loops)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cqze, "LOOP_BUDGET", budget)
+        runs = [({"H": f_h, "V": f_v}, loss)
+                for f_h, f_v, loss in (_module(bit, cfg) for bit in (0, 1))]
+        o = run_cqze(bob, cfg)
+    return runs + [(dict(o.joint.items()), o.loss_breakdown)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 300), n=st.integers(1, 300),
        er=st.sampled_from([0.0, 0.03, 0.5, 1.0]) | st.floats(0, 1),
@@ -147,18 +160,19 @@ def test_fixed_point_rotation_is_exact(n):
 @example(m=300, n=300, er=0.01, eb=0.005, av=2, per="inner", beta2=0.64, phase=1.0)
 def test_exact_tier_matches_the_cycle_loops(m, n, er, eb, av, per, beta2, phase):
     """The fixed-point lifted maps and the cycle loops agree on every
-    amplitude and loss family, wherever both are affordable."""
+    amplitude and loss family, wherever both are affordable: per control
+    bit and for a drawn control qubit."""
     bob = BobQubit(math.sqrt(1.0 - beta2), cmath.exp(1j * phase) * math.sqrt(beta2))
     cfg = ProtocolConfig(M=m, N=n, eps_reflect=er, eps_block=eb, av_rounds=av,
                          eps_block_per=per)
-    loop_amps, loop_loss = _module(bob, cfg, False)
-    exact_amps, exact_loss = _module(bob, cfg, True)
-    for k in loop_amps.keys() | exact_amps.keys():
-        assert abs(loop_amps.get(k, 0j) - exact_amps.get(k, 0j)) < 1e-13
-    for fam in loop_loss:
-        assert abs(loop_loss[fam] - exact_loss[fam]) < 1e-13
-    total = sum(abs(a) ** 2 for a in exact_amps.values()) + sum(exact_loss.values())
-    assert abs(total - 1.0) < 1e-13
+    for (loop_amps, loop_loss), (exact_amps, exact_loss) in zip(in_tier(math.inf, bob, cfg),
+                                                                in_tier(0, bob, cfg)):
+        for k in loop_amps.keys() | exact_amps.keys():
+            assert abs(loop_amps.get(k, 0j) - exact_amps.get(k, 0j)) < 1e-13
+        for fam in loop_loss:
+            assert abs(loop_loss[fam] - exact_loss[fam]) < 1e-13
+        total = sum(abs(a) ** 2 for a in exact_amps.values()) + sum(exact_loss.values())
+        assert abs(total - 1.0) < 1e-13
 
 
 @pytest.mark.parametrize("m,n", [(10000, 100), (100000, 10)])

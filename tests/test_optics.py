@@ -242,6 +242,13 @@ def test_element_checks_its_arm_count(kind, arms):
         Element(kind, "el", arms)
 
 
+def test_element_rejects_an_unknown_kind():
+    with pytest.raises(QStateError) as info:
+        Element("mirror", "el", ("S",))
+    assert info.type is QStateError
+    assert str(info.value) == "unknown element kind 'mirror'"
+
+
 def test_nan_rotation_fails_the_unitarity_audit():
     with pytest.raises(QStateError, match="nan"):
         element_map(spr(math.nan, "S"), small_universe())
