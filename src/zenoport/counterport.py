@@ -15,7 +15,7 @@ The protocol is linear in the control amplitudes, so one configuration's
 two module runs (control bit 0 and 1) fix every run of it.  `_transport`
 evaluates the protocol from those transfers as numpy expressions over any
 batch of control qubits and configurations; `counterport` is a batch of
-one, and `sweep` runs one batch per grid row.
+one, and `sweep` runs one batch per block of consecutive grid rows.
 """
 from __future__ import annotations
 
@@ -255,8 +255,10 @@ class FidelityGrid:
     meta: dict = field(default_factory=dict)
 
     def cell(self, m: int, n: int) -> tuple[float, float]:
-        i = self.m_values.index(m)
-        j = self.n_values.index(n)
+        if m not in self.m_values or n not in self.n_values:
+            raise QStateError(f"cell ({m}, {n}) is outside the grid: M runs {self.m_values[0]}.."
+                              f"{self.m_values[-1]}, N runs {self.n_values[0]}..{self.n_values[-1]}")
+        i, j = self.m_values.index(m), self.n_values.index(n)
         return float(self.avg_fidelity[i, j]), float(self.avg_success_prob[i, j])
 
     def to_csv(self) -> str:
@@ -277,24 +279,34 @@ class FidelityGrid:
         }
 
 
-def _grid_row(args) -> tuple[list[float], list[float]]:
-    m, n_values, cfg_template, qubits, mode = args
-    transfers = [_module_transfers(replace(cfg_template, M=m, N=n)) for n in n_values]
-    # transfers stacked as (bit, n, 1) against control amplitudes (1, qubit)
-    f_h = np.stack([t[0] for t in transfers], axis=1)[..., None]
-    f_v = np.stack([t[1] for t in transfers], axis=1)[..., None]
-    loss = {fam: np.stack([t[2][fam] for t in transfers], axis=1)[..., None]
-            for fam in transfers[0][2]}
-    alpha = np.array([[q.alpha for q in qubits]])
-    beta = np.array([[q.beta for q in qubits]])
-    t = _transport(alpha, beta, f_h, f_v, loss)
+# Cell-qubit entries per sweep `_transport` call.  In a fresh process on a
+# 2-core VM, an 8 x 8 x 100 sweep raised peak RSS by 3.3 MB as one call, by
+# 0.55 MB in calls of at most 2048 entries and by 0.27 MB in one call per row.
+_BATCH = 2048
+
+
+def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged fidelity and arrival probability for a block of grid rows."""
+    m_values, n_values, cfg_template, qubits, mode = job
+    f_h, f_v, losses = zip(*(_module_transfers(replace(cfg_template, M=m, N=n))
+                             for m in m_values for n in n_values))
+    shape = (2, len(m_values), len(n_values), 1)
+
+    def stacked(arrays):  # (bit, m, n, 1) against control amplitudes (1, 1, qubit)
+        return np.stack(arrays, axis=1).reshape(shape)
+
+    loss = {fam: stacked([x[fam] for x in losses]) for fam in losses[0]}
+    alpha = np.array([[[q.alpha for q in qubits]]])
+    beta = np.array([[[q.beta for q in qubits]]])
+    t = _transport(alpha, beta, stacked(f_h), stacked(f_v), loss)
     fids = t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected
-    probs = t.p_port1 + t.p_port2
-    # np.sum is pairwise over a fixed ordering, so averages are
-    # bit-stable across worker counts
-    fid_row = [float(np.sum(row) / len(qubits)) for row in fids]
-    prob_row = [float(np.sum(row) / len(qubits)) for row in probs]
-    return fid_row, prob_row
+    # np.sum along the contiguous qubit axis is each cell's pairwise sum in a
+    # fixed order, so averages are bit-stable across job splits and workers
+    return tuple(np.sum(x, axis=-1) / len(qubits) for x in (fids, t.p_port1 + t.p_port2))
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
 def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
@@ -302,11 +314,15 @@ def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
     """Average counterport fidelity over the sample for every (M, N) cell.
 
     cfg_template supplies the imperfection coefficients; its own M and N
-    are replaced cell by cell.  workers > 1 distributes grid rows over at
-    most one process per row; results are identical for any worker count.
+    are replaced cell by cell.  The grid is cut into jobs of consecutive
+    rows, each one `_transport` call of at most max(_BATCH, n_max·samples)
+    entries; workers > 1 spreads the jobs over at most one process per
+    job.  Results are identical for any worker count.
     """
-    if m_max < 1 or n_max < 1:
-        raise QStateError("grid extents must be >= 1")
+    if not (_is_count(m_max) and _is_count(n_max)):
+        raise QStateError(f"grid extents must be integers >= 1, got {m_max!r} x {n_max!r}")
+    if workers is not None and not _is_count(workers):
+        raise QStateError(f"workers must be None or an integer >= 1, got {workers!r}")
     if fidelity_mode not in FIDELITY_MODES:
         raise QStateError(f"fidelity_mode must be one of {FIDELITY_MODES}")
     qubits = tuple(sample.qubits) if isinstance(sample, BlochSample) else tuple(sample)
@@ -314,15 +330,16 @@ def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
         raise QStateError("sample must contain at least one qubit")
     m_values = tuple(range(1, m_max + 1))
     n_values = tuple(range(1, n_max + 1))
-    jobs = [(m, n_values, cfg_template, qubits, fidelity_mode) for m in m_values]
+    size = max(1, min(math.ceil(m_max / (workers or 1)), _BATCH // (n_max * len(qubits))))
+    jobs = [(m_values[i:i + size], n_values, cfg_template, qubits, fidelity_mode)
+            for i in range(0, m_max, size)]
     workers = min(workers or 1, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_row, jobs))
+            blocks = list(pool.map(_grid_rows, jobs))
     else:
-        rows = [_grid_row(j) for j in jobs]
-    fid = np.array([r[0] for r in rows])
-    prob = np.array([r[1] for r in rows])
+        blocks = [_grid_rows(j) for j in jobs]
+    fid, prob = (np.concatenate(parts) for parts in zip(*blocks))
     meta = {
         "eps_reflect": cfg_template.eps_reflect,
         "eps_block": cfg_template.eps_block,

@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,24 +207,28 @@ def test_sweep_worker_count_does_not_change_output():
     assert np.array_equal(a.avg_success_prob, b.avg_success_prob)
 
 
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for and
+    maps in this process."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
     created = []
-
-    class InlinePool:
-        """Records the pool size asked for and maps in this process."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
+    monkeypatch.setattr(InlinePool, "created", created)
     monkeypatch.setattr(cp, "ProcessPoolExecutor", InlinePool)
     tmpl, sample = ProtocolConfig(M=1, N=1, eps_reflect=0.02), sample_bloch(4)
     wide = sweep(3, 2, tmpl, sample, workers=10_000)
@@ -232,6 +238,87 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
     assert created == [3]  # one worker, or one row, needs no pool
     assert np.array_equal(wide.avg_fidelity, one.avg_fidelity)
     assert np.array_equal(wide.avg_success_prob, one.avg_success_prob)
+
+
+def _reference_cell(cfg, qubits, mode):
+    """One cell's averages as one transport call on a 1-D qubit row, then np.sum."""
+    f_h, f_v, loss = cp._module_transfers(cfg)
+    t = cp._transport(np.array([q.alpha for q in qubits]), np.array([q.beta for q in qubits]),
+                      f_h[:, None], f_v[:, None], {fam: v[:, None] for fam, v in loss.items()})
+    fids = t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected
+    return (float(np.sum(fids) / len(qubits)),
+            float(np.sum(t.p_port1 + t.p_port2) / len(qubits)))
+
+
+# pairwise summation changes at 8 and at 128 entries
+@settings(max_examples=40, deadline=None)
+@given(m_max=st.integers(1, 5), n_max=st.integers(1, 4),
+       count=st.sampled_from((1, 7, 8, 9, 128, 129, 1000)),
+       scheme=st.sampled_from(("fibonacci", "seeded-uniform")), seed=st.integers(0, 2 ** 16),
+       er=st.floats(0, 0.3), eb=st.floats(0, 0.3), av=st.integers(0, 2),
+       per=st.sampled_from(("inner", "outer")), mode=st.sampled_from(FIDELITY_MODES),
+       batch=st.sampled_from((1, cp._BATCH, 10 ** 9)), workers=st.integers(1, 3))
+def test_sweep_job_splits_match_per_cell_sums_bit_for_bit(m_max, n_max, count, scheme, seed,
+                                                          er, eb, av, per, mode, batch, workers):
+    # batch 1 gives one row per job, 10**9 ceil(m_max / workers) rows per job
+    tmpl = ProtocolConfig(M=1, N=1, eps_reflect=er, eps_block=eb, av_rounds=av,
+                          eps_block_per=per)
+    sample = sample_bloch(count, scheme, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_BATCH", batch)
+        mp.setattr(InlinePool, "created", [])
+        mp.setattr(cp, "ProcessPoolExecutor", InlinePool)
+        grid = sweep(m_max, n_max, tmpl, sample, fidelity_mode=mode, workers=workers)
+    for m in grid.m_values:
+        for n in grid.n_values:
+            want = _reference_cell(replace(tmpl, M=m, N=n), sample.qubits, mode)
+            assert grid.cell(m, n) == want
+
+
+def test_sweep_makes_one_transport_call_per_job(monkeypatch):
+    calls, real = [], cp._transport
+
+    def spy(alpha, beta, f_h, f_v, loss):
+        calls.append((f_h.shape, np.broadcast(alpha, f_h[0]).size))
+        return real(alpha, beta, f_h, f_v, loss)
+
+    created = []
+    monkeypatch.setattr(cp, "_transport", spy)
+    monkeypatch.setattr(InlinePool, "created", created)
+    monkeypatch.setattr(cp, "ProcessPoolExecutor", InlinePool)
+    cfg = ProtocolConfig(M=1, N=1, eps_reflect=0.05, eps_block=0.02)
+    for (m_max, n_max, count, workers), want in [
+            ((5, 4, 10, None), [(2, 5, 4, 1)]),  # the whole grid fits one batch
+            ((3, 30, 100, None), [(2, 1, 30, 1)] * 3),  # each row exceeds the batch
+            ((8, 8, 100, None), [(2, 2, 8, 1)] * 4),
+            ((7, 5, 40, 3), [(2, 3, 5, 1), (2, 3, 5, 1), (2, 1, 5, 1)])]:
+        calls.clear()
+        sweep(m_max, n_max, cfg, sample_bloch(count), workers=workers)
+        assert [shape for shape, _ in calls] == want
+        assert all(size <= max(cp._BATCH, n_max * count) for _, size in calls)
+    assert created == [3]
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    ((2.5, 2), {}, "grid extents must be integers >= 1, got 2.5 x 2"),
+    ((2, "3"), {}, "grid extents must be integers >= 1, got 2 x '3'"),
+    ((True, 2), {}, "grid extents must be integers >= 1, got True x 2"),
+    ((2, 0), {}, "grid extents must be integers >= 1, got 2 x 0"),
+    ((2, 2), {"workers": 2.5}, "workers must be None or an integer >= 1, got 2.5"),
+    ((2, 2), {"workers": False}, "workers must be None or an integer >= 1, got False"),
+    ((2, 2), {"workers": 0}, "workers must be None or an integer >= 1, got 0"),
+])
+def test_sweep_rejects_extents_and_workers_that_are_not_counts(args, kwargs, message):
+    with pytest.raises(QStateError, match=re.escape(message)):
+        sweep(*args, ProtocolConfig(M=1, N=1), sample_bloch(2), **kwargs)
+
+
+def test_a_cell_outside_the_grid_is_named_with_the_extents():
+    g = sweep(2, 3, ProtocolConfig(M=1, N=1), sample_bloch(2))
+    for m, n in [(3, 1), (1, 0)]:
+        with pytest.raises(QStateError, match=re.escape(
+                f"cell ({m}, {n}) is outside the grid: M runs 1..2, N runs 1..3")):
+            g.cell(m, n)
 
 
 def test_sweep_builds_no_labeled_module_state(monkeypatch):
