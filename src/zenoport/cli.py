@@ -33,7 +33,7 @@ from .analysis import (
 from .counterport import FIDELITY_MODES, FidelityGrid, counterport, sample_bloch, sweep
 from .cqze import BobQubit, ProtocolConfig
 from .optics import build_paradox_circuit
-from .qstate import ConservationError, QStateError, StateVector
+from .qstate import ConservationError, QStateError, StateVector, _is_int
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,7 +74,7 @@ def _rule(ok, what: str):
 
 
 def _integer(lo: int):
-    is_int = _rule(lambda v: isinstance(v, int) and not isinstance(v, bool), "be an integer")
+    is_int = _rule(_is_int, "be an integer")
     at_least = _rule(lambda v: v >= lo, f"be >= {lo}")
     return lambda key, v: at_least(key, is_int(key, v))
 

@@ -16,20 +16,21 @@ two module runs (control bit 0 and 1) fix every run of it.  `_transport`
 evaluates the protocol from those transfers as numpy expressions over any
 batch of control qubits and configurations; `counterport` is a batch of
 one, and `sweep` runs one batch per block of consecutive grid rows.
+
+numpy is imported inside the functions that use it, and the process pool
+where `sweep` starts one, so that `import zenoport` and the presence
+commands, which never reach this layer, load neither.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .cqze import (ATOL_SUM, P_EMPTY, BobQubit, ProtocolConfig, _as_bob, _module,
                    _require_one, _two_rail)
-from .qstate import POLS, QStateError, StateVector, label
+from .qstate import POLS, QStateError, StateVector, _is_int, label
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -70,6 +71,7 @@ def _had(a, b):
 
 def _had_bit(pair):
     """Hadamard on the control bit (leading axis) of an (H, V) pair."""
+    import numpy as np
     return tuple(np.stack(_had(x[0], x[1])) for x in pair)
 
 
@@ -85,6 +87,7 @@ def _module_transfers(cfg: ProtocolConfig):
     protocol is linear in the control amplitudes, so these two runs fix
     every run of the configuration.
     """
+    import numpy as np
     outs = [_module(bit, cfg) for bit in (0, 1)]
     for f_h, f_v, loss in outs:  # the per-bit unit-sum check of CqzeOutcome
         _require_one(_abs2(f_h) + _abs2(f_v) + (loss["DA"] + loss["AV"])
@@ -122,6 +125,7 @@ def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
     so does every result.  Raises ConservationError if any run's port and
     loss probabilities miss 1 by more than ATOL_SUM.
     """
+    import numpy as np
     w = np.stack(np.broadcast_arrays(alpha, beta))
     # round 1: a plain H photon through the module, entangled with the control
     round1 = (w * f_h, w * f_v)
@@ -188,6 +192,7 @@ def counterport(bob, cfg: ProtocolConfig) -> CounterportResult:
     The target polarization (alpha, beta) is the control qubit's own
     amplitude pair; both fidelity readings compare against it.
     """
+    import numpy as np
     bob = _as_bob(bob)
     t = _transport(np.array(bob.alpha), np.array(bob.beta), *_module_transfers(cfg))
     final = t.rounds["final"]
@@ -226,7 +231,7 @@ def sample_bloch(count: int, scheme: str = "fibonacci", seed: int = 0) -> BlochS
     the poles (count=1 gives the |0> pole, count=2 the antipodal pair);
     "seeded-uniform" draws them uniformly from the given seed.
     """
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count, 1):
         raise QStateError("sample count must be an integer >= 1")
     if scheme == "fibonacci":
         golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -287,6 +292,7 @@ _BATCH = 2048
 
 def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
     """Averaged fidelity and arrival probability for a block of grid rows."""
+    import numpy as np
     m_values, n_values, cfg_template, qubits, mode = job
     f_h, f_v, losses = zip(*(_module_transfers(replace(cfg_template, M=m, N=n))
                              for m in m_values for n in n_values))
@@ -305,10 +311,6 @@ def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.sum(x, axis=-1) / len(qubits) for x in (fids, t.p_port1 + t.p_port2))
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-
-
 def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
           *, fidelity_mode: str = "loss-inclusive", workers: int | None = None) -> FidelityGrid:
     """Average counterport fidelity over the sample for every (M, N) cell.
@@ -319,9 +321,10 @@ def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
     entries; workers > 1 spreads the jobs over at most one process per
     job.  Results are identical for any worker count.
     """
-    if not (_is_count(m_max) and _is_count(n_max)):
+    import numpy as np
+    if not (_is_int(m_max, 1) and _is_int(n_max, 1)):
         raise QStateError(f"grid extents must be integers >= 1, got {m_max!r} x {n_max!r}")
-    if workers is not None and not _is_count(workers):
+    if workers is not None and not _is_int(workers, 1):
         raise QStateError(f"workers must be None or an integer >= 1, got {workers!r}")
     if fidelity_mode not in FIDELITY_MODES:
         raise QStateError(f"fidelity_mode must be one of {FIDELITY_MODES}")
@@ -335,6 +338,7 @@ def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
             for i in range(0, m_max, size)]
     workers = min(workers or 1, len(jobs))  # a pool starts all its workers at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_grid_rows, jobs))
     else:

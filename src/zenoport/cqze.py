@@ -32,14 +32,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .qstate import (
     POLS,
     ConservationError,
     NormalizationError,
     QStateError,
     StateVector,
+    _is_int,
     label,
     project,
     projector,
@@ -94,7 +93,7 @@ class ProtocolConfig:
     eps_block_per: str = "inner"
 
     def __post_init__(self):
-        if not isinstance(self.M, int) or not isinstance(self.N, int):
+        if not (_is_int(self.M) and _is_int(self.N)):
             raise QStateError("M and N must be integers")
         if self.M < 1 or self.N < 1:
             raise QStateError("M and N must be >= 1")
@@ -102,7 +101,7 @@ class ProtocolConfig:
             v = getattr(self, name)
             if not 0.0 <= float(v) <= 1.0:
                 raise QStateError(f"{name} must lie in [0, 1], got {v}")
-        if not isinstance(self.av_rounds, int) or self.av_rounds < 0:
+        if not _is_int(self.av_rounds, 0):
             raise QStateError("av_rounds must be an integer >= 0")
         if self.eps_block_per not in ("inner", "outer"):
             raise QStateError('eps_block_per must be "inner" or "outer"')
@@ -295,6 +294,7 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     """
     if exact:
         return _dwell_exact(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
+    import numpy as np
     one = np.longdouble(1.0)
     c = np.cos(np.longdouble(math.pi) / (2 * n))
     sn = np.sin(np.longdouble(math.pi) / (2 * n))

@@ -29,6 +29,7 @@ from .qstate import (
     QStateError,
     StateVector,
     _apply_pruned,
+    _is_int,
     compose,
     label,
     projector,
@@ -270,9 +271,9 @@ def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,
     With block_channel, the channel arm C is absorbed at the far end on
     every visit (one fresh sink per cycle), which models a blocked channel.
     """
-    if not (isinstance(M, int) and isinstance(N, int)) or M < 1 or N < 1:
+    if not (_is_int(M, 1) and _is_int(N, 1)):
         raise QStateError("M and N must be integers >= 1")
-    if not isinstance(av_rounds, int) or av_rounds < 0:
+    if not _is_int(av_rounds, 0):
         raise QStateError("av_rounds must be an integer >= 0")
     theta_m = math.pi / (2 * M)
     theta_n = math.pi / (2 * N)

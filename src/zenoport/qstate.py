@@ -70,6 +70,11 @@ def label(path: str, pol: str = "H", bob: str | int = NO_BOB) -> BasisLabel:
     return BasisLabel(path, p, b)
 
 
+def _is_int(x, lo: int | None = None) -> bool:
+    """True if x is an int other than a bool, and at least lo when lo is given."""
+    return isinstance(x, int) and not isinstance(x, bool) and (lo is None or x >= lo)
+
+
 def is_sink(path: str) -> bool:
     return path.startswith("Sink")
 

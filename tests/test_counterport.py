@@ -177,6 +177,11 @@ def test_bloch_sample_validation():
         sample_bloch(5, scheme="dartboard")
 
 
+def test_bloch_sample_refuses_a_boolean_count():
+    with pytest.raises(QStateError, match="sample count must be an integer >= 1"):
+        sample_bloch(True)
+
+
 def small_grid(mode="loss-inclusive", workers=None):
     return sweep(3, 3, ProtocolConfig(M=1, N=1, eps_reflect=0.02),
                  sample_bloch(5), fidelity_mode=mode, workers=workers)
@@ -229,7 +234,7 @@ class InlinePool:
 def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
     created = []
     monkeypatch.setattr(InlinePool, "created", created)
-    monkeypatch.setattr(cp, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     tmpl, sample = ProtocolConfig(M=1, N=1, eps_reflect=0.02), sample_bloch(4)
     wide = sweep(3, 2, tmpl, sample, workers=10_000)
     assert created == [3]
@@ -267,7 +272,7 @@ def test_sweep_job_splits_match_per_cell_sums_bit_for_bit(m_max, n_max, count, s
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cp, "_BATCH", batch)
         mp.setattr(InlinePool, "created", [])
-        mp.setattr(cp, "ProcessPoolExecutor", InlinePool)
+        mp.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         grid = sweep(m_max, n_max, tmpl, sample, fidelity_mode=mode, workers=workers)
     for m in grid.m_values:
         for n in grid.n_values:
@@ -285,7 +290,7 @@ def test_sweep_makes_one_transport_call_per_job(monkeypatch):
     created = []
     monkeypatch.setattr(cp, "_transport", spy)
     monkeypatch.setattr(InlinePool, "created", created)
-    monkeypatch.setattr(cp, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     cfg = ProtocolConfig(M=1, N=1, eps_reflect=0.05, eps_block=0.02)
     for (m_max, n_max, count, workers), want in [
             ((5, 4, 10, None), [(2, 5, 4, 1)]),  # the whole grid fits one batch

@@ -39,6 +39,16 @@ def test_config_validation():
         ProtocolConfig(M=2, N=2, eps_block_per="sideways")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"M": True, "N": 2}, "M and N must be integers"),
+    ({"M": 2, "N": False}, "M and N must be integers"),
+    ({"M": 2, "N": 2, "av_rounds": True}, "av_rounds must be an integer >= 0"),
+])
+def test_config_refuses_booleans(kwargs, message):
+    with pytest.raises(QStateError, match=message):
+        ProtocolConfig(**kwargs)
+
+
 def test_bob_qubit_validation():
     with pytest.raises(NormalizationError):
         BobQubit(1.0, 1.0)

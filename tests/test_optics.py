@@ -170,6 +170,16 @@ def test_paradox_rejects_bad_sizes():
         build_paradox_circuit(2, 2, av_rounds=-1)
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((True, 2), {}, "M and N must be integers >= 1"),
+    ((2, True), {}, "M and N must be integers >= 1"),
+    ((2, 2), {"av_rounds": True}, "av_rounds must be an integer >= 0"),
+])
+def test_paradox_refuses_booleans(args, kwargs, message):
+    with pytest.raises(QStateError, match=message):
+        build_paradox_circuit(*args, **kwargs)
+
+
 def test_trajectory_conserves_probability_at_every_stamp():
     c = build_paradox_circuit(3, 4, block_channel=True)
     tr = run_schedule(c)
