@@ -47,17 +47,20 @@ from .qstate import (
 ATOL_SUM = 1e-12
 P_EMPTY = 1e-300  # below this probability a conditional figure is defined as 0
 
+# Loss families in the order of every loss dict; p_lost sums them in this order.
+LOSS_FAMILIES = ("DA", "DB", "Block", "AV")
+
 # A module runs the cycle loops when (1+av_rounds)*N + M <= LOOP_BUDGET and
 # the exact tier above it.  Below the line the loops stay inside the 1e-12
 # budget: a longdouble rotation misses c^2 + s^2 = 1 by about 1e-19 and a
 # float64 outer cycle rounds by about 1e-16, so the drift is at most
 # M*(1+a)N*1e-19 + M*1e-16 < 1e-13 (the product peaks at 256*256).  Small
 # modules are also cheaper in the loops: on a 2-core x86 VM, (8, 8) costs
-# 0.06 ms per module there against 0.14 ms in the exact tier (0.02 against
-# 0.05 ms with the dwell cached, as in a sweep row of up to hundreds of
-# modules), and the two break even near (40, 40).  Between that and the line
-# the loops cost at most about 0.4 ms more per module, and keeping them there
-# keeps every shallow result, the default sweep included, bit for bit.
+# 0.03 ms per module there against 0.04-0.05 ms in the exact tier (0.01
+# against 0.02 ms with the dwell cached, as in a sweep row of up to hundreds
+# of modules), and the two break even near (30, 30).  Between that and the
+# line the loops cost at most about 0.6 ms more per module, and keeping them
+# there keeps every shallow result, the default sweep included, bit for bit.
 LOOP_BUDGET = 512
 
 
@@ -127,7 +130,7 @@ class BobQubit:
 def _as_bob(bob) -> BobQubit:
     if isinstance(bob, BobQubit):
         return bob
-    if bob in (0, 1):
+    if _is_int(bob) and bob in (0, 1):
         return BobQubit(1.0 - bob, float(bob))
     raise QStateError(f"control must be a BobQubit or a bit, got {bob!r}")
 
@@ -223,15 +226,15 @@ def _then(m1, m2):
     return amp, loss
 
 
-def _apply(m, vecs):
-    """Apply m to each real (x, y) pair of vecs; returns the pairs and the summed loss."""
+def _apply(m, x: int, y: int):
+    """Apply m to the real pair (x, y); returns the image pair and the loss."""
     (a, b, c, d), (q0, q1, q2) = m
-    lost = sum(q0 * x * x + q1 * x * y + q2 * y * y for x, y in vecs) >> 2 * _F
-    return tuple(((a * x + b * y) >> _F, (c * x + d * y) >> _F) for x, y in vecs), lost
+    return ((a * x + b * y) >> _F, (c * x + d * y) >> _F,
+            (q0 * x * x + q1 * x * y + q2 * y * y) >> 2 * _F)
 
 
-def _power(m, k: int, vecs):
-    """Apply the k-th power of m to vecs by square-and-multiply.
+def _power(m, k: int, x: int, y: int):
+    """Apply the k-th power of m to (x, y) by square-and-multiply.
 
     The powers of one map commute, so applying m^(2^i) for each set bit i
     of k, lowest first, is k steps of m: O(log k) map products.
@@ -239,12 +242,12 @@ def _power(m, k: int, vecs):
     lost = 0
     while k:
         if k & 1:
-            vecs, step_loss = _apply(m, vecs)
+            x, y, step_loss = _apply(m, x, y)
             lost += step_loss
         k >>= 1
         if k:
             m = _then(m, m)
-    return vecs, lost
+    return x, y, lost
 
 
 def _dwell_exact(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
@@ -262,19 +265,18 @@ def _dwell_exact(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     later = visit(0) if bit == 1 and eps_block_per == "outer" else first
     entrance_block = _then(rot, ((0, 0, 0, _ONE), (_ONE, 0, 0)))
     coeffs = {"DB": 0, "Block": 0, "AV": 0}
-    vecs, pending = ((0, _ONE),), first
+    t01, t11, pending = 0, _ONE, first
     for r in range(av_rounds + 1):
         visits = n if r == av_rounds else n - 1
         if visits and pending is not None:
-            vecs, lost = _apply(pending, vecs)
+            t01, t11, lost = _apply(pending, t01, t11)
             coeffs[fam] += lost
             visits, pending = visits - 1, None
-        vecs, lost = _power(later, visits, vecs)
+        t01, t11, lost = _power(later, visits, t01, t11)
         coeffs[fam] += lost
         if r < av_rounds:
-            vecs, lost = _apply(entrance_block, vecs)
+            t01, t11, lost = _apply(entrance_block, t01, t11)
             coeffs["AV"] += lost
-    [(t01, t11)] = vecs
     return t01, t11, tuple(sorted(coeffs.items()))
 
 
@@ -304,30 +306,29 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     coeffs = {"DB": np.longdouble(0.0), "Block": np.longdouble(0.0), "AV": np.longdouble(0.0)}
     zero = np.longdouble(0.0)
     t01, t11 = zero, one
-    first_visit = True
+    k2, k = keep2, keep  # the first channel visit's retention
     for j in range(1, (1 + av_rounds) * n + 1):
         t01, t11 = c * t01 - sn * t11, sn * t01 + c * t11
         if j % n == 0 and j // n <= av_rounds:
             coeffs["AV"] += t01 * t01
             t01 = zero
         else:
-            if bit == 1 and eps_block_per == "outer" and not first_visit:
-                k2, k = zero, zero
-            else:
-                k2, k = keep2, keep
             coeffs[fam] += (one - k2) * (t01 * t01)
             t01 = t01 * k
-            first_visit = False
+            if bit == 1 and eps_block_per == "outer":  # later visits absorb fully
+                k2, k = zero, zero
     out = tuple(sorted((k, float(v)) for k, v in coeffs.items()))
     return float(t01), float(t11), out
 
 
-def _outer_loop(vH: complex, vV: complex, cfg: ProtocolConfig, dwell: tuple, loss: dict):
-    """M outer cycles around the float `dwell`, stepped one by one in
-    complex float64; adds each family's loss to `loss` and returns the
-    output (H, V) amplitudes."""
+def _outer_loop(cfg: ProtocolConfig, dwell: tuple):
+    """M outer cycles around the float `dwell` on a plain H input, stepped
+    one by one in complex float64; returns the output (H, V) amplitudes and
+    each family's loss."""
     c, sn = math.cos(cfg.theta_outer), math.sin(cfg.theta_outer)
     t01, t11, coeff_items = dwell
+    vH, vV = 1 + 0j, 0j
+    loss = dict.fromkeys(LOSS_FAMILIES, 0.0)
     for _ in range(cfg.M):
         vH, vV = c * vH - sn * vV, sn * vH + c * vV
         p = abs(vV) ** 2
@@ -335,24 +336,23 @@ def _outer_loop(vH: complex, vV: complex, cfg: ProtocolConfig, dwell: tuple, los
         for famname, coeff in coeff_items:
             loss[famname] += coeff * p
         vV *= t11
-    return vH, vV
+    return vH, vV, loss
 
 
-def _outer_exact(vH: complex, vV: complex, cfg: ProtocolConfig, dwell: tuple, loss: dict):
+def _outer_exact(cfg: ProtocolConfig, dwell: tuple):
     """`_outer_loop` in the exact tier, around a fixed-point `dwell`: the
     outer cycle diag(1, t_VV)·R(pi/2M) with the loss row of the rotated
-    |V|^2, raised to the M-th power.  The real and imaginary parts of the
-    input run through the same real map."""
+    |V|^2, raised to the M-th power and applied to the real input (1, 0)."""
     t01, t11, coeff_items = dwell
     c, s = _cos_sin(cfg.M)
     cycle = ((c, -s, t11 * s >> _F, t11 * c >> _F),
              (s * s >> _F, 2 * c * s >> _F, c * c >> _F))
-    vecs = ((_fx(vH.real), _fx(vV.real)), (_fx(vH.imag), _fx(vV.imag)))
-    ((hr, vr), (hi, vi)), sum_p = _power(cycle, cfg.M, vecs)
-    loss["DA"] += t01 * t01 * sum_p / _ONE ** 3
+    f_h, f_v, sum_p = _power(cycle, cfg.M, _ONE, 0)
+    loss = dict.fromkeys(LOSS_FAMILIES, 0.0)
+    loss["DA"] = t01 * t01 * sum_p / _ONE ** 3
     for famname, coeff in coeff_items:
-        loss[famname] += coeff * sum_p / _ONE ** 2
-    return complex(hr / _ONE, hi / _ONE), complex(vr / _ONE, vi / _ONE)
+        loss[famname] = coeff * sum_p / _ONE ** 2
+    return complex(f_h / _ONE), complex(f_v / _ONE), loss
 
 
 def _module(bit: int, cfg: ProtocolConfig):
@@ -360,11 +360,9 @@ def _module(bit: int, cfg: ProtocolConfig):
     F-V amplitudes and the loss families, from the cycle loops or, above
     LOOP_BUDGET, from the exact tier."""
     exact = (1 + cfg.av_rounds) * cfg.N + cfg.M > LOOP_BUDGET
-    loss = {"DA": 0.0, "DB": 0.0, "Block": 0.0, "AV": 0.0}
     dwell = _dwell(cfg.N, cfg.eps_reflect, cfg.eps_block, cfg.av_rounds,
                    cfg.eps_block_per, bit, exact)
-    f_h, f_v = (_outer_exact if exact else _outer_loop)(1 + 0j, 0j, cfg, dwell, loss)
-    return f_h, f_v, loss
+    return (_outer_exact if exact else _outer_loop)(cfg, dwell)
 
 
 def run_cqze(bob, cfg: ProtocolConfig) -> CqzeOutcome:
@@ -374,7 +372,7 @@ def run_cqze(bob, cfg: ProtocolConfig) -> CqzeOutcome:
     each bit's module run is weighted by its control amplitude.
     """
     bob = _as_bob(bob)
-    loss = {"DA": 0.0, "DB": 0.0, "Block": 0.0, "AV": 0.0}
+    loss = dict.fromkeys(LOSS_FAMILIES, 0.0)
     amps: dict = {}
     for bit, w in ((0, bob.alpha), (1, bob.beta)):
         if w != 0:

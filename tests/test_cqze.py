@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from zenoport.cqze import (
     counterfactual_cnot,
     run_cqze,
 )
+from zenoport.counterport import counterport
 from zenoport.optics import build_paradox_circuit, run_schedule
 from zenoport.qstate import NormalizationError, QStateError, label
 
@@ -56,6 +58,19 @@ def test_bob_qubit_validation():
         BobQubit(math.nan, 0.0)
     with pytest.raises(QStateError):
         run_cqze(2, ProtocolConfig(M=2, N=2))
+
+
+@pytest.mark.parametrize("entry", [
+    run_cqze, counterport, lambda bob, cfg: counterfactual_cnot((1, 0), bob, cfg),
+], ids=["run_cqze", "counterport", "counterfactual_cnot"])
+def test_control_bit_must_be_an_integer(entry):
+    cfg = ProtocolConfig(M=2, N=2)
+    for bob in (True, False, 1.0, 0.0):  # each equals a bit, but is no integer
+        with pytest.raises(QStateError, match=re.escape(
+                f"control must be a BobQubit or a bit, got {bob!r}")):
+            entry(bob, cfg)
+    for bob in (0, 1, PLUS):
+        entry(bob, cfg)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 20, 25])

@@ -1,4 +1,5 @@
-"""Import graph: numpy and the process pool load only where the transport layer runs.
+"""Import graph: numpy and the process pool load only where the transport layer runs,
+and mpmath, which only the test oracle uses, never loads.
 
 Each test starts a fresh interpreter, since this test process has long since
 imported numpy.  A child blocks numpy with ``sys.modules["numpy"] = None``,
@@ -91,3 +92,16 @@ def test_sweep_loads_numpy_but_starts_no_pool_with_one_worker(tmp_path):
                 "print(code, 'numpy' in sys.modules, "
                 "'concurrent.futures.process' in sys.modules)", tmp_path)
     assert out.splitlines()[-1] == "0 True False"
+
+
+def test_mpmath_loads_neither_on_import_nor_in_a_run(tmp_path):
+    out = child("import sys, zenoport, zenoport.cli\n"
+                "loaded = ['mpmath' in sys.modules]\n"
+                "main, out = zenoport.cli.main, sys.argv[1]\n"
+                "codes = [main(['counterport', '--out', out + '/cp.json']),\n"
+                "         main(['sweep', '--m-max', '2', '--n-max', '2', '--samples', '4',\n"
+                "               '--workers', '1', '--out-dir', out])]\n"
+                "loaded.append('mpmath' in sys.modules)\n"
+                "print(codes, loaded)", tmp_path)
+    assert out.splitlines()[-1] == "[0, 0] [False, False]"
+    assert not any("mpmath" in p.read_text() for p in SRC.rglob("*.py"))
