@@ -104,7 +104,8 @@ def _complex(key, v) -> complex:
 
 def _boundaries(key, v):
     if v != "end-to-end" and not (isinstance(v, str) and v.startswith("cycle")
-                                  and v[5:].isdigit() and int(v[5:]) >= 1):
+                                  and v[5:].isascii() and v[5:].isdigit()
+                                  and int(v[5:]) >= 1):
         raise QStateError("boundaries must be 'end-to-end' or 'cycle<k>'")
     return v
 

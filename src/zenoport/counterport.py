@@ -28,8 +28,8 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .cqze import (ATOL_SUM, P_EMPTY, BobQubit, ProtocolConfig, _as_bob, _module,
-                   _require_one, _two_rail)
+from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, BobQubit, ProtocolConfig, _as_bob,
+                   _module, _require_one, _two_rail)
 from .qstate import POLS, QStateError, StateVector, _is_int, label
 
 R = 1.0 / math.sqrt(2.0)
@@ -66,7 +66,8 @@ class CounterportResult:
 
 def _had(a, b):
     """Hadamard on one two-level factor whose components are a and b."""
-    return R * a + R * b, R * a - R * b
+    ra, rb = R * a, R * b
+    return ra + rb, ra - rb
 
 
 def _had_bit(pair):
@@ -80,21 +81,30 @@ def _abs2(x):
 
 
 def _module_transfers(cfg: ProtocolConfig):
-    """Per-bit module output for a plain H input.
+    """Per-bit module runs for a plain H input.
 
-    Returns (f_h, f_v, loss): the F-H and F-V amplitudes and each loss
-    family's probability, as arrays indexed by the control bit.  The
-    protocol is linear in the control amplitudes, so these two runs fix
-    every run of the configuration.
+    Returns one (f_h, f_v, loss) run per control bit, as plain numbers: the
+    F-H and F-V amplitudes and each loss family's probability, each run
+    checked to sum to 1.  The protocol is linear in the control amplitudes,
+    so these two runs fix every run of the configuration.
     """
-    import numpy as np
-    outs = [_module(bit, cfg) for bit in (0, 1)]
-    for f_h, f_v, loss in outs:  # the per-bit unit-sum check of CqzeOutcome
+    runs = tuple(_module(bit, cfg) for bit in (0, 1))
+    for f_h, f_v, loss in runs:  # the per-bit unit-sum check of CqzeOutcome
         _require_one(_abs2(f_h) + _abs2(f_v) + (loss["DA"] + loss["AV"])
                      + (loss["DB"] + loss["Block"]), "outcome probabilities sum to")
-    f_h, f_v, losses = zip(*outs)
-    loss = {fam: np.array([x[fam] for x in losses]) for fam in losses[0]}
-    return np.array(f_h), np.array(f_v), loss
+    return runs
+
+
+def _transfer_arrays(cells, shape):
+    """The (f_h, f_v, loss) transfer arrays of `_transport` for a sequence
+    of cells' `_module_transfers` runs: one array per field, control bit
+    first, then the cells in order, reshaped to shape."""
+    import numpy as np
+    # f_h[bit][cell], f_v[bit][cell] and losses[bit][cell] as plain numbers
+    f_h, f_v, losses = zip(*(zip(*(runs[bit] for runs in cells)) for bit in (0, 1)))
+    loss = {fam: np.array([[x[fam] for x in bit_losses] for bit_losses in losses]).reshape(shape)
+            for fam in LOSS_FAMILIES}
+    return np.array(f_h).reshape(shape), np.array(f_v).reshape(shape), loss
 
 
 @dataclass(frozen=True)
@@ -119,8 +129,8 @@ def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
     """Run the two-round protocol for a batch of control qubits in closed form.
 
     alpha and beta are the control amplitudes; (f_h, f_v, loss) are the
-    module transfers of `_module_transfers`, optionally stacked along extra
-    trailing axes (one entry per configuration).  The amplitude arrays
+    transfer arrays of `_transfer_arrays`, optionally with extra trailing
+    axes (one entry per configuration).  The amplitude arrays
     broadcast against the transfers without their leading bit axis, and
     so does every result.  Raises ConservationError if any run's port and
     loss probabilities miss 1 by more than ATOL_SUM.
@@ -194,7 +204,8 @@ def counterport(bob, cfg: ProtocolConfig) -> CounterportResult:
     """
     import numpy as np
     bob = _as_bob(bob)
-    t = _transport(np.array(bob.alpha), np.array(bob.beta), *_module_transfers(cfg))
+    t = _transport(np.array(bob.alpha), np.array(bob.beta),
+                   *_transfer_arrays([_module_transfers(cfg)], (2,)))
     final = t.rounds["final"]
     purity = {}
     for name, pair in final.items():
@@ -260,6 +271,8 @@ class FidelityGrid:
     meta: dict = field(default_factory=dict)
 
     def cell(self, m: int, n: int) -> tuple[float, float]:
+        if not (_is_int(m) and _is_int(n)):
+            raise QStateError(f"cell coordinates must be integers, got ({m!r}, {n!r})")
         if m not in self.m_values or n not in self.n_values:
             raise QStateError(f"cell ({m}, {n}) is outside the grid: M runs {self.m_values[0]}.."
                               f"{self.m_values[-1]}, N runs {self.n_values[0]}..{self.n_values[-1]}")
@@ -294,17 +307,13 @@ def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
     """Averaged fidelity and arrival probability for a block of grid rows."""
     import numpy as np
     m_values, n_values, cfg_template, qubits, mode = job
-    f_h, f_v, losses = zip(*(_module_transfers(replace(cfg_template, M=m, N=n))
-                             for m in m_values for n in n_values))
-    shape = (2, len(m_values), len(n_values), 1)
-
-    def stacked(arrays):  # (bit, m, n, 1) against control amplitudes (1, 1, qubit)
-        return np.stack(arrays, axis=1).reshape(shape)
-
-    loss = {fam: stacked([x[fam] for x in losses]) for fam in losses[0]}
+    # (bit, m, n, 1) against control amplitudes (1, 1, qubit)
+    transfers = _transfer_arrays([_module_transfers(replace(cfg_template, M=m, N=n))
+                                  for m in m_values for n in n_values],
+                                 (2, len(m_values), len(n_values), 1))
     alpha = np.array([[[q.alpha for q in qubits]]])
     beta = np.array([[[q.beta for q in qubits]]])
-    t = _transport(alpha, beta, stacked(f_h), stacked(f_v), loss)
+    t = _transport(alpha, beta, *transfers)
     fids = t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected
     # np.sum along the contiguous qubit axis is each cell's pairwise sum in a
     # fixed order, so averages are bit-stable across job splits and workers

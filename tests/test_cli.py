@@ -120,8 +120,8 @@ _BAD_VALUES = {
              ("abc", f"{key} is not a complex literal: 'abc'"),
              (None, f"{key} is not a complex literal: None")]
        for key in ("alpha", "beta")},
-    "boundaries": [("cycle0", "boundaries must be 'end-to-end' or 'cycle<k>'"),
-                   (None, "boundaries must be 'end-to-end' or 'cycle<k>'")],
+    "boundaries": [(v, "boundaries must be 'end-to-end' or 'cycle<k>'")
+                   for v in ("cycle0", None, "cycle\u00b2", "cycle\u0662")],  # ², Arabic-Indic 2
     "family": [("", "family must be a non-empty name"),
                (" ", "family must be a non-empty name"),
                (0, "family must be a non-empty name")],
@@ -383,8 +383,9 @@ def test_weakvalues_cycle_window(capsys):
     trace = read_weak_map_csv(out)
     assert trace[("A", "t_final")] is None
     assert abs(trace[("C", "c1.in1")]) < 1e-10
-    assert main(["weakvalues", "--boundaries", "sideways"]) == 2
-    capsys.readouterr()
+    for bad in ("sideways", "cycle\u00b2", "cycle\u0662"):  # not ASCII digits: ², Arabic-Indic 2
+        assert main(["weakvalues", "--boundaries", bad]) == 2
+        assert capsys.readouterr().err == "error: boundaries must be 'end-to-end' or 'cycle<k>'\n"
 
 
 def test_weakvalues_cycle_beyond_m_exits_2(capsys):

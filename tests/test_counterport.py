@@ -20,6 +20,7 @@ from zenoport.counterport import (
     sweep,
 )
 from zenoport.cqze import (
+    LOSS_FAMILIES,
     BobQubit,
     CnotOutcome,
     CqzeOutcome,
@@ -247,9 +248,11 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
 
 def _reference_cell(cfg, qubits, mode):
     """One cell's averages as one transport call on a 1-D qubit row, then np.sum."""
-    f_h, f_v, loss = cp._module_transfers(cfg)
+    runs = cp._module_transfers(cfg)
+    f_h, f_v = (np.array([[run[k]] for run in runs]) for k in (0, 1))
+    loss = {fam: np.array([[run[2][fam]] for run in runs]) for fam in LOSS_FAMILIES}
     t = cp._transport(np.array([q.alpha for q in qubits]), np.array([q.beta for q in qubits]),
-                      f_h[:, None], f_v[:, None], {fam: v[:, None] for fam, v in loss.items()})
+                      f_h, f_v, loss)
     fids = t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected
     return (float(np.sum(fids) / len(qubits)),
             float(np.sum(t.p_port1 + t.p_port2) / len(qubits)))
@@ -326,6 +329,15 @@ def test_a_cell_outside_the_grid_is_named_with_the_extents():
             g.cell(m, n)
 
 
+@pytest.mark.parametrize("m,n", [(True, 1), (1, True), (2.0, 1), ("1", 1)])
+def test_a_cell_coordinate_that_is_not_an_integer_is_refused(m, n):
+    # True == 1 and 2.0 == 2, so a lookup by equality would return a cell
+    g = sweep(2, 3, ProtocolConfig(M=1, N=1), sample_bloch(2))
+    with pytest.raises(QStateError, match=re.escape(
+            f"cell coordinates must be integers, got ({m!r}, {n!r})")):
+        g.cell(m, n)
+
+
 def test_sweep_builds_no_labeled_module_state(monkeypatch):
     # the protocol is linear in the control amplitudes: a sweep reads each
     # module's per-bit transfers and never builds a labeled module output
@@ -350,12 +362,16 @@ def test_sweep_builds_no_labeled_module_state(monkeypatch):
 def test_module_transfers_are_the_per_bit_module_runs(m, n, av, per):
     cfg = ProtocolConfig(M=m, N=n, eps_reflect=0.07, eps_block=0.03, av_rounds=av,
                          eps_block_per=per)
-    f_h, f_v, loss = cp._module_transfers(cfg)
-    for bit in (0, 1):
+    runs = cp._module_transfers(cfg)
+    assert len(runs) == 2
+    for bit, (f_h, f_v, loss) in enumerate(runs):
         o = run_cqze(bit, cfg)
-        assert f_h[bit] == o.joint.amp(label("F", "H", str(bit)))
-        assert f_v[bit] == o.joint.amp(label("F", "V", str(bit)))
-        assert {fam: v[bit] for fam, v in loss.items()} == o.loss_breakdown
+        assert type(f_h) is type(f_v) is complex
+        assert all(type(p) is float for p in loss.values())
+        assert f_h == o.joint.amp(label("F", "H", str(bit)))
+        assert f_v == o.joint.amp(label("F", "V", str(bit)))
+        assert loss == o.loss_breakdown
+        assert tuple(loss) == LOSS_FAMILIES
 
 
 def test_sweep_validation():
@@ -502,8 +518,8 @@ def test_leaking_module_transfer_is_a_conservation_breach(monkeypatch, tmp_path,
     real = cp._module_transfers
 
     def leaky(cfg):
-        f_h, f_v, loss = real(cfg)
-        return f_h, f_v, dict(loss, DA=loss["DA"] - np.array([0.0, 2e-12]))
+        bit0, (f_h, f_v, loss) = real(cfg)
+        return bit0, (f_h, f_v, dict(loss, DA=loss["DA"] - 2e-12))
 
     monkeypatch.setattr(cp, "_module_transfers", leaky)
     with pytest.raises(ConservationError):

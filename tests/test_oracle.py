@@ -1,4 +1,5 @@
-"""The module, in both tiers, and the protocol against the mpmath oracle.
+"""The module, in both tiers, the protocol and sweep cells against the
+mpmath oracle.
 
 ``oracle`` steps every inner cycle of every outer cycle at 40 digits, so
 these tests draw configurations with M·(1+av_rounds)·N up to ORACLE_STEPS.
@@ -7,6 +8,7 @@ exact tier.
 """
 
 import cmath
+import importlib
 import math
 
 import oracle
@@ -15,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zenoport.cqze as cqze
-from zenoport.counterport import counterport
+from zenoport.counterport import counterport, sample_bloch, sweep
 from zenoport.cqze import LOOP_BUDGET, BobQubit, ProtocolConfig, _module
 from zenoport.qstate import label
+
+cp = importlib.import_module("zenoport.counterport")  # the package re-exports the function
 
 TOL = 1e-12
 ORACLE_STEPS = 2000
@@ -92,3 +96,35 @@ def test_counterport_matches_the_oracle(cfg, beta2, phase_a, phase_b):
     for (port, pol, bit), a in want["ports"].items():
         state = got.port1 if port == "Port1" else got.port2
         assert near(state.amp(label(port, pol, str(bit))), a), (port, pol, bit)
+
+
+# (m_max, n_max, eps_reflect, eps_block, av_rounds, eps_block_per, scheme, samples)
+SWEEPS = [(5, 5, 0.05, 0.02, 0, "inner", "fibonacci", 3),
+          (4, 5, 0.2, 0.1, 1, "inner", "seeded-uniform", 2),
+          (5, 4, 0.01, 0.3, 0, "outer", "seeded-uniform", 4),
+          (5, 5, 0.1, 0.05, 1, "outer", "fibonacci", 3)]
+
+
+@pytest.mark.parametrize("m_max,n_max,er,eb,av,per,scheme,count", SWEEPS)
+def test_sweep_cells_match_the_oracle_sample_mean(m_max, n_max, er, eb, av, per, scheme, count):
+    tmpl = ProtocolConfig(M=1, N=1, eps_reflect=er, eps_block=eb, av_rounds=av,
+                          eps_block_per=per)
+    sample = sample_bloch(count, scheme, seed=7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_BATCH", 1)  # one row per job: the cells span several jobs
+        grids = {mode: sweep(m_max, n_max, tmpl, sample, fidelity_mode=mode)
+                 for mode in ("loss-inclusive", "post-selected")}
+    post_selected = 0
+    for m in range(1, m_max + 1):
+        for n in range(1, n_max + 1):
+            runs = [oracle.protocol(q.alpha, q.beta, m, n, er, eb, av, per) for q in sample.qubits]
+            p_success = [r["p_port1"] + r["p_port2"] for r in runs]
+            fid, prob = grids["loss-inclusive"].cell(m, n)
+            assert near(fid, sum(r["fidelity"] for r in runs) / count), (m, n)
+            assert near(prob, sum(p_success) / count), (m, n)
+            if min(p_success) >= P_SUCCESS_MIN:
+                fid_ps, _ = grids["post-selected"].cell(m, n)
+                want = sum(r["fidelity_post_selected"] for r in runs) / count
+                assert near(fid_ps, want), (m, n)
+                post_selected += 1
+    assert post_selected >= m_max * n_max // 2
