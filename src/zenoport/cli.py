@@ -33,7 +33,7 @@ from .analysis import (
 from .counterport import FIDELITY_MODES, FidelityGrid, counterport, sample_bloch, sweep
 from .cqze import BobQubit, ProtocolConfig
 from .optics import build_paradox_circuit
-from .qstate import ConservationError, QStateError, StateVector, _is_int
+from .qstate import ConservationError, QStateError, StateVector, _is_int, _is_real
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,8 +80,7 @@ def _integer(lo: int):
 
 
 def _number(lo: float, hi: float):
-    is_number = _rule(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-                      "be a number")
+    is_number = _rule(_is_real, "be a number")
     within = _rule(lambda v: lo <= v <= hi, f"lie in [{lo}, {hi}]")
     # an int is compared exactly, so one too large for a float fails the range
     return lambda key, v: float(within(key, is_number(key, v)))

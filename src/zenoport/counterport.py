@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, BobQubit, ProtocolConfig, _as_bob,
+from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, BobQubit, ProtocolConfig, _abs2, _as_bob,
                    _module, _require_one, _two_rail)
 from .qstate import POLS, QStateError, StateVector, _is_int, label
 
@@ -76,32 +76,14 @@ def _had_bit(pair):
     return tuple(np.stack(_had(x[0], x[1])) for x in pair)
 
 
-def _abs2(x):
-    return x.real * x.real + x.imag * x.imag
-
-
-def _module_transfers(cfg: ProtocolConfig):
-    """Per-bit module runs for a plain H input.
-
-    Returns one (f_h, f_v, loss) run per control bit, as plain numbers: the
-    F-H and F-V amplitudes and each loss family's probability, each run
-    checked to sum to 1.  The protocol is linear in the control amplitudes,
-    so these two runs fix every run of the configuration.
-    """
-    runs = tuple(_module(bit, cfg) for bit in (0, 1))
-    for f_h, f_v, loss in runs:  # the per-bit unit-sum check of CqzeOutcome
-        _require_one(_abs2(f_h) + _abs2(f_v) + (loss["DA"] + loss["AV"])
-                     + (loss["DB"] + loss["Block"]), "outcome probabilities sum to")
-    return runs
-
-
-def _transfer_arrays(cells, shape):
+def _transfer_arrays(cfgs, shape):
     """The (f_h, f_v, loss) transfer arrays of `_transport` for a sequence
-    of cells' `_module_transfers` runs: one array per field, control bit
-    first, then the cells in order, reshaped to shape."""
+    of configurations: each one's `_module` run per control bit, one array
+    per field, control bit first, then the configurations in order,
+    reshaped to shape."""
     import numpy as np
-    # f_h[bit][cell], f_v[bit][cell] and losses[bit][cell] as plain numbers
-    f_h, f_v, losses = zip(*(zip(*(runs[bit] for runs in cells)) for bit in (0, 1)))
+    # f_h[bit][cfg], f_v[bit][cfg] and losses[bit][cfg] as plain numbers
+    f_h, f_v, losses = zip(*(zip(*(_module(bit, cfg) for cfg in cfgs)) for bit in (0, 1)))
     loss = {fam: np.array([[x[fam] for x in bit_losses] for bit_losses in losses]).reshape(shape)
             for fam in LOSS_FAMILIES}
     return np.array(f_h).reshape(shape), np.array(f_v).reshape(shape), loss
@@ -205,7 +187,7 @@ def counterport(bob, cfg: ProtocolConfig) -> CounterportResult:
     import numpy as np
     bob = _as_bob(bob)
     t = _transport(np.array(bob.alpha), np.array(bob.beta),
-                   *_transfer_arrays([_module_transfers(cfg)], (2,)))
+                   *_transfer_arrays([cfg], (2,)))
     final = t.rounds["final"]
     purity = {}
     for name, pair in final.items():
@@ -244,6 +226,8 @@ def sample_bloch(count: int, scheme: str = "fibonacci", seed: int = 0) -> BlochS
     """
     if not _is_int(count, 1):
         raise QStateError("sample count must be an integer >= 1")
+    if not _is_int(seed):
+        raise QStateError(f"sample seed must be an integer, got {seed!r}")
     if scheme == "fibonacci":
         golden = math.pi * (3.0 - math.sqrt(5.0))
         points = [(1.0 if count == 1 else 1.0 - 2.0 * i / (count - 1), i * golden)
@@ -308,7 +292,7 @@ def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
     m_values, n_values, cfg_template, qubits, mode = job
     # (bit, m, n, 1) against control amplitudes (1, 1, qubit)
-    transfers = _transfer_arrays([_module_transfers(replace(cfg_template, M=m, N=n))
+    transfers = _transfer_arrays([replace(cfg_template, M=m, N=n)
                                   for m in m_values for n in n_values],
                                  (2, len(m_values), len(n_values), 1))
     alpha = np.array([[[q.alpha for q in qubits]]])

@@ -70,6 +70,11 @@ def _require_one(total, what: str, error=ConservationError) -> None:
         raise error(f"{what} {total!r}, expected 1")
 
 
+def _abs2(x):
+    """|x|^2 as re^2 + im^2, elementwise on numpy arrays as on scalars."""
+    return x.real * x.real + x.imag * x.imag
+
+
 def _norm2(a: complex, b: complex) -> float:
     """|a|^2 + |b|^2, or inf where it overflows (an amplitude beyond ~1e154)."""
     try:
@@ -102,7 +107,9 @@ class ProtocolConfig:
             raise QStateError("M and N must be >= 1")
         for name in ("eps_reflect", "eps_block"):
             v = getattr(self, name)
-            if not 0.0 <= float(v) <= 1.0:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise QStateError(f"{name} must be a number, got {v!r}")
+            if not 0.0 <= v <= 1.0:  # exact for an int, so one beyond any float fails
                 raise QStateError(f"{name} must lie in [0, 1], got {v}")
         if not _is_int(self.av_rounds, 0):
             raise QStateError("av_rounds must be an integer >= 0")
@@ -122,8 +129,14 @@ class BobQubit:
     beta: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
+        for v in (self.alpha, self.beta):
+            if isinstance(v, bool) or not isinstance(v, (int, float, complex)):
+                raise QStateError(f"control amplitudes must be numbers, got {v!r}")
+        try:
+            object.__setattr__(self, "alpha", complex(self.alpha))
+            object.__setattr__(self, "beta", complex(self.beta))
+        except OverflowError:  # an int beyond any float: its norm^2 reads inf
+            _require_one(math.inf, "control qubit norm^2 =", NormalizationError)
         _require_one(_norm2(self.alpha, self.beta), "control qubit norm^2 =", NormalizationError)
 
 
@@ -358,11 +371,14 @@ def _outer_exact(cfg: ProtocolConfig, dwell: tuple):
 def _module(bit: int, cfg: ProtocolConfig):
     """Module output for one control bit and a plain H input: the F-H and
     F-V amplitudes and the loss families, from the cycle loops or, above
-    LOOP_BUDGET, from the exact tier."""
+    LOOP_BUDGET, from the exact tier, checked to sum to 1."""
     exact = (1 + cfg.av_rounds) * cfg.N + cfg.M > LOOP_BUDGET
     dwell = _dwell(cfg.N, cfg.eps_reflect, cfg.eps_block, cfg.av_rounds,
                    cfg.eps_block_per, bit, exact)
-    return (_outer_exact if exact else _outer_loop)(cfg, dwell)
+    f_h, f_v, loss = (_outer_exact if exact else _outer_loop)(cfg, dwell)
+    _require_one(_abs2(f_h) + _abs2(f_v) + (loss["DA"] + loss["AV"])
+                 + (loss["DB"] + loss["Block"]), "outcome probabilities sum to")
+    return f_h, f_v, loss
 
 
 def run_cqze(bob, cfg: ProtocolConfig) -> CqzeOutcome:

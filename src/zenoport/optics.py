@@ -18,6 +18,7 @@ SinkAV#m.k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -30,6 +31,8 @@ from .qstate import (
     StateVector,
     _apply_pruned,
     _is_int,
+    _is_pol,
+    _is_real,
     compose,
     label,
     projector,
@@ -51,10 +54,25 @@ class Element:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in ELEMENT_KINDS:
             raise QStateError(f"unknown element kind {self.kind!r}")
-        if (len(self.arms) != ELEMENT_KINDS[self.kind]
+        if (not isinstance(self.arms, tuple) or len(self.arms) != ELEMENT_KINDS[self.kind]
                 or not all(isinstance(a, str) for a in self.arms)):
             raise QStateError(f"element {self.name}: {self.kind} takes "
                               f"{ELEMENT_KINDS[self.kind]} arms, got {self.arms!r}")
+        if not (isinstance(self.params, tuple)
+                and all(isinstance(p, tuple) and len(p) == 2 for p in self.params)):
+            raise QStateError(f"element {self.name}: params must be (key, value) pairs, "
+                              f"got {self.params!r}")
+        theta, pols, pol = self.param("theta"), self.param("pols"), self.param("pol")
+        # theta must fit a float; a NaN angle constructs, and the step's
+        # unitarity audit refuses it
+        if self.kind == "spr" and not (_is_real(theta) and not abs(theta) > sys.float_info.max):
+            raise QStateError(f"element {self.name}: spr takes a real angle theta, got {theta!r}")
+        if self.kind == "block" and not (isinstance(pols, tuple) and pols
+                                         and all(_is_pol(p) for p in pols)):
+            raise QStateError(f"element {self.name}: block takes a non-empty tuple of "
+                              f"polarizations, got {pols!r}")
+        if self.kind == "route" and not _is_pol(pol):
+            raise QStateError(f"element {self.name}: route takes one polarization, got {pol!r}")
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -65,7 +83,7 @@ class Element:
 
 def spr(theta: float, path: str = "S", name: str = "SPR") -> Element:
     """Polarization rotator: H -> cos*H + sin*V, V -> -sin*H + cos*V."""
-    return Element("spr", name, (path,), (("theta", float(theta)),))
+    return Element("spr", name, (path,), (("theta", theta),))
 
 
 def pbs(in_path: str, h_out: str, v_out: str, name: str = "PBS") -> Element:
@@ -79,7 +97,7 @@ def pbs(in_path: str, h_out: str, v_out: str, name: str = "PBS") -> Element:
 
 def block(path: str, sink: str, pols: tuple[str, ...] = ("H",), name: str = "Block") -> Element:
     """Absorb the given polarizations of path into a fresh sink label."""
-    return Element("block", name, (path, sink), (("pols", tuple(pols)),))
+    return Element("block", name, (path, sink), (("pols", pols),))
 
 
 def route(src: str, pol: str, dst: str, name: str = "route") -> Element:

@@ -52,6 +52,11 @@ class BasisLabel(NamedTuple):
         return f"|{self.path},{self.pol},{self.bob}>"
 
 
+def _is_pol(pol) -> bool:
+    """True if pol is a polarization name that `label` accepts."""
+    return isinstance(pol, str) and pol in _POL_ALIASES
+
+
 def _canonical_pol(pol: str) -> str:
     p = _POL_ALIASES.get(pol)
     if p is None:
@@ -73,6 +78,11 @@ def label(path: str, pol: str = "H", bob: str | int = NO_BOB) -> BasisLabel:
 def _is_int(x, lo: int | None = None) -> bool:
     """True if x is an int other than a bool, and at least lo when lo is given."""
     return isinstance(x, int) and not isinstance(x, bool) and (lo is None or x >= lo)
+
+
+def _is_real(x) -> bool:
+    """True if x is an int or a float other than a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def is_sink(path: str) -> bool:
@@ -125,7 +135,7 @@ class StateVector(Mapping):
         return self._amps.get(key, 0j)
 
     def norm2(self) -> float:
-        return sum((a.real * a.real + a.imag * a.imag) for a in self._amps.values())
+        return sum((a.real * a.real + a.imag * a.imag for a in self._amps.values()), 0.0)
 
     def norm(self) -> float:
         return math.sqrt(self.norm2())

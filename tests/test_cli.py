@@ -417,6 +417,17 @@ def test_histories_single_and_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_histories_json_weights_are_floats(tmp_path, capsys):
+    # an empty history ket's weight is 0.0, not the int 0
+    out_path = tmp_path / "h.json"
+    code, _ = run(capsys, ["histories", "--json-out", str(out_path)])
+    assert code == 0
+    weights = [w for fam in json.loads(out_path.read_text())["families"].values()
+               for w in fam["weights"].values()]
+    assert 0.0 in weights
+    assert all(type(w) is float for w in weights)
+
+
 def test_histories_family_file(tmp_path, capsys):
     from zenoport.analysis import builtin_families, family_to_text
     from zenoport.optics import build_paradox_circuit

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from readers import read_grid_csv, read_grid_json
 
+import zenoport.cqze as cqze
 from zenoport.cli import main
 from zenoport.counterport import (
     FIDELITY_MODES,
@@ -178,6 +179,16 @@ def test_bloch_sample_validation():
         sample_bloch(5, scheme="dartboard")
 
 
+def test_bloch_sample_takes_only_integer_seeds():
+    # seed None would draw from OS entropy, so no "seeded" sample would repeat
+    for seed in (None, 7.0, True, "7"):
+        with pytest.raises(QStateError, match=re.escape(
+                f"sample seed must be an integer, got {seed!r}")):
+            sample_bloch(3, "seeded-uniform", seed)
+    for seed in (-3, 10 ** 400):
+        assert sample_bloch(3, "seeded-uniform", seed) == sample_bloch(3, "seeded-uniform", seed)
+
+
 def test_bloch_sample_refuses_a_boolean_count():
     with pytest.raises(QStateError, match="sample count must be an integer >= 1"):
         sample_bloch(True)
@@ -248,7 +259,7 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
 
 def _reference_cell(cfg, qubits, mode):
     """One cell's averages as one transport call on a 1-D qubit row, then np.sum."""
-    runs = cp._module_transfers(cfg)
+    runs = [cp._module(bit, cfg) for bit in (0, 1)]
     f_h, f_v = (np.array([[run[k]] for run in runs]) for k in (0, 1))
     loss = {fam: np.array([[run[2][fam]] for run in runs]) for fam in LOSS_FAMILIES}
     t = cp._transport(np.array([q.alpha for q in qubits]), np.array([q.beta for q in qubits]),
@@ -347,7 +358,6 @@ def test_sweep_builds_no_labeled_module_state(monkeypatch):
     def stub(*args, **kwargs):
         raise AssertionError("a sweep built a labeled module state")
 
-    cqze = importlib.import_module("zenoport.cqze")
     for mod in (cqze, cp):
         for name in ("label", "StateVector", "run_cqze"):
             monkeypatch.setattr(mod, name, stub, raising=False)
@@ -362,9 +372,8 @@ def test_sweep_builds_no_labeled_module_state(monkeypatch):
 def test_module_transfers_are_the_per_bit_module_runs(m, n, av, per):
     cfg = ProtocolConfig(M=m, N=n, eps_reflect=0.07, eps_block=0.03, av_rounds=av,
                          eps_block_per=per)
-    runs = cp._module_transfers(cfg)
-    assert len(runs) == 2
-    for bit, (f_h, f_v, loss) in enumerate(runs):
+    for bit in (0, 1):
+        f_h, f_v, loss = cp._module(bit, cfg)
         o = run_cqze(bit, cfg)
         assert type(f_h) is type(f_v) is complex
         assert all(type(p) is float for p in loss.values())
@@ -515,13 +524,13 @@ def test_deep_chains_conserve_probability(cfg):
 
 
 def test_leaking_module_transfer_is_a_conservation_breach(monkeypatch, tmp_path, capsys):
-    real = cp._module_transfers
+    real = cp._module
 
-    def leaky(cfg):
-        bit0, (f_h, f_v, loss) = real(cfg)
-        return bit0, (f_h, f_v, dict(loss, DA=loss["DA"] - 2e-12))
+    def leaky(bit, cfg):  # bit 1's run leaks past the check inside the real _module
+        f_h, f_v, loss = real(bit, cfg)
+        return f_h, f_v, dict(loss, DA=loss["DA"] - 2e-12) if bit else loss
 
-    monkeypatch.setattr(cp, "_module_transfers", leaky)
+    monkeypatch.setattr(cp, "_module", leaky)
     with pytest.raises(ConservationError):
         sweep(2, 2, ProtocolConfig(M=1, N=1, eps_reflect=0.1), sample_bloch(3))
     assert main(["sweep", "--m-max", "2", "--n-max", "2", "--samples", "3",
@@ -540,16 +549,14 @@ def _root2(total):
     return math.sqrt(total) ** 2
 
 
-def _module_transfers_summing_to(total):
-    """Module transfers whose bit-1 run loses total to DA and passes nothing."""
-    real = cp._module
-
-    def module(bit, cfg):
-        return (0j, 0j, dict(DA=total, DB=0.0, Block=0.0, AV=0.0)) if bit else real(bit, cfg)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cp, "_module", module)
-        return cp._module_transfers(ProtocolConfig(M=2, N=2))
+def _module_summing_to(tier, cfg):
+    """Build a module run of cfg whose tier kernel loses total to DA and passes nothing."""
+    def build(total):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cqze, tier,
+                       lambda cfg, dwell: (0j, 0j, dict(DA=total, DB=0.0, Block=0.0, AV=0.0)))
+            return cqze._module(1, cfg)
+    return build
 
 
 # site: (build it with a unit sum near total, the sum it forms, error type, message head)
@@ -563,8 +570,10 @@ UNIT_SUM_CHECKS = {
                     float, ConservationError, "outcome probabilities sum to"),
     "cnot-input": (lambda t: counterfactual_cnot((math.sqrt(t), 0.0), 0, ProtocolConfig(M=2, N=2)),
                    _root2, NormalizationError, "input polarization norm^2 ="),
-    "module-transfers": (_module_transfers_summing_to, float, ConservationError,
-                         "outcome probabilities sum to"),
+    "module-transfers": (_module_summing_to("_outer_loop", ProtocolConfig(M=2, N=2)), float,
+                         ConservationError, "outcome probabilities sum to"),
+    "module-exact": (_module_summing_to("_outer_exact", ProtocolConfig(M=2, N=600)), float,
+                     ConservationError, "outcome probabilities sum to"),
     "CounterportResult": (lambda t: CounterportResult(StateVector(), StateVector(), t, 0.0, 0.0,
                                                       {}, 1.0, 1.0, {}, {}),
                           float, ConservationError, "port/loss probabilities sum to"),

@@ -45,10 +45,36 @@ def test_config_validation():
     ({"M": True, "N": 2}, "M and N must be integers"),
     ({"M": 2, "N": False}, "M and N must be integers"),
     ({"M": 2, "N": 2, "av_rounds": True}, "av_rounds must be an integer >= 0"),
+    ({"M": 2, "N": 2, "eps_reflect": True}, "eps_reflect must be a number, got True"),
+    ({"M": 2, "N": 2, "eps_reflect": "0.1"}, "eps_reflect must be a number, got '0.1'"),
+    ({"M": 2, "N": 2, "eps_block": None}, "eps_block must be a number, got None"),
+    ({"M": 2, "N": 2, "eps_block": 1j}, "eps_block must be a number, got 1j"),
+    ({"M": 2, "N": 2, "eps_block": math.nan}, "eps_block must lie in [0, 1], got nan"),
+    # compared exactly: no float conversion to overflow
+    ({"M": 2, "N": 2, "eps_reflect": 10 ** 400}, "eps_reflect must lie in [0, 1], got 1000"),
 ])
 def test_config_refuses_booleans(kwargs, message):
-    with pytest.raises(QStateError, match=message):
+    with pytest.raises(QStateError, match=re.escape(message)) as info:
         ProtocolConfig(**kwargs)
+    assert info.type is QStateError
+
+
+@pytest.mark.parametrize("alpha, beta, bad", [
+    ("0.6", "0.8", "'0.6'"), (True, False, "True"), (None, 1, "None"), (1, "0", "'0'"),
+    (0.6, [0.8], "[0.8]"),
+])
+def test_bob_qubit_refuses_amplitudes_that_are_not_numbers(alpha, beta, bad):
+    with pytest.raises(QStateError, match=re.escape(
+            f"control amplitudes must be numbers, got {bad}")) as info:
+        BobQubit(alpha, beta)
+    assert info.type is QStateError
+
+
+def test_bob_qubit_takes_int_float_and_complex_amplitudes():
+    assert BobQubit(1, 0) == BobQubit(1.0, 0.0)
+    assert BobQubit(0.6, 0.8j).beta == 0.8j
+    with pytest.raises(NormalizationError, match=re.escape("control qubit norm^2 = inf")):
+        BobQubit(10 ** 400, 0)  # beyond any float, so its norm^2 reads inf
 
 
 def test_bob_qubit_validation():

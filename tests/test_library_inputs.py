@@ -1,0 +1,102 @@
+"""Library constructors over arbitrary argument values: each call returns or
+raises a QStateError subclass, never a bare Python error."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zenoport.counterport import sample_bloch
+from zenoport.cqze import BobQubit, ProtocolConfig
+from zenoport.optics import (ELEMENT_KINDS, Element, block, build_paradox_circuit, element_map,
+                             route, spr)
+from zenoport.qstate import QStateError, label
+
+UNIVERSE = tuple(label(path, pol) for path in ("S", "A", "B", "C", "D", "SinkX") for pol in "HV")
+
+
+def mixed(max_int=10 ** 400):
+    """Ints, floats with NaN and infinities, bools, text, None and complex.
+
+    Size arguments pass a small max_int: the library does no work budget yet,
+    so a huge sample count or cycle count would run for as long as it asks.
+    """
+    return st.one_of(st.integers(-10 ** 400, max_int), st.sampled_from((max_int, -10 ** 400)),
+                     st.floats(), st.booleans(), st.text(max_size=6), st.none(),
+                     st.complex_numbers())
+
+
+def either(*valid, max_int=10 ** 400):
+    """A valid value or a mixed one."""
+    return st.one_of(st.sampled_from(valid), mixed(max_int))
+
+
+def returns_or_refuses(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except QStateError:
+        return None
+
+
+def maps_or_refuses(el):
+    """An element that constructs maps over a universe or refuses with QStateError."""
+    if el is not None:
+        returns_or_refuses(element_map, el, UNIVERSE)
+
+
+# about 2 s in all
+fast = settings(max_examples=100, deadline=None)
+
+
+@fast
+@given(m=either(1, 3), n=either(2, 700), er=either(0.0, 0.1, 1), eb=either(0.0, 0.5),
+       av=either(0, 2), per=either("inner", "outer"))
+def test_protocol_config(m, n, er, eb, av, per):
+    returns_or_refuses(ProtocolConfig, m, n, er, eb, av, per)
+
+
+@fast
+@given(alpha=either(0, 1, 0.6, 0.6j), beta=either(0, 1, 0.8, 0.8j))
+def test_bob_qubit(alpha, beta):
+    returns_or_refuses(BobQubit, alpha, beta)
+
+
+@fast
+@given(count=either(1, 3, max_int=5), scheme=either("fibonacci", "seeded-uniform"),
+       seed=either(0, 7))
+def test_sample_bloch(count, scheme, seed):
+    returns_or_refuses(sample_bloch, count, scheme, seed)
+
+
+@fast
+@given(m=either(1, 2, max_int=4), n=either(1, 3, max_int=4), blocked=either(False, True),
+       av=either(0, 1, max_int=2))
+def test_build_paradox_circuit(m, n, blocked, av):
+    returns_or_refuses(build_paradox_circuit, m, n, block_channel=blocked, av_rounds=av)
+
+
+@fast
+@given(theta=either(0.0, 0.5, 1), path=either("S", "D"), name=either("SPR"))
+def test_spr(theta, path, name):
+    maps_or_refuses(returns_or_refuses(spr, theta, path, name))
+
+
+@fast
+@given(path=either("C"), sink=either("SinkX"), pol=either("H", "V", "R"), name=either("Block"))
+def test_block(path, sink, pol, name):
+    maps_or_refuses(returns_or_refuses(block, path, sink, (pol,), name))
+    maps_or_refuses(returns_or_refuses(block, path, sink, pol, name))
+
+
+@fast
+@given(src=either("A"), pol=either("H", "L"), dst=either("B"), name=either("route"))
+def test_route(src, pol, dst, name):
+    maps_or_refuses(returns_or_refuses(route, src, pol, dst, name))
+
+
+@fast
+@given(kind=either(*ELEMENT_KINDS), name=either("el"),
+       arms=st.one_of(st.lists(either("S", "C", "SinkX"), max_size=4).map(tuple), mixed()),
+       params=st.one_of(st.lists(st.tuples(st.sampled_from(("theta", "pols", "pol")),
+                                           st.one_of(mixed(), st.just(("H",)))),
+                                 max_size=2).map(tuple), mixed()))
+def test_element(kind, name, arms, params):
+    maps_or_refuses(returns_or_refuses(Element, kind, name, arms, params))

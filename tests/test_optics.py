@@ -252,6 +252,37 @@ def test_element_checks_its_arm_count(kind, arms):
         Element(kind, "el", arms)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Element("spr", "x", ("S",)),
+    lambda: spr("abc"),
+    lambda: spr("0.5"),
+    lambda: spr(True),
+    lambda: spr(math.inf),
+    lambda: spr(10 ** 400),
+    lambda: Element("block", "b", ("C", "Sink1")),
+    lambda: block("C", "Sink1", ()),
+    lambda: block("C", "Sink1", "H"),
+    lambda: block("C", "Sink1", ("H", "X")),
+    lambda: route("A", "X", "B"),
+    lambda: route("A", None, "B"),
+    lambda: Element("spr", "x", ("S",), None),
+    lambda: Element("spr", "x", None),
+], ids=["spr-no-theta", "spr-text", "spr-numeric-text", "spr-bool", "spr-inf", "spr-huge-int",
+        "block-no-pols", "block-empty", "block-string", "block-unknown-pol",
+        "route-unknown-pol", "route-no-pol", "params-not-pairs", "arms-not-a-tuple"])
+def test_element_checks_its_parameters(build):
+    with pytest.raises(QStateError) as info:
+        build()
+    assert info.type is QStateError
+
+
+def test_element_parameters_that_label_accepts_construct():
+    assert spr(1).param("theta") == 1
+    assert math.isnan(spr(math.nan).param("theta"))  # the unitarity audit refuses it
+    assert block("C", "SinkX", ("R", "V")).param("pols") == ("R", "V")
+    assert route("A", "L", "B").param("pol") == "L"
+
+
 def test_element_rejects_an_unknown_kind():
     with pytest.raises(QStateError) as info:
         Element("mirror", "el", ("S",))
