@@ -13,13 +13,15 @@ by the arrival probability (the conditional figure).
 
 The protocol is linear in the control amplitudes, so one configuration's
 two module runs (control bit 0 and 1) fix every run of it.  `_transport`
-evaluates the protocol from those transfers as numpy expressions over any
-batch of control qubits and configurations; `counterport` is a batch of
-one, and `sweep` runs one batch per block of consecutive grid rows.
+evaluates the protocol from those transfers in closed form, indexing them
+by control bit, with arithmetic that plain numbers and numpy arrays share:
+`counterport` passes one qubit's transfers as Python numbers, and `sweep`
+passes numpy arrays, one batch per block of consecutive grid rows.
 
 numpy is imported inside the functions that use it, and the process pool
-where `sweep` starts one, so that `import zenoport` and the presence
-commands, which never reach this layer, load neither.
+where `sweep` starts one, so that `import zenoport`, the presence commands
+and an exact-tier `counterport` run load neither; a loop-tier module loads
+numpy for the extended precision of `cqze._dwell`.
 """
 from __future__ import annotations
 
@@ -71,9 +73,13 @@ def _had(a, b):
 
 
 def _had_bit(pair):
-    """Hadamard on the control bit (leading axis) of an (H, V) pair."""
-    import numpy as np
-    return tuple(np.stack(_had(x[0], x[1])) for x in pair)
+    """Hadamard on the control bit of an (H, V) pair of per-bit amplitudes."""
+    return tuple(_had(*x) for x in pair)
+
+
+def _had_pol(pair):
+    """Hadamard on the polarization of an (H, V) pair of per-bit amplitudes."""
+    return tuple(zip(*(_had(h, v) for h, v in zip(*pair))))
 
 
 def _transfer_arrays(cfgs, shape):
@@ -91,61 +97,69 @@ def _transfer_arrays(cfgs, shape):
 
 @dataclass(frozen=True)
 class _Transport:
-    """Protocol amplitudes and readings for a batch of runs.
+    """Protocol amplitudes and readings for one run or a batch of runs.
 
     rounds maps each snapshot name to its paths, each path to an (H, V)
-    pair of amplitude arrays whose leading axis is the control bit.  The
-    other arrays have the batch shape.
+    pair whose entries are (bit 0, bit 1) pairs of amplitudes.  Every
+    amplitude and reading is a plain number for one run, or an array of
+    the batch shape.
     """
 
     rounds: dict
-    p_port1: np.ndarray
-    p_port2: np.ndarray
+    p_port1: float | np.ndarray
+    p_port2: float | np.ndarray
     losses: dict
-    p_lost: np.ndarray
-    fidelity: np.ndarray
-    fidelity_post_selected: np.ndarray
+    p_lost: float | np.ndarray
+    fidelity: float | np.ndarray
+    fidelity_post_selected: float | np.ndarray
 
 
 def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
-    """Run the two-round protocol for a batch of control qubits in closed form.
+    """Run the two-round protocol in closed form.
 
-    alpha and beta are the control amplitudes; (f_h, f_v, loss) are the
-    transfer arrays of `_transfer_arrays`, optionally with extra trailing
-    axes (one entry per configuration).  The amplitude arrays
-    broadcast against the transfers without their leading bit axis, and
-    so does every result.  Raises ConservationError if any run's port and
-    loss probabilities miss 1 by more than ATOL_SUM.
+    alpha and beta are the control amplitudes.  f_h, f_v and each family's
+    entry of loss are indexed by control bit first: either `_module`'s
+    plain numbers per bit for one run, or the arrays of `_transfer_arrays`
+    for a batch, whose other axes broadcast against alpha and beta.
+    Raises ConservationError if any run's port and loss probabilities miss
+    1 by more than ATOL_SUM.
     """
-    import numpy as np
-    w = np.stack(np.broadcast_arrays(alpha, beta))
+    w = (alpha, beta)
+    bits = (0, 1)
     # round 1: a plain H photon through the module, entangled with the control
-    round1 = (w * f_h, w * f_v)
-    between = _had_bit(_had(*round1))
+    round1 = (tuple(w[b] * f_h[b] for b in bits), tuple(w[b] * f_v[b] for b in bits))
+    between = _had_bit(_had_pol(round1))
     # round 2: each control branch rides the two rails of the gate
-    port2, port1 = _two_rail(*between, f_h, f_v)
+    gates = [_two_rail(between[0][b], between[1][b], f_h[b], f_v[b]) for b in bits]
+    # each port's per-bit (H, V) pairs become an (H, V) pair of per-bit amplitudes
+    port2, port1 = (tuple(zip(*port)) for port in zip(*gates))
     # Hadamards on the control bit and on each port's polarization; the
     # Port1 flip swaps its H and V
-    port2_h, port2_v = _had(*_had_bit(port2))
-    port1_v, port1_h = _had(*_had_bit(port1))
+    port2_h, port2_v = _had_pol(_had_bit(port2))
+    port1_v, port1_h = _had_pol(_had_bit(port1))
     final = {"Port1": (port1_h, port1_v), "Port2": (port2_h, port2_v)}
 
-    weight = _abs2(w) + _abs2(between[0]) + _abs2(between[1])
+    weight = [_abs2(w[b]) + _abs2(between[0][b]) + _abs2(between[1][b]) for b in bits]
     losses = {fam: weight[0] * val[0] + weight[1] * val[1] for fam, val in loss.items()}
     p_lost = sum(losses.values())
-    a_conj, b_conj = np.conj(alpha), np.conj(beta)
+    a_conj, b_conj = alpha.conjugate(), beta.conjugate()
     p_port, f_port = {}, {}
     for name, (h, v) in final.items():
-        p = _abs2(h) + _abs2(v)
-        f = _abs2(a_conj * h + b_conj * v)
+        p = [_abs2(h[b]) + _abs2(v[b]) for b in bits]
+        f = [_abs2(a_conj * h[b] + b_conj * v[b]) for b in bits]
         p_port[name], f_port[name] = p[0] + p[1], f[0] + f[1]
     p_success = p_port["Port1"] + p_port["Port2"]
     total = p_success + p_lost
-    bad = ~(np.abs(total - 1.0) <= ATOL_SUM)  # a NaN sum counts as a breach
-    if bad.any():
-        _require_one(float(np.asarray(total)[bad][0]), "port/loss probabilities sum to")
     f_li = f_port["Port1"] + f_port["Port2"]
-    f_ps = np.divide(f_li, p_success, out=np.zeros_like(f_li), where=p_success >= P_EMPTY)
+    if isinstance(total, float):
+        _require_one(total, "port/loss probabilities sum to")
+        f_ps = f_li / p_success if p_success >= P_EMPTY else 0.0
+    else:  # a batch reports its first breach; a NaN sum counts as one
+        import numpy as np
+        bad = total[~(abs(total - 1.0) <= ATOL_SUM)]
+        if bad.size:
+            _require_one(float(bad[0]), "port/loss probabilities sum to")
+        f_ps = np.divide(f_li, p_success, out=np.zeros_like(f_li), where=p_success >= P_EMPTY)
     return _Transport(
         rounds={"round1": {"F": round1}, "between_rounds": {"F": between},
                 "round2_ports": {"Port1": port1, "Port2": port2}, "final": final},
@@ -165,17 +179,20 @@ def _state(paths: dict) -> StateVector:
                         for pol, amps in zip(POLS, pair) for b in (0, 1)})
 
 
-def _bob_purity(m: np.ndarray) -> float | None:
+def _bob_purity(pair) -> float | None:
     """Purity of the control qubit's reduced state on one port, or None if empty.
 
-    m holds the port's amplitudes with the polarization as row and the
-    control bit as column.
+    pair is the port's (H, V) pair of (bit 0, bit 1) amplitudes; the reduced
+    state is rho[i][j] = conj(h_i)·h_j + conj(v_i)·v_j, and its purity is
+    (rho00² + rho11² + 2·|rho01|²) / tr².
     """
-    rho = m.conj().T @ m
-    tr = rho.trace().real
+    (h0, h1), (v0, v1) = pair
+    r00, r11 = _abs2(h0) + _abs2(v0), _abs2(h1) + _abs2(v1)
+    r01 = h0.conjugate() * h1 + v0.conjugate() * v1
+    tr = r00 + r11
     if tr < P_EMPTY:
         return None
-    return float((rho @ rho).trace().real / (tr * tr))
+    return (r00 * r00 + r11 * r11 + 2.0 * _abs2(r01)) / (tr * tr)
 
 
 def counterport(bob, cfg: ProtocolConfig) -> CounterportResult:
@@ -184,25 +201,25 @@ def counterport(bob, cfg: ProtocolConfig) -> CounterportResult:
     The target polarization (alpha, beta) is the control qubit's own
     amplitude pair; both fidelity readings compare against it.
     """
-    import numpy as np
     bob = _as_bob(bob)
-    t = _transport(np.array(bob.alpha), np.array(bob.beta),
-                   *_transfer_arrays([cfg], (2,)))
+    f_h, f_v, losses = zip(*(_module(bit, cfg) for bit in (0, 1)))
+    t = _transport(bob.alpha, bob.beta, f_h, f_v,
+                   {fam: (losses[0][fam], losses[1][fam]) for fam in LOSS_FAMILIES})
     final = t.rounds["final"]
     purity = {}
     for name, pair in final.items():
-        p = _bob_purity(np.array(pair))
+        p = _bob_purity(pair)
         if p is not None:
             purity[name] = p
     return CounterportResult(
         port1=_state({"Port1": final["Port1"]}),
         port2=_state({"Port2": final["Port2"]}),
-        p_port1=float(t.p_port1),
-        p_port2=float(t.p_port2),
-        p_lost=float(t.p_lost),
-        loss_breakdown={fam: float(v) for fam, v in t.losses.items()},
-        fidelity=float(t.fidelity),
-        fidelity_post_selected=float(t.fidelity_post_selected),
+        p_port1=t.p_port1,
+        p_port2=t.p_port2,
+        p_lost=t.p_lost,
+        loss_breakdown=t.losses,
+        fidelity=t.fidelity,
+        fidelity_post_selected=t.fidelity_post_selected,
         bob_purity=purity,
         round_trace={name: _state(paths) for name, paths in t.rounds.items()},
     )

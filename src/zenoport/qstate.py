@@ -58,10 +58,9 @@ def _is_pol(pol) -> bool:
 
 
 def _canonical_pol(pol: str) -> str:
-    p = _POL_ALIASES.get(pol)
-    if p is None:
+    if not _is_pol(pol):
         raise QStateError(f"unknown polarization {pol!r}")
-    return p
+    return _POL_ALIASES[pol]
 
 
 def label(path: str, pol: str = "H", bob: str | int = NO_BOB) -> BasisLabel:

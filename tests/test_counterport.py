@@ -1,5 +1,6 @@
 """Counterportation protocol runs, Bloch sampling, and the fidelity sweep."""
 
+import cmath
 import importlib
 import math
 import re
@@ -104,6 +105,57 @@ def test_round_trace_snapshots_present():
     assert set(r.round_trace) == {"round1", "between_rounds", "round2_ports", "final"}
     for s in r.round_trace.values():
         assert s.norm2() <= 1.0 + 1e-12
+
+
+def _bits(z):
+    """A complex number's two parts in hex, so that -0.0 and 0.0 differ."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _matrix_purity(pair):
+    """Reduced-state purity of one port from its (polarization, bit) matrix."""
+    m = np.array(pair)
+    rho = m.conj().T @ m
+    tr = rho.trace().real
+    return None if tr < cqze.P_EMPTY else (rho @ rho).trace().real / (tr * tr)
+
+
+# (M, N) on both sides of LOOP_BUDGET; theta, phi and chi place a complex qubit
+@settings(max_examples=60, deadline=None)
+@given(m=st.one_of(st.integers(1, 40), st.integers(1, 10 ** 6)),
+       n=st.one_of(st.integers(1, 40), st.integers(600, 10 ** 7)),
+       er=st.floats(0, 0.3), eb=st.floats(0, 0.3), av=st.integers(0, 2),
+       per=st.sampled_from(("inner", "outer")), theta=st.floats(0, math.pi),
+       phi=st.floats(0, 2 * math.pi), chi=st.floats(0, 2 * math.pi))
+def test_one_run_in_plain_numbers_matches_a_one_qubit_batch(m, n, er, eb, av, per,
+                                                            theta, phi, chi):
+    cfg = ProtocolConfig(M=m, N=n, eps_reflect=er, eps_block=eb, av_rounds=av,
+                         eps_block_per=per)
+    bob = BobQubit(cmath.exp(1j * chi) * math.cos(theta / 2),
+                   cmath.exp(1j * (chi + phi)) * math.sin(theta / 2))
+    r = counterport(bob, cfg)
+    t = cp._transport(np.array([bob.alpha]), np.array([bob.beta]),
+                      *cp._transfer_arrays([cfg], (2, 1)))
+    # amplitudes and probabilities are products of a complex and a real
+    # number, or sums of squares, so both evaluations round them alike
+    for name, paths in t.rounds.items():
+        want = {label(path, pol, str(b)): _bits(amps[b][0])
+                for path, pair in paths.items() for pol, amps in zip("HV", pair)
+                for b in (0, 1) if amps[b][0] != 0}
+        assert {k: _bits(v) for k, v in r.round_trace[name].items()} == want
+    for got, want in [(r.p_port1, t.p_port1), (r.p_port2, t.p_port2), (r.p_lost, t.p_lost),
+                      *((r.loss_breakdown[fam], t.losses[fam]) for fam in LOSS_FAMILIES)]:
+        assert got.hex() == float(want[0]).hex()
+    # a complex product rounds differently in numpy's array loops
+    assert abs(r.fidelity - t.fidelity[0]) <= 1e-15
+    assert abs(r.fidelity_post_selected - t.fidelity_post_selected[0]) <= 1e-15
+    final = {name: [[x[0] for x in amps] for amps in pair]
+             for name, pair in t.rounds["final"].items()}
+    purity = {name: _matrix_purity(pair) for name, pair in final.items()}
+    assert set(r.bob_purity) == {name for name, p in purity.items() if p is not None}
+    for name, p in r.bob_purity.items():
+        assert abs(p - purity[name]) <= 1e-15
 
 
 def test_bloch_sample_endpoints():

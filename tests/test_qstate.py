@@ -49,6 +49,18 @@ def test_unknown_polarization_is_a_qstate_error_everywhere(make):
         make()
 
 
+@pytest.mark.parametrize("make, shown", [
+    (lambda: label("S", ["H"]), "['H']"),
+    (lambda: projector(pols=[["H"]]), "['H']"),
+    (lambda: label("S", {"H": 1}), "{'H': 1}"),
+], ids=["label", "projector", "label-dict"])
+def test_unhashable_polarization_is_a_qstate_error(make, shown):
+    # an unhashable value cannot be looked up in the alias table at all
+    with pytest.raises(QStateError) as info:
+        make()
+    assert str(info.value) == f"unknown polarization {shown}"
+
+
 def test_is_sink():
     assert is_sink("SinkD3#1")
     assert not is_sink("S")
