@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, BobQubit, ProtocolConfig, _abs2, _as_bob,
                    _module, _require_one, _two_rail)
-from .qstate import POLS, QStateError, StateVector, _is_int, label
+from .qstate import POLS, BasisLabel, QStateError, StateVector, _is_int
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -173,10 +173,13 @@ def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
 
 
 def _state(paths: dict) -> StateVector:
-    """StateVector of per-path (H, V) amplitude pairs indexed by control bit."""
-    return StateVector({label(path, pol, str(b)): amps[b]
+    """StateVector of per-path (H, V) amplitude pairs indexed by control bit.
+
+    The paths, polarizations and bits are canonical, so the labels are
+    built without `label`'s checks."""
+    return StateVector({BasisLabel(path, pol, bit): amps[b]
                         for path, pair in paths.items()
-                        for pol, amps in zip(POLS, pair) for b in (0, 1)})
+                        for pol, amps in zip(POLS, pair) for b, bit in enumerate("01")})
 
 
 def _bob_purity(pair) -> float | None:

@@ -263,10 +263,31 @@ def _power(m, k: int, x: int, y: int):
     return x, y, lost
 
 
+def _map_power(m, k: int):
+    """The lifted map m^k (the identity for k = 0), by square-and-multiply."""
+    out = ((_ONE, 0, 0, _ONE), (0, 0, 0))
+    while k:
+        if k & 1:
+            out = _then(out, m)
+        k >>= 1
+        if k:
+            m = _then(m, m)
+    return out
+
+
 def _dwell_exact(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
                  eps_block_per: str, bit: int):
     """The exact tier's dwell: `_dwell`'s recursion as lifted-map powers,
-    with results in fixed point."""
+    with results in fixed point.
+
+    A dwell is av_rounds rounds of n - 1 channel visits and an entrance
+    block, then a last round of n visits.  The first visit, which may
+    retain more than the later ones, falls in the first round, or for
+    n = 1 in the last, so every round in between is one lifted map.  That
+    map is raised to its power twice, with the channel family's loss row
+    and with the entrance blocks': the two runs do the same amplitude
+    arithmetic, so a dwell costs O(log n + log av_rounds).
+    """
     c, s = _cos_sin(n)
     rot = ((c, -s, s, c), (0, 0, 0))
     fam = "DB" if bit == 0 else "Block"
@@ -279,7 +300,16 @@ def _dwell_exact(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     entrance_block = _then(rot, ((0, 0, 0, _ONE), (_ONE, 0, 0)))
     coeffs = {"DB": 0, "Block": 0, "AV": 0}
     t01, t11, pending = 0, _ONE, first
-    for r in range(av_rounds + 1):
+    for r in sorted({0, av_rounds}):  # the first round and the last
+        if r > 1:  # rounds 1..r-1 in between: n - 1 later visits, then the block
+            amp, visit_loss = _map_power(later, n - 1)
+            no_loss = (0, 0, 0)
+            middle = {fam: _then((amp, visit_loss), (entrance_block[0], no_loss)),
+                      "AV": _then((amp, no_loss), entrance_block)}
+            for famname, m in middle.items():
+                x, y, lost = _power(m, r - 1, t01, t11)
+                coeffs[famname] += lost
+            t01, t11 = x, y
         visits = n if r == av_rounds else n - 1
         if visits and pending is not None:
             t01, t11, lost = _apply(pending, t01, t11)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .qstate import (
     BasisLabel,
@@ -30,6 +29,7 @@ from .qstate import (
     QStateError,
     StateVector,
     _apply_pruned,
+    _canonical_pol,
     _is_int,
     _is_pol,
     _is_real,
@@ -106,12 +106,14 @@ def route(src: str, pol: str, dst: str, name: str = "route") -> Element:
 
 
 def _label_index(universe: tuple[BasisLabel, ...]):
-    """Domain, universe positions and arm -> control bits, built once per universe."""
+    """Domain, universe positions, arm -> control bits and each label's own
+    object, built once per universe."""
     pos = {l: i for i, l in enumerate(universe)}
     bobs: dict[str, set[str]] = {}
     for l in universe:
         bobs.setdefault(l.path, set()).add(l.bob)
-    return frozenset(pos), pos, {path: tuple(sorted(b)) for path, b in bobs.items()}
+    return (frozenset(pos), pos, {path: tuple(sorted(b)) for path, b in bobs.items()},
+            {l: l for l in universe})
 
 
 def _swap(cols: dict, a: BasisLabel, b: BasisLabel) -> None:
@@ -119,12 +121,16 @@ def _swap(cols: dict, a: BasisLabel, b: BasisLabel) -> None:
 
 
 def _element_map(el: Element, index) -> LinearMap:
-    dom, _, bobs = index
+    # maps key their columns by the universe's own label objects, so the
+    # states they step share them
+    dom, _, bobs, own = index
     cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}
 
-    def need(lbl: BasisLabel) -> BasisLabel:
-        if lbl not in dom:
-            raise QStateError(f"element {el.name}: label {lbl.ket()} missing from universe")
+    def need(path: str, pol: str, b: str) -> BasisLabel:
+        lbl = own.get((path, pol, b))
+        if lbl is None:
+            raise QStateError(f"element {el.name}: label {label(path, pol, b).ket()} "
+                              "missing from universe")
         return lbl
 
     if el.kind == "spr":
@@ -132,37 +138,44 @@ def _element_map(el: Element, index) -> LinearMap:
         t = el.param("theta")
         hh, hv, vh, vv = math.cos(t), math.sin(t), -math.sin(t), math.cos(t)
         for b in bobs.get(path, ()):
-            h, v = need(label(path, "H", b)), need(label(path, "V", b))
+            h, v = need(path, "H", b), need(path, "V", b)
             cols[h] = {h: hh, v: hv}
             cols[v] = {h: vh, v: vv}
     elif el.kind == "pbs":
         in_path, h_out, v_out = el.arms
         for b in bobs.get(in_path, ()):
-            _swap(cols, need(label(in_path, "H", b)), need(label(h_out, "H", b)))
-            _swap(cols, need(label(in_path, "V", b)), need(label(v_out, "V", b)))
+            _swap(cols, need(in_path, "H", b), need(h_out, "H", b))
+            _swap(cols, need(in_path, "V", b), need(v_out, "V", b))
     elif el.kind == "block":
         path, sink = el.arms
-        for pol in el.param("pols"):
+        for pol in map(_canonical_pol, el.param("pols")):
             for b in bobs.get(path, ()):
-                _swap(cols, need(label(path, pol, b)), need(label(sink, pol, b)))
+                _swap(cols, need(path, pol, b), need(sink, pol, b))
     elif el.kind == "route":
         src, dst = el.arms
-        pol = el.param("pol")
+        pol = _canonical_pol(el.param("pol"))
         for b in bobs.get(src, ()):
-            _swap(cols, need(label(src, pol, b)), need(label(dst, pol, b)))
+            _swap(cols, need(src, pol, b), need(dst, pol, b))
     return LinearMap(cols, kind="unitary", name=el.name, domain=dom)
 
 
-def _step_map(elements: tuple[Element, ...], index, element_maps: dict) -> LinearMap:
+def _step_map(elements: tuple[Element, ...], index, element_maps: dict,
+              products: dict) -> LinearMap:
     # columns stay in universe order: the adjoint's sums follow column order
-    dom, pos, _ = index
-    maps = []
+    dom, pos, _, _ = index
+    m = None
     for el in elements:  # element_maps carries the maps already built and audited
         em = element_maps.get(el)
         if em is None:
             em = element_maps[el] = _element_map(el, index)
-        maps.append(em)
-    m = reduce(compose, maps) if maps else LinearMap({}, kind="unitary", name="idle", domain=dom)
+        if m is not None:  # products carries the left-to-right prefix products built so far
+            key = m, em
+            em = products.get(key)
+            if em is None:
+                em = products[key] = compose(*key)
+        m = em
+    if m is None:
+        m = LinearMap({}, kind="unitary", name="idle", domain=dom)
     return m._ordered(pos.__getitem__)
 
 
@@ -172,7 +185,7 @@ def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
 
 
 def step_map(elements: tuple[Element, ...], universe: tuple[BasisLabel, ...]) -> LinearMap:
-    return _step_map(elements, _label_index(universe), {})
+    return _step_map(elements, _label_index(universe), {}, {})
 
 
 @dataclass
@@ -210,12 +223,13 @@ class CircuitSchedule:
         if self._maps is None:
             index = _label_index(self.universe)
             element_maps: dict[Element, LinearMap] = {}
+            products: dict[tuple[LinearMap, LinearMap], LinearMap] = {}
             maps: dict[tuple[Element, ...], LinearMap] = {}
             out = []
             for els in self.steps:
                 m = maps.get(els)
                 if m is None:
-                    m = maps[els] = _step_map(els, index, element_maps)
+                    m = maps[els] = _step_map(els, index, element_maps, products)
                 out.append(m)
             self._maps = tuple(out)
         return self._maps

@@ -241,15 +241,19 @@ class LinearMap:
                  domain: Iterable[BasisLabel] | None = None):
         if kind not in ("unitary", "general"):
             raise QStateError(f"unknown map kind {kind!r}")
-        self.columns: dict[BasisLabel, dict[BasisLabel, complex]] = {
-            src: {dst: complex(a) for dst, a in col.items() if a != 0}
-            for src, col in columns.items()
-        }
         # every label a map can write into a state is checked here, once per map
-        for src, col in self.columns.items():
-            if not (isinstance(src, BasisLabel) and all(isinstance(d, BasisLabel) for d in col)):
+        cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}
+        for src, col in columns.items():
+            if not isinstance(src, BasisLabel):
                 raise QStateError(f"map {name or kind}: keys must be BasisLabel")
-        self.domain = frozenset(self.columns if domain is None else domain)
+            kept = cols[src] = {}
+            for dst, a in col.items():  # zeros are dropped unchecked
+                if a != 0:
+                    if not isinstance(dst, BasisLabel):
+                        raise QStateError(f"map {name or kind}: keys must be BasisLabel")
+                    kept[dst] = complex(a)
+        self.columns = cols
+        self.domain = frozenset(cols if domain is None else domain)
         self.kind = kind
         self.name = name
         if kind == "unitary":
@@ -269,31 +273,37 @@ class LinearMap:
     def _audit(self) -> None:
         # the dense checks, with each implied identity column reduced to one entry;
         # two columns overlap only through the rows they share, so only those are summed
-        who = self.name or "unitary"
-        cols, srcs, dom = self.columns, list(self.columns), self.domain
+        who, cols, dom = self.name or "unitary", self.columns, self.domain
         rows: dict[BasisLabel, list[tuple[int, complex]]] = {}  # row -> (column index, entry)
-        overlaps: dict[tuple[int, int], complex] = {}
+        overlaps: dict[tuple[int, int], complex] | None = None  # made at the first shared row
         for i, col in enumerate(cols.values()):
-            ni = sum([abs(a) ** 2 for a in col.values()])
-            if not abs(ni - 1.0) <= ATOL_UNITARY:
-                raise QStateError(f"map {who}: column {srcs[i].ket()} has norm^2 {ni}")
+            ni = 0
             for d, a in col.items():
+                ni += abs(a) ** 2
                 row = rows.get(d)
                 if row is None:
                     rows[d] = [(i, a)]
                     continue
+                if overlaps is None:
+                    overlaps = {}
                 for j, b in row:
                     overlaps[j, i] = overlaps.get((j, i), 0j) + b.conjugate() * a
                 row.append((i, a))
-        if rows.keys() - cols.keys():  # rows whose column is the implied e_d
+            if not abs(ni - 1.0) <= ATOL_UNITARY:
+                raise QStateError(f"map {who}: column {list(cols)[i].ket()} has norm^2 {ni}")
+        if not rows.keys() <= cols.keys():  # rows whose column is the implied e_d
             for d, row in rows.items():
                 if d not in cols and d in dom:
                     for i, a in row:
                         if not abs(a) <= ATOL_UNITARY:
-                            raise QStateError(f"map {who}: columns {srcs[i].ket()},{d.ket()} not orthogonal")
-        for (j, i), ov in overlaps.items():
-            if not abs(ov) <= ATOL_UNITARY:
-                raise QStateError(f"map {who}: columns {srcs[j].ket()},{srcs[i].ket()} not orthogonal")
+                            raise QStateError(f"map {who}: columns {list(cols)[i].ket()},"
+                                              f"{d.ket()} not orthogonal")
+        if overlaps is not None:
+            for (j, i), ov in overlaps.items():
+                if not abs(ov) <= ATOL_UNITARY:
+                    srcs = list(cols)
+                    raise QStateError(f"map {who}: columns {srcs[j].ket()},{srcs[i].ket()} "
+                                      "not orthogonal")
         if not cols.keys() <= rows.keys() <= dom:
             raise QStateError(f"map {who}: domain and range differ")
 

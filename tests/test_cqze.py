@@ -236,6 +236,20 @@ def test_deep_outer_chain_conserves(m, n, bit):
     assert abs(o.joint.norm2() - o.p_success) < 1e-15
 
 
+@pytest.mark.parametrize("av", [10 ** 6, 10 ** 400])
+@pytest.mark.parametrize("n,per", [(1, "outer"), (2, "inner"), (7, "outer")])
+def test_huge_entrance_block_round_counts_return_and_conserve(av, n, per):
+    # the rounds between the first and the last are one powered map, so
+    # the dwell costs O(log av_rounds)
+    cfg = ProtocolConfig(M=2, N=n, eps_reflect=0.1, eps_block=0.2, av_rounds=av,
+                         eps_block_per=per)
+    o = run_cqze(PLUS, cfg)
+    assert abs(o.p_success + o.p_loss_DA + o.p_loss_DB - 1.0) < 1e-12
+    assert abs(sum(o.loss_breakdown.values()) - o.p_loss_DA - o.p_loss_DB) < 1e-15
+    r = counterport(PLUS, cfg)
+    assert abs(r.p_port1 + r.p_port2 + r.p_lost - 1.0) < 1e-12
+
+
 def test_dwell_cache_ignores_the_outer_cycle_count():
     short = ProtocolConfig(M=3, N=7, eps_block=0.2, av_rounds=1)
     long = ProtocolConfig(M=9, N=7, eps_block=0.2, av_rounds=1)

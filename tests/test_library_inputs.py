@@ -1,11 +1,15 @@
-"""Library constructors over arbitrary argument values: each call returns or
-raises a QStateError subclass, never a bare Python error."""
+"""Library constructors and protocol entry points over arbitrary argument
+values: each call returns or raises a QStateError subclass, never a bare
+Python error."""
+
+import cmath
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenoport.counterport import sample_bloch
-from zenoport.cqze import BobQubit, ProtocolConfig
+from zenoport.counterport import counterport, sample_bloch
+from zenoport.cqze import ATOL_SUM, BobQubit, ProtocolConfig, run_cqze
 from zenoport.optics import (ELEMENT_KINDS, Element, block, build_paradox_circuit, element_map,
                              route, spr)
 from zenoport.qstate import QStateError, label
@@ -16,8 +20,10 @@ UNIVERSE = tuple(label(path, pol) for path in ("S", "A", "B", "C", "D", "SinkX")
 def mixed(max_int=10 ** 400):
     """Ints, floats with NaN and infinities, bools, text, None and complex.
 
-    Size arguments pass a small max_int: the library does no work budget yet,
-    so a huge sample count or cycle count would run for as long as it asks.
+    Size arguments of the schedule engine and the sampler pass a small
+    max_int: the library does no work budget yet, so a huge sample count or
+    circuit would run for as long as it asks.  The module's cycle counts
+    may be huge, since its exact tier costs their logarithm.
     """
     return st.one_of(st.integers(-10 ** 400, max_int), st.sampled_from((max_int, -10 ** 400)),
                      st.floats(), st.booleans(), st.text(max_size=6), st.none(),
@@ -100,3 +106,58 @@ def test_route(src, pol, dst, name):
                                  max_size=2).map(tuple), mixed()))
 def test_element(kind, name, arms, params):
     maps_or_refuses(returns_or_refuses(Element, kind, name, arms, params))
+
+
+def controls():
+    """A control bit, a qubit on the Bloch sphere, a BobQubit of mixed
+    amplitudes (None where it refuses them) or a mixed value."""
+    qubits = st.builds(lambda theta, phi: BobQubit(math.cos(theta / 2),
+                                                   cmath.exp(1j * phi) * math.sin(theta / 2)),
+                       st.floats(0, math.pi), st.floats(0, 2 * math.pi))
+    pairs = st.tuples(mixed(), mixed()).map(lambda ab: returns_or_refuses(BobQubit, *ab))
+    return st.one_of(st.sampled_from((0, 1)), qubits, st.one_of(pairs, mixed()))
+
+
+HUGE = st.one_of(st.sampled_from((10 ** 6, 10 ** 400)), st.integers(1, 10 ** 400))
+COUNTS = st.one_of(st.integers(1, 40), HUGE)
+EPS = st.one_of(st.sampled_from((0, 1, 0.0, 1.0)), st.floats(0, 1))
+CONFIG_FIELDS = {"M": COUNTS, "N": COUNTS, "eps_reflect": EPS, "eps_block": EPS,
+                 "av_rounds": st.one_of(st.integers(0, 4), HUGE),
+                 "eps_block_per": st.sampled_from(("inner", "outer"))}
+
+
+@st.composite
+def configs(draw):
+    """A ProtocolConfig of valid fields, or of one mixed field and None
+    where it refuses that."""
+    fields = {key: draw(values) for key, values in CONFIG_FIELDS.items()}
+    if draw(st.booleans()):
+        fields[draw(st.sampled_from(tuple(fields)))] = draw(mixed())
+    return returns_or_refuses(ProtocolConfig, **fields)
+
+
+def in_unit(p) -> bool:
+    return -ATOL_SUM <= p <= 1.0 + ATOL_SUM
+
+
+# a config of huge counts runs the module in the exact tier, in about 20 ms
+protocol = settings(max_examples=40, deadline=None)
+
+
+@protocol
+@given(cfg=configs(), bob=controls())
+def test_run_cqze(cfg, bob):
+    if cfg is not None:
+        out = returns_or_refuses(run_cqze, bob, cfg)
+        if out is not None:
+            assert all(in_unit(p) for p in (out.p_success, out.p_loss_DA, out.p_loss_DB))
+
+
+@protocol
+@given(cfg=configs(), bob=controls())
+def test_counterport(cfg, bob):
+    if cfg is not None:
+        r = returns_or_refuses(counterport, bob, cfg)
+        if r is not None:
+            assert all(in_unit(p) for p in (r.p_port1, r.p_port2, r.p_lost, r.fidelity,
+                                             r.fidelity_post_selected, *r.bob_purity.values()))

@@ -474,6 +474,29 @@ def test_products_equal_what_the_constructor_builds_from_their_columns(blocked, 
                                              domain=m.domain))
 
 
+SHAPES = [(False, 0), (True, 0), (False, 1), (True, 1), (False, 2), (True, 2)]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_compiled_step_maps_equal_the_public_step_map(m):
+    # one compile shares element maps and prefix products across steps;
+    # step_map compiles each step on its own.  N runs 1..12 and each
+    # (M, N) takes one circuit shape in turn, so every M meets all six.
+    for n in range(1, 13):
+        blocked, av = SHAPES[(m + n) % len(SHAPES)]
+        c = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)
+        maps, adjs = c.step_maps(), c.adjoint_step_maps()
+        alone: dict = {}
+        for els, shared, adj in zip(c.steps, maps, adjs):
+            if els not in alone:
+                ref = step_map(els, c.universe)
+                alone[els] = (shared, _exact(ref), _exact(ref.adjoint()))
+            first, want, want_adj = alone[els]
+            assert shared is first
+            assert _exact(shared) == want and _exact(adj) == want_adj
+        assert len({id(x) for x in maps}) == len(alone)
+
+
 def _bits(s):
     return [(k, repr(v)) for k, v in s.items()]
 

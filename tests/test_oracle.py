@@ -74,6 +74,24 @@ def test_module_matches_the_oracle_in_both_tiers(cfg):
                 assert near(p, want_loss[fam]), (bit, budget, fam)
 
 
+# rounds 2..av_rounds of a dwell are one lifted map raised to a power; N = 1
+# holds the first channel visit back to the last round
+@pytest.mark.parametrize("av", [2, 3, 4])
+@pytest.mark.parametrize("m,n,er,eb,per", [(3, 1, 0.2, 0.4, "outer"), (2, 5, 0.05, 0.3, "inner"),
+                                           (2, 130, 0.01, 0.02, "outer")])
+def test_exact_tier_entrance_block_rounds_match_the_oracle(av, m, n, er, eb, per):
+    cfg = ProtocolConfig(M=m, N=n, eps_reflect=er, eps_block=eb, av_rounds=av,
+                         eps_block_per=per)
+    for bit in (0, 1):
+        want_h, want_v, want_loss = oracle.module(bit, *oracle_args(cfg))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cqze, "LOOP_BUDGET", 0)
+            f_h, f_v, loss = _module(bit, cfg)
+        assert near(f_h, want_h) and near(f_v, want_v), bit
+        for fam, p in loss.items():
+            assert near(p, want_loss[fam]), (bit, fam)
+
+
 @settings(max_examples=25, deadline=None)
 @given(cfg=configs(), beta2=st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
        phase_a=st.floats(0, 2 * math.pi), phase_b=st.floats(0, 2 * math.pi))

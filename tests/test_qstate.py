@@ -154,6 +154,46 @@ def test_linear_map_requires_isometric_columns():
                    label("A"): {label("S"): r, label("A"): r}}, kind="unitary")
 
 
+SH, SV, AH, FH = label("S", "H"), label("S", "V"), label("A", "H"), label("F", "H")
+AUDIT_DOMAIN = (SH, SV, AH)
+R2 = 1.0 / math.sqrt(2.0)
+
+
+# one broken map per audit check, each passing every other check, and the
+# exact message it raises; a check that is skipped lets its map construct
+@pytest.mark.parametrize("columns, name, message", [
+    ({SH: {SH: 0.5}}, "bad", "map bad: column |S,H> has norm^2 0.25"),
+    ({SH: {SH: 1.0}, SV: {}}, "", "map unitary: column |S,V> has norm^2 0"),
+    # the columns of spr(nan), a rotation by a NaN angle
+    ({SH: {SH: math.nan, SV: math.nan}, SV: {SH: math.nan, SV: math.nan}}, "SPR",
+     "map SPR: column |S,H> has norm^2 nan"),
+    # columns |S,H> and |S,V> share both rows and overlap by 1
+    ({SH: {SH: R2, SV: R2}, SV: {SH: R2, SV: R2}}, "bad",
+     "map bad: columns |S,H>,|S,V> not orthogonal"),
+    # |S,H> leaks into row |A,H>, whose column is the implied identity
+    ({SH: {SH: math.cos(0.3), AH: math.sin(0.3)}}, "bad",
+     "map bad: columns |S,H>,|A,H> not orthogonal"),
+    ({SH: {AH: 1.0}, AH: {FH: 1.0}}, "bad", "map bad: domain and range differ"),
+    # every column's norm is checked before any overlap
+    ({SH: {SH: R2, SV: R2}, SV: {SH: R2, SV: R2}, AH: {AH: 0.5}}, "bad",
+     "map bad: column |A,H> has norm^2 0.25"),
+], ids=["norm", "empty-column", "nan-angle", "shared-row-overlap", "implied-identity-row",
+        "range-outside-domain", "norms-before-overlaps"])
+def test_unitarity_audit_messages(columns, name, message):
+    with pytest.raises(QStateError) as info:
+        LinearMap(columns, kind="unitary", name=name, domain=AUDIT_DOMAIN)
+    assert str(info.value) == message
+    stored = {src: {dst: complex(a) for dst, a in col.items()} for src, col in columns.items()}
+    with pytest.raises(QStateError) as info:
+        LinearMap._trusted(stored, "unitary", name, frozenset(AUDIT_DOMAIN))
+    assert str(info.value) == message
+
+
+def test_linear_map_drops_zero_entries_before_checking_their_keys():
+    m = LinearMap({SH: {SH: 1.0, "not a label": 0.0, SV: 0j}}, kind="unitary")
+    assert m.columns == {SH: {SH: 1 + 0j}} and type(m.columns[SH][SH]) is complex
+
+
 @pytest.mark.parametrize("kind", ["unitary", "general"])
 def test_linear_map_rejects_keys_that_are_not_labels(kind):
     with pytest.raises(QStateError, match="BasisLabel"):
