@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -178,12 +179,91 @@ def _emit(text: str, out: str | None) -> None:
         _write_text(Path(out), text)
 
 
+# ----------------------------------------------------------------- JSON text
+
+_SCALAR = (str, int, float, type(None))
+
+
+@functools.cache
+def _encoder(indent: str):
+    """json's encoder with sorted keys and a comma and indent between items;
+    without indent=, json runs it in C."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + indent, ": ")).encode
+
+
+def _scalars(values) -> bool:
+    return all(map(isinstance, values, itertools.repeat(_SCALAR)))
+
+
+def _rows(items) -> bool:
+    """True if items are non-empty dicts, or non-empty lists and tuples, of scalars only."""
+    kinds = set(map(type, items))
+    if kinds == {dict}:
+        values = itertools.chain.from_iterable(map(dict.values, items))
+    elif kinds <= {list, tuple}:
+        values = itertools.chain.from_iterable(items)
+    else:
+        return False
+    return all(items) and _scalars(values)
+
+
+def _indented(obj, outer: str) -> str:
+    """obj as json.dumps writes it with sorted keys and an indent of 2,
+    nested at the indent that outer ("\n" and spaces) carries.
+
+    An encoded string holds no raw newline, so in the encoder's text every
+    raw newline is an item separator.
+    """
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return _encoder(outer)(obj)  # a scalar, or TypeError
+    inner = outer + "  "
+    if _scalars(values):
+        text = _encoder(inner)(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1] if obj else text
+    # otherwise one call with 0 standing in for each container, whose own
+    # text then replaces that 0
+    if isinstance(obj, dict):
+        # both sorts see the same keys in the same order, and no value decides
+        # an order, so the items come out as the encoder writes them
+        stand_in = {k: v if isinstance(v, _SCALAR) else 0 for k, v in obj.items()}
+        values = [v for _, v in sorted(obj.items())]
+    elif _rows(obj):
+        # but rows take one call at their items' indent, and each join
+        # between two rows is re-indented
+        deeper = inner + "  "
+        text = _encoder(deeper)(obj)
+        o, c = text[1], text[-2]
+        body = text[2:-2].replace(c + "," + deeper + o, inner + c + "," + inner + o + deeper)
+        return "[" + inner + o + deeper + body + inner + c + outer + "]"
+    else:
+        stand_in = [v if isinstance(v, _SCALAR) else 0 for v in obj]
+    text = _encoder(inner)(stand_in)
+    items = (item if isinstance(v, _SCALAR) else item[:-1] + _indented(v, inner)
+             for item, v in zip(text[1:-1].split("," + inner), values))
+    return text[0] + inner + ("," + inner).join(items) + outer + text[-1]
+
+
+def _json_text(obj) -> str:
+    """obj as json.dumps writes it with sorted keys and an indent of 2, then
+    a newline, byte for byte.
+
+    json indents in pure Python.  Here a container of scalars, a list of
+    such rows or the scalars of any other container are one call of json's
+    C encoder, and only the nesting recurses in Python.
+    """
+    return _indented(obj, "\n") + "\n"
+
+
 # ---------------------------------------------------------------- state JSON
 
 def state_to_obj(s: StateVector) -> list[dict]:
     """JSON-friendly form of a state: one row per label, sorted."""
     rows = []
-    for k in sorted(s, key=lambda l: (l.path, l.pol, l.bob)):
+    for k in sorted(s):
         v = s[k]
         rows.append({"path": k.path, "pol": k.pol, "bob": k.bob,
                      "re": v.real, "im": v.imag})
@@ -297,7 +377,7 @@ def cmd_sweep(p: dict) -> int:
     json_path = out_dir / "sweep.json"
     svg_path = out_dir / "sweep.svg"
     _write_text(csv_path, grid.to_csv())
-    _write_text(json_path, json.dumps(grid.to_json(), sort_keys=True, indent=2) + "\n")
+    _write_text(json_path, _json_text(grid.to_json()))
     _write_text(svg_path, svg_heatmap(grid))
     best = max((float(grid.avg_fidelity[i, j]), m, n)
                for i, m in enumerate(grid.m_values) for j, n in enumerate(grid.n_values))
@@ -327,7 +407,7 @@ def cmd_counterport(p: dict) -> int:
         "bob_purity": dict(sorted(res.bob_purity.items())),
         "rounds": {name: state_to_obj(sv) for name, sv in sorted(res.round_trace.items())},
     }
-    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", p["out"])
+    _emit(_json_text(record), p["out"])
     return EXIT_OK
 
 
@@ -350,7 +430,7 @@ def cmd_paradox(p: dict) -> int:
     for name, sig in report["channel_probe_signal"].items():
         print(f"channel probe [{name}]: {sig:+.6e}")
     if p["json_out"] is not None:
-        _write_text(Path(p["json_out"]), json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_text(Path(p["json_out"]), _json_text(report))
     return EXIT_OK
 
 
@@ -402,7 +482,7 @@ def cmd_histories(p: dict) -> int:
         verdict = "consistent" if pair is None else f"NOT consistent ({pair[0]} vs {pair[1]})"
         print(f"{name}: {len(names)} histories, {verdict}")
     if p["json_out"] is not None:
-        _write_text(Path(p["json_out"]), json.dumps(report, sort_keys=True, indent=2) + "\n")
+        _write_text(Path(p["json_out"]), _json_text(report))
     return EXIT_OK
 
 

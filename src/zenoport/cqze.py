@@ -297,7 +297,8 @@ def _dwell_exact(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
 
     first = visit(_ONE - _fx(eps_reflect) if bit == 0 else _fx(eps_block))
     later = visit(0) if bit == 1 and eps_block_per == "outer" else first
-    entrance_block = _then(rot, ((0, 0, 0, _ONE), (_ONE, 0, 0)))
+    # only a dwell with entrance-block rounds applies the block
+    entrance_block = _then(rot, ((0, 0, 0, _ONE), (_ONE, 0, 0))) if av_rounds else None
     coeffs = {"DB": 0, "Block": 0, "AV": 0}
     t01, t11, pending = 0, _ONE, first
     for r in sorted({0, av_rounds}):  # the first round and the last

@@ -226,10 +226,13 @@ class CircuitSchedule:
             products: dict[tuple[LinearMap, LinearMap], LinearMap] = {}
             maps: dict[tuple[Element, ...], LinearMap] = {}
             out = []
+            prev = m = None
             for els in self.steps:
-                m = maps.get(els)
-                if m is None:
-                    m = maps[els] = _step_map(els, index, element_maps, products)
+                if els is not prev:  # a run of one tuple object hashes no Element
+                    m = maps.get(els)
+                    if m is None:
+                        m = maps[els] = _step_map(els, index, element_maps, products)
+                    prev = els
                 out.append(m)
             self._maps = tuple(out)
         return self._maps
@@ -328,6 +331,8 @@ def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,
     outer_split = (spr(theta_m, "S", "HWP1"), pbs("S", "A", "D", "PBS1"))
     entrance_v = route("D", "V", "B", name="PBS2")
     outer_merge = (route("A", "H", "S", name="OuterMerge"), route("D", "V", "S", name="OuterMerge"))
+    # and so are the plain inner steps, which step_maps() then looks up once per run
+    first_inner_step, inner_step = (hwp2, pbs2), (pbs2, hwp2, pbs2)
 
     stamps: list[str] = ["t0"]
     steps: list[tuple[Element, ...]] = []
@@ -335,20 +340,15 @@ def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,
         steps.append(outer_split)
         stamps.append(f"c{m}.t1")
         for j in range(1, total + 1):
-            els: list[Element] = []
-            if block_channel and j > 1:
-                els.append(block("C", f"SinkBlock#{m}.{j - 1}", name="BobBlock"))
-            if j > 1:
-                els.append(pbs2)
-            els.append(hwp2)
+            step = inner_step if j > 1 else first_inner_step
             if j % N == 0 and j // N <= av_rounds:
-                els.append(route("D", "H", f"SinkAV#{m}.{j // N}", name="EntranceBlock"))
-                els.append(entrance_v)
-            else:
-                els.append(pbs2)
-            steps.append(tuple(els))
+                step = (*step[:-1], route("D", "H", f"SinkAV#{m}.{j // N}", name="EntranceBlock"),
+                        entrance_v)
+            if block_channel and j > 1:
+                step = (block("C", f"SinkBlock#{m}.{j - 1}", name="BobBlock"), *step)
+            steps.append(step)
             stamps.append(f"c{m}.in{j}")
-        els = []
+        els: list[Element] = []
         if block_channel:
             els.append(block("C", f"SinkBlock#{m}.{total}", name="BobBlock"))
         els += (pbs2, *outer_merge, route("D", "H", f"SinkD3#{m}", name="D3Exhaust"))

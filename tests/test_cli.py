@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from readers import read_grid_csv, read_grid_json, read_state, read_weak_map_csv
 
 import zenoport.cli as cli
@@ -505,3 +507,114 @@ def test_conservation_breach_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "counterport", boom)
     assert main(["counterport"]) == 3
     assert "conservation breach" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ JSON text
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_TRICKY_TEXT = st.text(st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                                        "é", "\u2028", "\U0001f600", "a", " ", "{", "}",
+                                        "[", "]", ",", ":"]))
+_STRINGS = st.one_of(st.text(), _TRICKY_TEXT)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 64),
+    st.integers(max_value=-(2 ** 64)), st.floats(),
+    st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf]), _STRINGS)
+# number keys compare with each other but not with str or None keys
+_NUMBER_KEYS = st.one_of(st.integers(), st.floats(), st.booleans())
+
+
+def _dicts(values):
+    return st.one_of(st.dictionaries(_STRINGS, values, max_size=4),
+                     st.dictionaries(_NUMBER_KEYS, values, max_size=4),
+                     st.dictionaries(st.none(), values, max_size=1))
+
+
+def _rows(values):
+    """Lists of rows: containers of scalars, some of which hold an empty container."""
+    row = st.one_of(_dicts(values), st.lists(values, max_size=3),
+                    st.lists(values, max_size=3).map(tuple))
+    return st.lists(row, min_size=1, max_size=4)
+
+
+def _containers(children):
+    return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+                     _dicts(children), _rows(_SCALARS),
+                     _rows(st.one_of(_SCALARS, st.sampled_from([[], {}, ()]))))
+
+
+_JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_matches_json_dumps(value):
+    assert cli._json_text(value) == _dumps(value)
+
+
+def test_json_text_makes_one_encoder_call_per_row_list_and_container(monkeypatch):
+    calls = []
+    encoder = cli._encoder
+    monkeypatch.setattr(cli, "_encoder",
+                        lambda indent: lambda obj: calls.append(obj) or encoder(indent)(obj))
+    rows = [{"re": 0.5, "path": "F"}, {"re": -0.0, "path": "S"}]
+    record = {"rows": rows, "p": 1.5, "pair": [1, 2], "empty": {}}
+    assert cli._json_text(record) == _dumps(record)
+    # the record's scalars with 0 for each container, then each container
+    assert calls == [{"rows": 0, "p": 1.5, "pair": 0, "empty": 0}, {}, [1, 2], rows]
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, {"a": {1}}, [{"a": 1}, {"b": {2}}], [[1, {2}]], {"a": [1.0, {3}]},
+], ids=["top", "in-dict", "in-row", "in-list-row", "in-mixed-dict"])
+def test_json_text_rejects_a_set_like_json_dumps(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.fixture
+def json_texts(monkeypatch):
+    """(object, text) of every record a subcommand serializes."""
+    seen = []
+    real = cli._json_text
+
+    def spy(obj):
+        text = real(obj)
+        seen.append((obj, text))
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    return seen
+
+
+_FAMILY_FILE = "family.txt"
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["counterport", "--m", "3", "--n", "4", "--alpha", "0.6", "--beta", "0.8j"], None),
+    (["counterport", "--m", "100", "--n", "40000", "--alpha", "0.6", "--beta", "0.48+0.64j",
+      "--eps-reflect", "0.05", "--eps-block", "0.02", "--eps-block-per", "outer",
+      "--out", "{dir}/counterport.json"], "counterport.json"),
+    (sweep_args("{dir}", ["--workers", "1"]), "sweep.json"),
+    (sweep_args("{dir}", ["--workers", "2", "--eps-reflect", "0.13"]), "sweep.json"),
+    (["paradox", "--av-rounds", "1", "--json-out", "{dir}/paradox.json"], "paradox.json"),
+    (["histories", "--family", "all", "--json-out", "{dir}/histories.json"], "histories.json"),
+    (["histories", "--family-file", "{dir}/" + _FAMILY_FILE,
+      "--json-out", "{dir}/histories.json"], "histories.json"),
+], ids=["counterport-loop-tier", "counterport-exact-tier-lossy", "sweep-1-worker",
+        "sweep-2-workers", "paradox-av-rounds", "histories-all", "histories-family-file"])
+def test_cli_records_are_json_dumps_text(argv, written, json_texts, tmp_path, capsys):
+    from zenoport.analysis import builtin_families, family_to_text
+    from zenoport.optics import build_paradox_circuit
+    fam = builtin_families(build_paradox_circuit(2, 2))["final_via_cycle1"]
+    (tmp_path / _FAMILY_FILE).write_text(family_to_text(fam))
+    code, out = run(capsys, [a.replace("{dir}", str(tmp_path)) for a in argv])
+    assert code == 0
+    [(record, text)] = json_texts
+    assert text == _dumps(record)
+    assert text == (out if written is None else (tmp_path / written).read_text())

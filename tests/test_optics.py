@@ -595,3 +595,19 @@ def test_equal_elements_hash_equal():
     assert spr(0.0) == spr(-0.0) and hash(spr(0.0)) == hash(spr(-0.0))
     assert len({a, b, spr(0.1, "D", "HWP2"), block("C", "SinkBlock#1.1")}) == 3
 
+
+@pytest.mark.parametrize("av", [0, 1])
+def test_compile_hashes_no_element_for_a_run_of_inner_steps(av, monkeypatch):
+    # the builder shares one tuple per plain inner step, so a longer run of
+    # inner cycles adds no step lookup that hashes elements
+    hashes = []
+    element_hash = Element.__hash__
+    monkeypatch.setattr(Element, "__hash__", lambda el: hashes.append(1) or element_hash(el))
+    counts = []
+    for n in (3, 40):
+        c = build_paradox_circuit(3, n, av_rounds=av)
+        hashes.clear()
+        c.step_maps()
+        counts.append(len(hashes))
+        assert len(set(map(id, c.steps))) == len(set(c.steps))
+    assert counts[0] == counts[1]
