@@ -166,8 +166,11 @@ def load_config(sub: str, config_path: str | None, flag_values: dict) -> dict:
 
 def _write_text(path: Path, text: str) -> None:
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        try:
+            path.write_text(text)
+        except FileNotFoundError:  # the directories are made only when missing
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
     except OSError as exc:
         raise QStateError(f"cannot write {path}: {exc}") from None
 

@@ -22,13 +22,14 @@ import sys
 from dataclasses import dataclass, field
 
 from .qstate import (
+    PRUNE_EPS,
     BasisLabel,
     ConservationError,
     LinearMap,
     Projector,
     QStateError,
     StateVector,
-    _apply_pruned,
+    _accumulate,
     _canonical_pol,
     _is_int,
     _is_pol,
@@ -40,6 +41,9 @@ from .qstate import (
 
 ELEMENT_KINDS = {"spr": 1, "pbs": 3, "block": 2, "route": 2}  # kind -> number of arms
 ATOL_CONSERVE = 1e-12
+# a sum whose squared modulus, as computed, exceeds this has abs() > PRUNE_EPS
+# however it was rounded, so the checked step need not ask abs()
+_KEEP2 = 1.001 * PRUNE_EPS**2
 
 
 @dataclass(frozen=True)
@@ -161,15 +165,18 @@ def _element_map(el: Element, index) -> LinearMap:
 
 def _step_map(elements: tuple[Element, ...], index, element_maps: dict,
               products: dict) -> LinearMap:
+    # folded from the right, so steps that end alike share their suffix products;
     # columns stay in universe order: the adjoint's sums follow column order
     dom, pos, _, _ = index
     m = None
-    for el in elements:  # element_maps carries the maps already built and audited
-        em = element_maps.get(el)
+    for el in reversed(elements):
+        # element_maps carries the maps already built and audited, keyed by element
+        # object (the builder shares one object per repeated element): no Element hash
+        em = element_maps.get(id(el))
         if em is None:
-            em = element_maps[el] = _element_map(el, index)
-        if m is not None:  # products carries the left-to-right prefix products built so far
-            key = m, em
+            em = element_maps[id(el)] = _element_map(el, index)
+        if m is not None:  # products carries the suffix products, keyed by their two factors
+            key = em, m
             em = products.get(key)
             if em is None:
                 em = products[key] = compose(*key)
@@ -222,17 +229,18 @@ class CircuitSchedule:
         """One audited map per step; equal element tuples share one map object."""
         if self._maps is None:
             index = _label_index(self.universe)
-            element_maps: dict[Element, LinearMap] = {}
+            element_maps: dict[int, LinearMap] = {}
             products: dict[tuple[LinearMap, LinearMap], LinearMap] = {}
-            maps: dict[tuple[Element, ...], LinearMap] = {}
+            slots: dict[tuple[Element, ...], int] = {}  # element tuple -> its map in built
+            built: list[LinearMap] = []
             out = []
             prev = m = None
             for els in self.steps:
                 if els is not prev:  # a run of one tuple object hashes no Element
-                    m = maps.get(els)
-                    if m is None:
-                        m = maps[els] = _step_map(els, index, element_maps, products)
-                    prev = els
+                    i = slots.setdefault(els, len(built))  # each new step hashed once
+                    if i == len(built):
+                        built.append(_step_map(els, index, element_maps, products))
+                    m, prev = built[i], els
                 out.append(m)
             self._maps = tuple(out)
         return self._maps
@@ -259,13 +267,22 @@ class TrajectoryRecord:
 
 def _checked_step(c: CircuitSchedule, m: LinearMap, s: StateVector, base: float,
                   k: int) -> StateVector:
-    """m applied to s and pruned; ConservationError unless its norm**2 at stamp k
-    stays within ATOL_CONSERVE of base."""
-    s, n2 = _apply_pruned(m, s)
+    """apply(m, s).pruned(); ConservationError unless its norm**2 at stamp k stays
+    within ATOL_CONSERVE of base."""
+    out = _accumulate(m, s)
+    n2, cut = 0.0, False
+    for v in out.values():  # the kept norm**2 in StateVector.norm2's order
+        x = v.real * v.real + v.imag * v.imag
+        if x > _KEEP2 or abs(v) > PRUNE_EPS:  # pruned() keeps v if abs(v) > PRUNE_EPS
+            n2 += x
+        else:
+            cut = True
     if not abs(n2 - base) <= ATOL_CONSERVE:
         raise ConservationError(f"probability drifted to {n2:.15f} at stamp "
                                 f"{c.stamps[k]} (started at {base:.15f})")
-    return s
+    if cut:  # the sums are complex and keyed by BasisLabel, so they are wrapped as they are
+        out = {lbl: v for lbl, v in out.items() if abs(v) > PRUNE_EPS}
+    return StateVector._wrap(out)
 
 
 def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int) -> list[StateVector]:

@@ -331,6 +331,8 @@ class LinearMap:
 
 
 def _accumulate(m: LinearMap, s: StateVector) -> dict[BasisLabel, complex]:
+    """The complex sums of m applied to s, keyed by label in first-write order,
+    zeros included; apply and optics' checked step both start from them."""
     out: dict[BasisLabel, complex] = {}
     cols = m.columns
     for src, amp in s._amps.items():
@@ -348,21 +350,6 @@ def _accumulate(m: LinearMap, s: StateVector) -> dict[BasisLabel, complex]:
 def apply(m: LinearMap, s: StateVector) -> StateVector:
     """Apply m to s.  Errors if s has support outside m's domain."""
     return StateVector(_accumulate(m, s))
-
-
-def _apply_pruned(m: LinearMap, s: StateVector) -> tuple[StateVector, float]:
-    """apply(m, s).pruned() and its norm2(), in one pass over the sums.
-
-    The sums are complex and keyed by BasisLabel (LinearMap checks its keys),
-    so the kept amplitudes are wrapped as they are.
-    """
-    kept: dict[BasisLabel, complex] = {}
-    n2 = 0.0
-    for k, v in _accumulate(m, s).items():
-        if abs(v) > PRUNE_EPS:
-            kept[k] = v
-            n2 += v.real * v.real + v.imag * v.imag
-    return StateVector._wrap(kept), n2
 
 
 def compose(first: LinearMap, second: LinearMap) -> LinearMap:

@@ -306,13 +306,13 @@ def test_library_engines_validate_once_and_compute_each_ket_once(circuit, analys
 
 
 def test_paradox_report_evolves_each_boundary_pair_once(analysis_work, monkeypatch):
-    kernel, applied = optics._apply_pruned, []
+    kernel, applied = optics._accumulate, []
 
     def counted_kernel(m, s):
         applied.append(m)
         return kernel(m, s)
 
-    monkeypatch.setattr(optics, "_apply_pruned", counted_kernel)
+    monkeypatch.setattr(optics, "_accumulate", counted_kernel)
     paradox_report(4, 12, av_rounds=1)
     # 4 pairs x 2 trajectories and 2 pointer branches for each of 6 cells; each
     # channel probe steps its two branches itself (57 and 105 steps), so it makes

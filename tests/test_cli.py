@@ -344,6 +344,27 @@ def test_sweep_into_a_path_under_a_file_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_output_file_makes_missing_directories_only(tmp_path, monkeypatch, capsys):
+    nested = tmp_path / "a" / "b" / "histories.json"
+    assert main(["histories", "--json-out", str(nested)]) == 0
+    first = nested.read_bytes()
+    made = []
+    monkeypatch.setattr(cli.Path, "mkdir", lambda self, *a, **k: made.append(self))
+    assert main(["histories", "--json-out", str(nested)]) == 0
+    assert made == [] and nested.read_bytes() == first
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("under", ["out.json", "a/out.json"])
+def test_output_file_under_a_regular_file_exits_2(under, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / under
+    assert main(["histories", "--json-out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_sweep_rejects_bad_mode(capsys):
     assert main(["sweep", "--fidelity-mode", "hopeful"]) == 2
     capsys.readouterr()

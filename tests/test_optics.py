@@ -4,9 +4,10 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import zenoport.optics as optics
 from zenoport.optics import (
     CircuitSchedule,
     Element,
@@ -21,6 +22,7 @@ from zenoport.optics import (
     step_map,
 )
 from zenoport.qstate import (
+    PRUNE_EPS,
     ConservationError,
     LabelMismatchError,
     LinearMap,
@@ -479,7 +481,7 @@ SHAPES = [(False, 0), (True, 0), (False, 1), (True, 1), (False, 2), (True, 2)]
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_compiled_step_maps_equal_the_public_step_map(m):
-    # one compile shares element maps and prefix products across steps;
+    # one compile shares element maps and suffix products across steps;
     # step_map compiles each step on its own.  N runs 1..12 and each
     # (M, N) takes one circuit shape in turn, so every M meets all six.
     for n in range(1, 13):
@@ -497,8 +499,80 @@ def test_compiled_step_maps_equal_the_public_step_map(m):
         assert len({id(x) for x in maps}) == len(alone)
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_compiled_step_maps_equal_a_left_fold_bit_for_bit(m):
+    # the compile folds each step from the right and shares suffix products;
+    # _audited_product folds it from the left, with no sharing
+    for n in range(1, 13):
+        blocked, av = SHAPES[(m + n) % len(SHAPES)]
+        c = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)
+        want: dict = {}
+        for els, shared, adj in zip(c.steps, c.step_maps(), c.adjoint_step_maps()):
+            if els not in want:
+                ref = _audited_product(els, c.universe)
+                want[els] = _exact(ref), _exact(ref.adjoint())
+            assert (_exact(shared), _exact(adj)) == want[els]
+
+
+def test_a_blocked_compile_makes_one_compose_per_new_blocked_inner_step(monkeypatch):
+    made = []
+    monkeypatch.setattr(optics, "compose", lambda a, b: made.append(a) or compose(a, b))
+    build_paradox_circuit(4, 12, block_channel=True).step_maps()
+    # HWP1;PBS1, HWP2;PBS2 and PBS2;HWP2;PBS2 once each, one per blocked inner
+    # step (4 x 11), four per outer merge (4 x 4) and one for the exit; folding
+    # each step from the left made 151
+    assert len(made) == 3 + 44 + 16 + 1 == 64
+
+
 def _bits(s):
     return [(k, repr(v)) for k, v in s.items()]
+
+
+def _hex(s):
+    return [(k, v.real.hex(), v.imag.hex()) for k, v in s.items()]
+
+
+# parts that cancel exactly, sum to at most PRUNE_EPS, lie just beyond it, or are NaN
+_PARTS = (st.sampled_from([1.0, -1.0, 0.5, -0.5, PRUNE_EPS, PRUNE_EPS / 10, -PRUNE_EPS / 10,
+                           PRUNE_EPS * 1.0002, PRUNE_EPS * 1.001, math.nan])
+          | st.floats(-2, 2))
+_AMPS = st.builds(complex, _PARTS, _PARTS)
+_LABELS = small_universe()
+
+
+def _amplitudes(size):
+    return st.dictionaries(st.sampled_from(_LABELS), _AMPS, max_size=size)
+
+
+_S, _A = label("S", "H"), label("A", "H")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cols=st.dictionaries(st.sampled_from(_LABELS), _amplitudes(3), max_size=6),
+       amps=_amplitudes(6))
+@example(cols={_S: {_A: 1.0}, label("S", "V"): {_A: -1.0}},
+         amps={_S: 1.0, label("S", "V"): 1.0})  # a sum that cancels exactly
+@example(cols={}, amps={_S: 1.0, _A: PRUNE_EPS / 10})  # a sum below PRUNE_EPS
+@example(cols={}, amps={_S: 0.6, _A: complex(math.nan, 0.8)})
+def test_checked_step_is_apply_then_prune_bit_for_bit(cols, amps):
+    m = LinearMap(cols, kind="general", name="drawn", domain=_LABELS)
+    s = StateVector(amps)
+    c = CircuitSchedule(stamps=("t0", "t1"), steps=((),), universe=_LABELS, pre_state=s)
+    want = apply(m, s).pruned()
+    n2 = want.norm2()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optics, "ATOL_CONSERVE", 0.0)  # passes at the exact norm**2 only
+        assert _hex(optics._checked_step(c, m, s, n2, 1)) == _hex(want)
+        with pytest.raises(ConservationError):
+            optics._checked_step(c, m, s, math.nextafter(n2, math.inf), 1)
+    base = s.norm2()
+    if abs(n2 - base) <= 1e-12:
+        assert _hex(optics._checked_step(c, m, s, base, 1)) == _hex(want)
+    else:
+        with pytest.raises(ConservationError) as err:
+            optics._checked_step(c, m, s, base, 1)
+        assert str(err.value) == (f"probability drifted to {n2:.15f} at stamp t1 "
+                                  f"(started at {base:.15f})")
 
 
 def test_evolve_steps_exactly_like_apply_then_prune():
