@@ -17,7 +17,14 @@ import math
 from dataclasses import dataclass
 
 from .cqze import P_EMPTY
-from .optics import CircuitSchedule, _checked_step, build_paradox_circuit, evolve
+from .optics import (
+    CircuitSchedule,
+    _checked_step,
+    _Ledger,
+    _stepping,
+    build_paradox_circuit,
+    evolve,
+)
 from .qstate import (
     PRUNE_EPS,
     Projector,
@@ -147,27 +154,54 @@ def _window_index(c: CircuitSchedule, t: str, i_pre: int, i_post: int) -> int:
     return i_t
 
 
-def _trajectories(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int
-                  ) -> tuple[list[StateVector], list[StateVector] | None]:
-    """Forward and backward states at stamps i_pre..i_post, both in stamp order;
-    None for the backward list when the boundaries are orthogonal."""
-    fwd = evolve(c, b.pre[1], i_pre, i_post)
+def _live(c: CircuitSchedule, *specs: Projector | StateVector) -> bool:
+    """True when no spec (a boundary state or a projector) holds or matches a
+    fresh sink label of c, so the engines may step live labels only.  Else
+    they step full states: a sum over states that hold fed sinks must meet
+    them where the full states hold them."""
+    fresh = c._plan().fresh
+    for x in specs:
+        if isinstance(x, StateVector):
+            if any(lbl.path in fresh for lbl in x):
+                return False
+        elif fresh and (x.paths is None or not fresh.isdisjoint(x.paths)):
+            return False
+    return True
+
+
+def _evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int,
+            live: bool) -> list[tuple[StateVector, int]]:
+    """evolve's states at stamps i0..i1, each with the number of labels its
+    ledger holds."""
+    ledger = _Ledger(live)
+    return list(zip(evolve(c, s, i0, i1, ledger), ledger.marks))
+
+
+def _trajectories(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int, live: bool
+                  ) -> tuple[list[tuple[StateVector, int]], list[tuple[StateVector, int]] | None]:
+    """Forward and backward states at stamps i_pre..i_post, both in stamp order
+    and each with its ledger's size; None for the backward list when the
+    boundaries are orthogonal."""
+    fwd = _evolve(c, b.pre[1], i_pre, i_post, live)
     try:
-        post = _post_state(b.post, fwd[-1])
+        post = _post_state(b.post, fwd[-1][0])
     except OrthogonalBoundariesError:
         return fwd, None
-    return fwd, evolve(c, post, i_post, i_pre)[::-1]
+    return fwd, _evolve(c, post, i_post, i_pre, live)[::-1]
 
 
-def _weak_values(parts: list[StateVector], fwd: StateVector,
-                 bwd: StateVector) -> list[complex] | None:
+def _weak_values(parts: list[StateVector], fwd: tuple[StateVector, int],
+                 bwd: tuple[StateVector, int]) -> list[complex] | None:
     """Weak value of each projector between a forward and a backward state at
-    one stamp, given each projector's part of fwd; None when their transition
-    amplitude vanishes."""
-    den = inner(bwd, fwd)
+    one stamp, each with its ledger's size, given each projector's part of the
+    forward state; None when their transition amplitude vanishes.  The sums
+    iterate the smaller state counting its ledger, as inner does over full
+    states."""
+    (f, nf), (w, nw) = fwd, bwd
+    den = inner(w, f, nw, nf)
     if abs(den) < ATOL_DENOM:
         return None
-    return [inner(bwd, part) / den for part in parts]
+    return [inner(w, part, nw, 0) / den for part in parts]
 
 
 def _arm_parts(s: StateVector, arms: tuple[str, ...]) -> list[StateVector]:
@@ -184,8 +218,8 @@ def weak_value(pi: Projector, b: BoundaryPair, t: str, c: CircuitSchedule) -> co
     """Two-state-vector weak value of pi at stamp t between the pair's boundaries."""
     i_pre, i_post = _pair_window(c, b)
     k = _window_index(c, t, i_pre, i_post) - i_pre
-    fwd, bwd = _trajectories(c, b, i_pre, i_post)
-    w = None if bwd is None else _weak_values([project(pi, fwd[k])[0]], fwd[k], bwd[k])
+    fwd, bwd = _trajectories(c, b, i_pre, i_post, _live(c, b.pre[1], b.post[1], pi))
+    w = None if bwd is None else _weak_values([project(pi, fwd[k][0])[0]], fwd[k], bwd[k])
     if w is None:
         raise OrthogonalBoundariesError(f"the boundaries are orthogonal at stamp {t!r}")
     return w[0]
@@ -208,13 +242,13 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
     """
     i_pre, i_post = _pair_window(c, b)
     arms = arm_paths(c)
-    fwd, bwd = _trajectories(c, b, i_pre, i_post)
+    fwd, bwd = _trajectories(c, b, i_pre, i_post, _live(c, b.pre[1], b.post[1]))
     out: dict[tuple[str, str], complex | None] = {}
     for i, stamp in enumerate(c.stamps):
         ws = None
         if bwd is not None and i_pre <= i <= i_post:
             here = fwd[i - i_pre]
-            ws = _weak_values(_arm_parts(here, arms), here, bwd[i - i_pre])
+            ws = _weak_values(_arm_parts(here[0], arms), here, bwd[i - i_pre])
         for a, arm in enumerate(arms):
             out[(arm, stamp)] = None if ws is None else ws[a]
     return out
@@ -254,11 +288,13 @@ def _couple_pointer(pi: Projector, psi0: StateVector, psi1: StateVector,
             _rotated(psi1, p1, cm1, {k: x * sn for k, x in p0.items()}))
 
 
-def _read_pointer(spec: Projector | StateVector, psi0: StateVector, psi1: StateVector) -> float:
-    """Conditioned transverse pointer reading of both branches at the post stamp."""
+def _read_pointer(spec: Projector | StateVector, psi0: StateVector, n0: int,
+                  psi1: StateVector, n1: int) -> float:
+    """Conditioned transverse pointer reading of both branches at the post
+    stamp, given with their ledgers' sizes."""
     if isinstance(spec, StateVector):
-        a0 = inner(spec, psi0)
-        a1 = inner(spec, psi1)
+        a0 = inner(spec, psi0, 0, n0)
+        a1 = inner(spec, psi1, 0, n1)
         num = 2.0 * ((a0.conjugate() * a1).real)
         den = abs(a0) ** 2 + abs(a1) ** 2
     else:
@@ -271,12 +307,17 @@ def _read_pointer(spec: Projector | StateVector, psi0: StateVector, psi1: StateV
     return num / den
 
 
-def _probe(c: CircuitSchedule, spec: Projector | StateVector, pi: Projector, here: StateVector,
-           i_t: int, i_post: int, epsilon: float) -> float:
-    """Pointer signal of one coupling of pi to the forward state here at stamp i_t:
-    both pointer branches ride the schedule to the post stamp i_post."""
-    (psi0, _), (psi1, _) = _couple_pointer(pi, here, StateVector(), epsilon)
-    return _read_pointer(spec, evolve(c, psi0, i_t, i_post)[-1], evolve(c, psi1, i_t, i_post)[-1])
+def _probe(c: CircuitSchedule, spec: Projector | StateVector, pi: Projector,
+           here: tuple[StateVector, int], i_t: int, i_post: int, epsilon: float,
+           live: bool) -> float:
+    """Pointer signal of one coupling of pi to the forward state here (with its
+    ledger's size) at stamp i_t: both pointer branches ride the schedule to the
+    post stamp i_post.  Branch 1 starts empty, so only branch 0 carries here's
+    ledger."""
+    (psi0, _), (psi1, _) = _couple_pointer(pi, here[0], StateVector(), epsilon)
+    psi0, n0 = _evolve(c, psi0, i_t, i_post, live)[-1]
+    psi1, n1 = _evolve(c, psi1, i_t, i_post, live)[-1]
+    return _read_pointer(spec, psi0, n0 + here[1], psi1, n1)
 
 
 def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
@@ -286,16 +327,19 @@ def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
     A two-level pointer starts in its reference state, is rotated by epsilon
     on the arm's occupation at stamp t, and both pointer branches ride the
     schedule to the post stamp.  The conditioned transverse expectation is
-    epsilon * Re(weak value) to first order, and second order in epsilon
-    when the weak value vanishes.
+    epsilon * Re(weak value) to first order.  The signal is odd in epsilon
+    (the branch rotated by -epsilon is the same with branch 1 negated), so
+    the next term is third order.
     """
     if epsilon == 0.0:
         return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
     i_t = _window_index(c, t, i_pre, i_post)
-    here = evolve(c, b.pre[1], i_pre, i_t)[-1]
-    return _probe(c, b.post[1], projector(paths=arm), here, i_t, i_post, epsilon)
+    pi = projector(paths=arm)
+    live = _live(c, b.pre[1], b.post[1], pi)
+    here = _evolve(c, b.pre[1], i_pre, i_t, live)[-1]
+    return _probe(c, b.post[1], pi, here, i_t, i_post, epsilon, live)
 
 
 def channel_probe_signal(c: CircuitSchedule, epsilon: float,
@@ -311,13 +355,16 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
     pi = projector(paths=arm)
-    maps = c.step_maps()
+    live = _live(c, b.pre[1], b.post[1], pi)
+    maps, feeds = _stepping(c, live)
+    l0, l1 = _Ledger(live), _Ledger(live)  # the coupling touches no fed sink
     (psi0, n0), (psi1, n1) = _couple_pointer(pi, b.pre[1], StateVector(), epsilon)
     for j in range(i_pre + 1, i_post + 1):  # both branches one step each, then couple again
-        m = maps[j - 1]
-        (psi0, n0), (psi1, n1) = _couple_pointer(pi, _checked_step(c, m, psi0, n0, j),
-                                                 _checked_step(c, m, psi1, n1, j), epsilon)
-    return _read_pointer(b.post[1], psi0, psi1)
+        m, fed = maps[j - 1], feeds[j - 1] if feeds else ()
+        (psi0, n0), (psi1, n1) = _couple_pointer(
+            pi, _checked_step(c, m, psi0, n0 + l0.n2, j, fed, l0),
+            _checked_step(c, m, psi1, n1 + l1.n2, j, fed, l1), epsilon)
+    return _read_pointer(b.post[1], psi0, len(l0), psi1, len(l1))
 
 
 def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
@@ -325,13 +372,17 @@ def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
     """Rows of one boundary pair's (arm, stamp) cells, from one forward and one
     backward trajectory."""
     i_pre, i_post = _pair_window(c, b)
-    fwd, bwd = _trajectories(c, b, i_pre, i_post)
+    pis = {arm: projector(paths=arm) for arm, _ in cells}
+    live = _live(c, b.pre[1], b.post[1], *pis.values())
+    fwd, bwd = _trajectories(c, b, i_pre, i_post, live)
     rows = []
     for arm, stamp in cells:
         i_t = _window_index(c, stamp, i_pre, i_post)
-        here, pi = fwd[i_t - i_pre], projector(paths=arm)
-        w = None if bwd is None else _weak_values([project(pi, here)[0]], here, bwd[i_t - i_pre])
-        sig = 0.0 if epsilon == 0.0 else _probe(c, b.post[1], pi, here, i_t, i_post, epsilon)
+        here, pi = fwd[i_t - i_pre], pis[arm]
+        w = None if bwd is None else _weak_values([project(pi, here[0])[0]], here,
+                                                  bwd[i_t - i_pre])
+        sig = 0.0 if epsilon == 0.0 else _probe(c, b.post[1], pi, here, i_t, i_post, epsilon,
+                                                live)
         rows.append({"arm": arm, "stamp": stamp,
                      "weak_value": None if w is None else [w[0].real, w[0].imag],
                      "probe_signal": sig, "boundaries": bname})
@@ -343,9 +394,10 @@ def paradox_report(M: int, N: int, *, av_rounds: int = 0,
     """Numeric contrast of end-to-end and per-cycle channel presence.
 
     End-to-end boundaries find the channel arm occupied in the first cycle
-    (nonzero weak value, first-order probe signal) but not in the second;
-    per-cycle boundaries find it occupied in neither.  With av_rounds >= 1
-    the first-cycle end-to-end entry is suppressed as well.
+    (nonzero weak value, first-order probe signal).  Only at M = 2 do they
+    find it empty in the second; at larger M its weak value there equals the
+    first cycle's.  Per-cycle boundaries find it occupied in neither.  With
+    av_rounds >= 1 the first-cycle end-to-end entry is suppressed as well.
     """
     c = build_paradox_circuit(M, N)
     first = "c1.in1"
@@ -448,12 +500,14 @@ def _kets(c: CircuitSchedule, pre: tuple[str, StateVector],
     ends = [c.index_of(stamp) for stamp, _ in slots] + [c.index_of(post[0])]
     if any(i >= j for i, j in zip([i_pre, *ends], ends)):
         raise QStateError("history stamps must strictly increase from pre to post")
+    # live, no projector matches a fresh sink, so each evolution starts its own ledger
+    live = _live(c, pre[1], post[1], *(pi for _, offers in slots for pi in offers))
     kets: list[StateVector] = []
 
     def walk(depth: int, s: StateVector, i: int) -> None:
         j = ends[depth]
         if s:
-            s = evolve(c, s, i, j)[-1]
+            s = evolve(c, s, i, j, _Ledger(live))[-1]
         if depth == len(slots):
             kets.append(project(post[1], s)[0].pruned())
             return

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .qstate import (
     PRUNE_EPS,
@@ -35,6 +36,7 @@ from .qstate import (
     _is_pol,
     _is_real,
     compose,
+    is_sink,
     label,
     projector,
 )
@@ -196,6 +198,94 @@ def step_map(elements: tuple[Element, ...], universe: tuple[BasisLabel, ...]) ->
 
 
 @dataclass
+class _Plan:
+    """A schedule compiled for stepping: one map per step shape, shared by every
+    step of that shape, and the fresh sinks each step feeds as (label in the
+    shape's map, the step's own label) pairs.  The analysis engines step these
+    maps with a ledger; step_maps() renames them to each step's own sinks."""
+
+    maps: tuple[LinearMap, ...]
+    feeds: tuple[tuple[tuple[BasisLabel, BasisLabel], ...], ...]
+    fresh: frozenset[str]  # sink paths that exactly one step touches
+    _adjoints: tuple[LinearMap, ...] | None = None
+
+    def adjoints(self) -> tuple[LinearMap, ...]:
+        """Adjoint of each step's map, built on first use, one per shape."""
+        if self._adjoints is None:
+            adjoints = {m: m.adjoint() for m in dict.fromkeys(self.maps)}
+            self._adjoints = tuple(map(adjoints.__getitem__, self.maps))
+        return self._adjoints
+
+
+def _compile_plan(c: CircuitSchedule) -> _Plan:
+    """c's plan: steps whose element tuples differ only in the names of fresh
+    sinks share one map, compiled and audited for the first of them."""
+    sinks: dict[int, list[str]] = {}  # step object -> the sink paths its arms name, in order
+    touches: dict[str, int] = {}
+    prev = s = None
+    for els in c.steps:
+        if els is not prev:  # a run of one step object is looked up once
+            s = sinks.get(id(els))
+            if s is None:
+                s = sinks[id(els)] = [a for a in dict.fromkeys(a for el in els for a in el.arms)
+                                      if is_sink(a)]
+            prev = els
+        for p in s:
+            touches[p] = touches.get(p, 0) + 1
+    fresh = frozenset(p for p, n in touches.items() if n == 1)
+    index = _label_index(c.universe)
+    pos = index[1]
+    paths: dict[str, list[BasisLabel]] = {}  # path -> its labels in universe order
+    for lbl in c.universe:
+        paths.setdefault(lbl.path, []).append(lbl)
+    # a map's columns sort by universe position: with every fresh sink label after
+    # all other labels, renaming a step's fresh sinks keeps its column order if it
+    # keeps their labels' own order
+    first = next((i for i, lbl in enumerate(c.universe) if lbl.path in fresh), len(c.universe))
+    share = all(lbl.path in fresh for lbl in c.universe[first:])
+
+    element_maps: dict[int, LinearMap] = {}
+    products: dict[tuple[LinearMap, LinearMap], LinearMap] = {}
+    shapes: dict[object, tuple[LinearMap, list[BasisLabel]]] = {}  # -> map, its fresh labels
+    maps, feeds = [], []
+    prev = m = fed = None
+    for els in c.steps:
+        if els is not prev:
+            place = {p: i for i, p in enumerate(p for p in sinks[id(els)] if p in fresh)}
+            labels = sorted((lbl for p in place for lbl in paths.get(p, ())), key=pos.__getitem__)
+            key = els
+            if place and share:
+                # the step up to its fresh sink names, which become their places: each
+                # element (the others by object, as the builder shares them) and each
+                # fresh label's place, polarization and control bit in universe order
+                key = (tuple((el.kind, el.name, tuple(place.get(a, a) for a in el.arms), el.params)
+                             if not place.keys().isdisjoint(el.arms) else id(el) for el in els),
+                       tuple((place[lbl.path], lbl.pol, lbl.bob) for lbl in labels))
+            hit = shapes.get(key)
+            if hit is None:
+                hit = shapes[key] = _step_map(els, index, element_maps, products), labels
+            m, fed, prev = hit[0], tuple(zip(hit[1], labels)), els
+        maps.append(m)
+        feeds.append(fed)
+    return _Plan(tuple(maps), tuple(feeds), fresh)
+
+
+def _own_maps(maps: tuple[LinearMap, ...], feeds) -> tuple[LinearMap, ...]:
+    """Each step's map renamed by its fed sinks' pairs, built once per distinct pair."""
+    own: dict[tuple[int, tuple], LinearMap] = {}
+    out = []
+    pm = pf = x = None
+    for m, fed in zip(maps, feeds):
+        if m is not pm or fed is not pf:  # a run of one step object is looked up once
+            x = own.get((id(m), fed))
+            if x is None:
+                x = own[id(m), fed] = m._renamed(fed)
+            pm, pf = m, fed
+        out.append(x)
+    return tuple(out)
+
+
+@dataclass
 class CircuitSchedule:
     """Ordered time stamps plus one composite element step between each pair."""
 
@@ -206,52 +296,53 @@ class CircuitSchedule:
     post_projector: Projector | None = None
     aliases: dict[str, str] = field(default_factory=dict)
     meta: dict[str, object] = field(default_factory=dict)
-    _maps: tuple[LinearMap, ...] | None = field(default=None, repr=False, compare=False)
-    _adj_maps: tuple[LinearMap, ...] | None = field(default=None, repr=False, compare=False)
+    # compiled on first use; dataclasses.replace() builds a copy without them
+    _maps: tuple[LinearMap, ...] | None = field(default=None, init=False, repr=False,
+                                                compare=False)
+    _adj_maps: tuple[LinearMap, ...] | None = field(default=None, init=False, repr=False,
+                                                    compare=False)
+    _engine: _Plan | None = field(default=None, init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stamps) != len(self.steps) + 1:
             raise QStateError("schedule needs exactly one step between consecutive stamps")
-        if len(set(self.stamps)) != len(self.stamps):
+        self._index = {s: i for i, s in enumerate(self.stamps)}
+        if len(self._index) != len(self.stamps):
             raise QStateError("time stamps must be unique")
 
     def resolve(self, stamp: str) -> str:
         return self.aliases.get(stamp, stamp)
 
     def index_of(self, stamp: str) -> int:
-        s = self.resolve(stamp)
-        try:
-            return self.stamps.index(s)
-        except ValueError:
-            raise QStateError(f"stamp {stamp!r} not in schedule") from None
+        i = self._index.get(self.resolve(stamp))
+        if i is None:
+            raise QStateError(f"stamp {stamp!r} not in schedule")
+        return i
 
     def step_maps(self) -> tuple[LinearMap, ...]:
-        """One audited map per step; equal element tuples share one map object."""
+        """One audited map per step; equal element tuples share one map object.
+
+        Each is the plan's map of the step's shape with the shape's fresh
+        sinks renamed the step's own.
+        """
         if self._maps is None:
-            index = _label_index(self.universe)
-            element_maps: dict[int, LinearMap] = {}
-            products: dict[tuple[LinearMap, LinearMap], LinearMap] = {}
-            slots: dict[tuple[Element, ...], int] = {}  # element tuple -> its map in built
-            built: list[LinearMap] = []
-            out = []
-            prev = m = None
-            for els in self.steps:
-                if els is not prev:  # a run of one tuple object hashes no Element
-                    i = slots.setdefault(els, len(built))  # each new step hashed once
-                    if i == len(built):
-                        built.append(_step_map(els, index, element_maps, products))
-                    m, prev = built[i], els
-                out.append(m)
-            self._maps = tuple(out)
+            plan = self._plan()
+            self._maps = _own_maps(plan.maps, plan.feeds)
         return self._maps
 
     def adjoint_step_maps(self) -> tuple[LinearMap, ...]:
         """Adjoint of each step map, same step order as step_maps()."""
         if self._adj_maps is None:
-            maps = self.step_maps()
-            adjoints = {m: m.adjoint() for m in dict.fromkeys(maps)}
-            self._adj_maps = tuple(adjoints[m] for m in maps)
+            plan = self._plan()
+            self._adj_maps = _own_maps(plan.adjoints(), plan.feeds)
         return self._adj_maps
+
+    def _plan(self) -> _Plan:
+        """The plan that the engines step and step_maps() derive from, compiled once."""
+        if self._engine is None:
+            self._engine = _compile_plan(self)
+        return self._engine
 
 
 @dataclass
@@ -265,13 +356,45 @@ class TrajectoryRecord:
         return self.states[self.schedule.resolve(stamp)]
 
 
-def _checked_step(c: CircuitSchedule, m: LinearMap, s: StateVector, base: float,
-                  k: int) -> StateVector:
+class _Ledger(list):
+    """The fresh sinks one evolution fed, as (label, amplitude) pairs in feeding
+    order; n2 is their norm**2 and marks the ledger's length at each stamp
+    stepped.  With live False the evolution steps full states and feeds none."""
+
+    __slots__ = ("live", "n2", "marks")
+
+    def __init__(self, live: bool = True):
+        self.live, self.n2, self.marks = live, 0.0, []
+
+
+def _stepping(c: CircuitSchedule, live: bool, backward: bool = False):
+    """Each step's map and fed sinks: the plan's when live, else the full maps
+    (adjoints when backward) with None for the feeds."""
+    if live:
+        plan = c._plan()
+        return (plan.adjoints() if backward else plan.maps), plan.feeds
+    return (c.adjoint_step_maps() if backward else c.step_maps()), None
+
+
+def _checked_step(c: CircuitSchedule, m: LinearMap, s: StateVector, base: float, k: int,
+                  fed=(), ledger: _Ledger | None = None) -> StateVector:
     """apply(m, s).pruned(); ConservationError unless its norm**2 at stamp k stays
-    within ATOL_CONSERVE of base."""
+    within ATOL_CONSERVE of base.
+
+    Each (label, own) pair in fed moves the kept sum at label out of the state
+    and onto the ledger under own; the checked norm**2 then adds the ledger's.
+    """
     out = _accumulate(m, s)
-    n2, cut = 0.0, False
-    for v in out.values():  # the kept norm**2 in StateVector.norm2's order
+    if fed:
+        for lbl, own in fed:
+            v = out.pop(lbl, None)
+            if v is not None:
+                x = v.real * v.real + v.imag * v.imag
+                if x > _KEEP2 or abs(v) > PRUNE_EPS:
+                    ledger.append((own, v))
+                    ledger.n2 += x
+    n2, cut = (0.0 if ledger is None else ledger.n2), False
+    for v in out.values():  # the kept norm**2 in StateVector.norm2's order, after the ledger's
         x = v.real * v.real + v.imag * v.imag
         if x > _KEEP2 or abs(v) > PRUNE_EPS:  # pruned() keeps v if abs(v) > PRUNE_EPS
             n2 += x
@@ -285,23 +408,33 @@ def _checked_step(c: CircuitSchedule, m: LinearMap, s: StateVector, base: float,
     return StateVector._wrap(out)
 
 
-def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int) -> list[StateVector]:
+def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int,
+           ledger: _Ledger | None = None) -> list[StateVector]:
     """States at stamps i0..i1 in stepping order, checking conservation per stamp.
 
-    Steps forward through step_maps(), or backward through
-    adjoint_step_maps() when i1 < i0.  Every stamp's norm**2 must stay
-    within ATOL_CONSERVE of the start's, else ConservationError.
+    Steps forward, or backward through the adjoint maps when i1 < i0.  Every
+    stamp's norm**2 must stay within ATOL_CONSERVE of the start's, else
+    ConservationError.  Without a ledger, or with one that is not live, the
+    states are full and step through step_maps().  With a live ledger they
+    step through the plan: each fresh sink leaves the state at the step that
+    feeds it for the ledger, so a state's full size is its length plus the
+    ledger's mark at its stamp.  s must then hold no fresh sink label.
     """
-    base = s.norm2()
-    if i1 >= i0:
-        steps = zip(range(i0 + 1, i1 + 1), c.step_maps()[i0:i1])
+    if ledger is None:
+        ledger = _Ledger(False)
+    maps, feeds = _stepping(c, ledger.live, i1 < i0)
+    if i1 >= i0:  # ks: the stamp each step leads to; step k lies between stamps k and k + 1
+        ks, maps, feeds = range(i0 + 1, i1 + 1), maps[i0:i1], feeds and feeds[i0:i1]
     else:
-        adj = c.adjoint_step_maps()
-        steps = ((k, adj[k]) for k in range(i0 - 1, i1 - 1, -1))
+        ks, maps, feeds = range(i0 - 1, i1 - 1, -1), maps[i1:i0][::-1], feeds and feeds[i1:i0][::-1]
+    base = s.norm2() + ledger.n2
+    marks = ledger.marks
+    marks.append(len(ledger))
     states = [s]
-    for k, m in steps:
-        s = _checked_step(c, m, s, base, k)
+    for k, m, fed in zip(ks, maps, feeds or repeat(())):
+        s = _checked_step(c, m, s, base, k, fed, ledger)
         states.append(s)
+        marks.append(len(ledger))
     return states
 
 

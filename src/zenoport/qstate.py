@@ -314,6 +314,21 @@ class LinearMap:
         m.domain, m.kind, m.name = self.domain, self.kind, self.name
         return m
 
+    def _renamed(self, pairs) -> "LinearMap":
+        """This audited map with each (label, new) pair's label renamed new,
+        where it stands in the columns' order; each new label must be of the
+        domain and unused by the map.  Shares the columns the renaming leaves
+        alone, skips a second audit."""
+        new = {a: b for a, b in pairs if a != b}
+        if not new:
+            return self
+        m = object.__new__(LinearMap)
+        m.columns = {new.get(src, src): (col if new.keys().isdisjoint(col) else
+                                         {new.get(dst, dst): a for dst, a in col.items()})
+                     for src, col in self.columns.items()}
+        m.domain, m.kind, m.name = self.domain, self.kind, self.name
+        return m
+
     def adjoint(self) -> "LinearMap":
         cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}
         for src, col in self.columns.items():
@@ -385,10 +400,15 @@ def project(p: Projector, s: StateVector) -> tuple[StateVector, float]:
     return kept, kept.norm2()
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Conjugate-linear in a, linear in b."""
+def inner(a: StateVector, b: StateVector, na: int = 0, nb: int = 0) -> complex:
+    """Conjugate-linear in a, linear in b.
+
+    The sum iterates the state with fewer labels.  na and nb count labels of
+    a and b kept elsewhere (an evolution's ledger of fed sinks), which pair
+    with none in the other state but count toward its size.
+    """
     a_amps, b_amps = a._amps, b._amps
-    small, big = (a_amps, b_amps) if len(a_amps) <= len(b_amps) else (b_amps, a_amps)
+    small, big = (a_amps, b_amps) if len(a_amps) + na <= len(b_amps) + nb else (b_amps, a_amps)
     total = 0j
     for k in small:
         if k in big:

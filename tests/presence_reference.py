@@ -3,18 +3,42 @@ in ``zenoport.analysis`` are checked against bit for bit.
 
 Every weak value and probe evolves its own boundary pair, the pointer
 rotation is StateVector arithmetic, and a chain ket steps through its
-history one event at a time.  Only ``optics.evolve`` and the ``qstate``
-primitives are shared with the package.  Inputs are taken as valid: nothing
-here checks boundary windows, normalization or time order.
+history one event at a time.  States are stepped whole, sinks included,
+through the schedule's public step maps with ``apply(m, s).pruned()``; only
+those maps and the ``qstate`` primitives are shared with the package.
+Inputs are taken as valid: nothing here checks boundary windows,
+normalization or time order.
 """
 
 import math
 
-from zenoport.optics import evolve
-from zenoport.qstate import StateVector, inner, is_sink, project, projector
+from zenoport.qstate import (
+    ConservationError,
+    StateVector,
+    apply,
+    inner,
+    is_sink,
+    project,
+    projector,
+)
 
+ATOL_CONSERVE = 1e-12
 ATOL_DENOM = 1e-12
 P_EMPTY = 1e-300
+
+
+def evolve(c, s, i0, i1):
+    """Full states at stamps i0..i1, forward through step_maps() or backward
+    through adjoint_step_maps(); every stamp's norm**2 must stay within
+    ATOL_CONSERVE of the start's."""
+    maps = c.step_maps()[i0:i1] if i1 >= i0 else c.adjoint_step_maps()[i1:i0][::-1]
+    base, states = s.norm2(), [s]
+    for m in maps:
+        s = apply(m, s).pruned()
+        if not abs(s.norm2() - base) <= ATOL_CONSERVE:
+            raise ConservationError(f"probability drifted to {s.norm2():.15f}")
+        states.append(s)
+    return states
 
 
 def _two_states(c, b):

@@ -36,7 +36,7 @@ from zenoport.analysis import (
     weak_value,
 )
 from zenoport.cli import main
-from zenoport.optics import build_paradox_circuit
+from zenoport.optics import CircuitSchedule, block, build_paradox_circuit, pbs, route, spr
 from zenoport.qstate import (
     ConservationError,
     LinearMap,
@@ -455,40 +455,68 @@ def test_builtin_families_need_a_two_level_schedule():
         builtin_families(bare)
 
 
-def drifting_circuit(step=0, adjoint=False):
-    """The (2, 2) circuit with one step map (or its adjoint) scaled to lose probability."""
-    c = build_paradox_circuit(2, 2)
-    maps = list(c.adjoint_step_maps() if adjoint else c.step_maps())
+def _scaled(maps, step, rows=None):
+    """maps with the one at step scaled by 0.5 (only in the rows that rows()
+    accepts, when given), as a general map that the audit does not refuse."""
+    maps = list(maps)
     m = maps[step]
-    maps[step] = LinearMap({src: {dst: 0.5 * a for dst, a in col.items()}
+    maps[step] = LinearMap({src: {dst: 0.5 * a if rows is None or rows(dst) else a
+                                  for dst, a in col.items()}
                             for src, col in m.columns.items()}, kind="general", name="lossy",
                            domain=m.domain)
-    if adjoint:
-        c._adj_maps = tuple(maps)
-    else:
-        c._maps = tuple(maps)
+    return tuple(maps)
+
+
+def _drift(c, step, forward=True, backward=False, rows=None):
+    """c with the plan's map at step (forward) and its adjoint (backward) scaled.
+    The engines step the plan, and the public views step the maps derived from
+    it; a forward drift alone carries over to the adjoint."""
+    plan = c._plan()
+    adjoints = _scaled(plan.adjoints(), step, rows) if backward else None
+    c._engine = dataclasses.replace(plan, maps=_scaled(plan.maps, step, rows) if forward
+                                    else plan.maps, _adjoints=adjoints)
     return c
 
 
+def drifting_circuit(step=0, adjoint=False):
+    """The (2, 2) circuit with one step map (or its adjoint) scaled to lose probability."""
+    return _drift(build_paradox_circuit(2, 2), step, not adjoint, adjoint)
+
+
 def _cycle1_ket(c):
-    fam = builtin_families(c)["cycle1"]
-    return chain_ket(fam.histories()[0], fam, c)
+    fam = builtin_families(c)["cycle1"]  # a history through the channel arm C at c1.in1
+    return chain_ket(next(h for h in fam.histories() if h.names[:2] == ("D", "C")), fam, c)
 
 
-@pytest.mark.parametrize("engine", [
-    lambda c: forward_state(c, ("t0", c.pre_state), "t_final"),
-    lambda c: backward_state(c, ("t_final", StateVector({label("F", "H"): 1.0})), "t0"),
-    lambda c: weak_value(projector(paths="C"), end_to_end_boundaries(c), "c1.in1", c),
-    lambda c: weak_trace_map(c, end_to_end_boundaries(c)),
-    lambda c: simulate_weak_probe(c, "C", "c1.in1", 1e-3),
-    lambda c: channel_probe_signal(c, 1e-3),
-    _cycle1_ket,
-    lambda c: evaluate_family(builtin_families(c)["cycle1"], c),
-], ids=["forward_state", "backward_state", "weak_value", "weak_trace_map",
-        "simulate_weak_probe", "channel_probe_signal", "chain_ket", "evaluate_family"])
+ENGINES = {
+    "forward_state": lambda c: forward_state(c, ("t0", c.pre_state), "t_final"),
+    "backward_state": lambda c: backward_state(c, ("t_final", StateVector({label("F", "H"): 1.0})),
+                                               "t0"),
+    "weak_value": lambda c: weak_value(projector(paths="C"), end_to_end_boundaries(c), "c1.in1", c),
+    "weak_trace_map": lambda c: weak_trace_map(c, end_to_end_boundaries(c)),
+    "simulate_weak_probe": lambda c: simulate_weak_probe(c, "C", "c1.in1", 1e-3),
+    "channel_probe_signal": lambda c: channel_probe_signal(c, 1e-3),
+    "chain_ket": _cycle1_ket,
+    "evaluate_family": lambda c: evaluate_family(builtin_families(c)["cycle1"], c),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES.values(), ids=ENGINES)
 def test_every_engine_checks_conservation_per_stamp(engine):
     with pytest.raises(ConservationError, match="drifted"):
         engine(drifting_circuit())
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_a_drift_in_what_a_step_feeds_a_sink_is_caught_at_its_stamp(name):
+    # step 2 of the blocked (2, 2) circuit feeds SinkBlock#1.1, which the engines
+    # keep in a ledger, out of the state they step: only the ledger's norm**2
+    # shows that the step and its adjoint feed the sink half of what they take
+    c = _drift(build_paradox_circuit(2, 2, block_channel=True), 2, True, True,
+               rows=lambda dst: dst.path == "SinkBlock#1.1")
+    stamp = "c1.in1" if name == "backward_state" else "c1.in2"  # the adjoint step leads back
+    with pytest.raises(ConservationError, match=f"drifted to .* at stamp {stamp} "):
+        ENGINES[name](c)
 
 
 def test_paradox_conservation_breach_exits_3(monkeypatch, capsys):
@@ -630,6 +658,120 @@ def test_public_views_equal_the_reference_bitwise(m, av, blocked):
         b = list(pairs.values())[n % len(pairs)]
         assert channel_probe_signal(c, eps, boundaries=b).hex() == \
             ref.channel_probe_signal(c, eps, b).hex()
+
+
+def _same_as_the_reference(c, b, family_menus=()):
+    """weak_trace_map, both probes and (given slot menus) a family's kets of one
+    boundary pair equal the full-state reference replay bit for bit."""
+    assert {k: _hexed(v) for k, v in weak_trace_map(c, b).items()} == \
+        {k: _hexed(v) for k, v in ref.weak_trace_map(c, b).items()}
+    assert channel_probe_signal(c, 2.5e-3, b).hex() == ref.channel_probe_signal(c, 2.5e-3, b).hex()
+    t = c.stamps[c.index_of(b.pre[0]) + 1]
+    for arm in arm_paths(c):
+        assert simulate_weak_probe(c, arm, t, 2.5e-3, b).hex() == \
+            ref.simulate_weak_probe(c, arm, t, 2.5e-3, b).hex()
+    if family_menus:
+        f = Family("f", b.pre, b.post, family_menus)
+        for k in evaluate_family(f, c).kets:
+            assert _bits(k.state) == _bits(ref.history_ket(k.history, f, c))
+
+
+def test_sink_amplitude_in_a_boundary_steps_like_the_full_maps():
+    # SinkBlock#1.1 is fed at c1.in2, after the pre stamp: a pre or post state
+    # holding amplitude on it, or a projector that matches it, makes the engines
+    # step full states, as the reference does
+    c = build_paradox_circuit(2, 3, block_channel=True)
+    sh, fh, sink = label("S", "H"), label("F", "H"), label("SinkBlock#1.1", "H")
+    menus = builtin_families(c)["final_via_cycle1"].slots  # a family needs a projector post
+    for b, family_menus in (
+            (BoundaryPair(("t0", StateVector({sh: 0.6, sink: 0.8})),
+                          ("t_final", projector(paths="F"))), menus),
+            (BoundaryPair(("t0", StateVector({sh: 1.0})),
+                          ("t_final", StateVector({fh: 0.6, sink: 0.8}))), ()),
+            (BoundaryPair(("t0", StateVector({sh: 1.0})),
+                          ("t_final", projector(paths=("F", "SinkBlock#1.1")))), menus)):
+        assert not analysis._live(c, b.pre[1], b.post[1])
+        _same_as_the_reference(c, b, family_menus)
+
+
+def test_a_sink_that_two_steps_touch_stays_live():
+    # SinkX is fed at step 1 and emptied into A at step 3, so it is no fresh
+    # sink: the engines step it with the live labels; SinkY is fed once
+    uni = (*(label(p, pol) for p in ("S", "A") for pol in ("H", "V")),
+           label("SinkX", "H"), label("SinkY", "V"))
+    steps = ((spr(0.3, "S"),), (block("S", "SinkX"),), (spr(0.5, "S"),),
+             (route("SinkX", "H", "A"), block("S", "SinkY", ("V",))), (spr(0.2, "A"),))
+    c = CircuitSchedule(stamps=tuple(f"t{k}" for k in range(6)), steps=steps, universe=uni,
+                        pre_state=StateVector({label("S", "H"): 1.0}))
+    assert c._plan().fresh == {"SinkY"}
+    b = BoundaryPair(("t0", c.pre_state), ("t5", projector(paths="A")))
+    assert analysis._live(c, b.pre[1], b.post[1])
+    _same_as_the_reference(c, b, (("t2", ((a, projector(paths=a)) for a in ("S", "A"))),))
+
+
+_ROTATION, _SPLIT, _MERGE = spr(0.7, "S"), pbs("S", "A", "B"), pbs("S", "A", "B", name="merge")
+_SINKS = tuple(f"Sink{k}" for k in range(5))
+
+
+@st.composite
+def _schedules(draw):
+    """A small schedule over S, A, B and five sinks: each step is a rotation or
+    splitter shared by object, then maybe a new block or route element that
+    feeds or empties a sink, some sinks from two steps.  The universe order is
+    drawn: anywhere, or with the sinks that one step touches after all other
+    labels."""
+    plain = st.sampled_from([(_ROTATION, _SPLIT), (_MERGE, _ROTATION)])
+    feed = st.builds(lambda arm, sink: (block(arm, sink, ("H", "V")),),
+                     st.sampled_from("AB"), st.sampled_from(_SINKS))
+    empty = st.builds(lambda sink, pol, arm: (route(sink, pol, arm),),
+                      st.sampled_from(_SINKS), st.sampled_from("HV"), st.sampled_from("SAB"))
+    step = st.builds(lambda shared, sink: shared + sink, plain, st.one_of(feed, empty, st.just(())))
+    steps = draw(st.lists(step, min_size=3, max_size=8))
+    # and a few steps of one shape that differ only in sinks that no other step touches
+    shared, arm = draw(plain), draw(st.sampled_from("AB"))
+    for k in range(draw(st.integers(0, 3))):
+        steps.insert(draw(st.integers(0, len(steps))), (*shared, block(arm, f"SinkR{k}")))
+    steps = tuple(steps)
+    touches = [a for els in steps for a in {a for el in els for a in el.arms}]
+    paths = ("S", "A", "B", *_SINKS, "SinkR0", "SinkR1", "SinkR2")
+    labels = [label(p, pol) for p in paths for pol in ("H", "V")]
+    if draw(st.booleans()):
+        fresh = [lbl for lbl in labels if touches.count(lbl.path) == 1]
+        rest = [lbl for lbl in labels if lbl not in fresh]
+        universe = (*draw(st.permutations(rest)), *draw(st.permutations(fresh)))
+    else:
+        universe = tuple(draw(st.permutations(labels)))
+    stamps = tuple(f"t{k}" for k in range(len(steps) + 1))
+    return CircuitSchedule(stamps=stamps, steps=steps, universe=universe,
+                           pre_state=StateVector({label("S", "H"): 1.0}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=_schedules(), arm=st.sampled_from("SAB"))
+def test_drawn_schedules_step_like_the_full_maps(c, arm):
+    def entries(m):
+        return [(src, [(dst, repr(a)) for dst, a in col.items()]) for src, col in m.columns.items()]
+    for els, m in zip(c.steps, c.step_maps()):  # the shared compile, renamed per step
+        assert entries(m) == entries(optics.step_map(els, c.universe))
+    b = BoundaryPair(("t0", c.pre_state), (c.stamps[-1], projector(paths=arm)))
+    assert {k: _hexed(v) for k, v in weak_trace_map(c, b).items()} == \
+        {k: _hexed(v) for k, v in ref.weak_trace_map(c, b).items()}
+    assert channel_probe_signal(c, 2.5e-3, b, arm).hex() == \
+        ref.channel_probe_signal(c, 2.5e-3, b, arm).hex()
+
+
+@pytest.mark.parametrize("kw", [{"M": 2, "N": 2}, {"M": 4, "N": 12},
+                                {"M": 3, "N": 7, "av_rounds": 1},
+                                {"M": 4, "N": 12, "av_rounds": 2},
+                                {"M": 3, "N": 5, "block_channel": True}],
+                         ids=["2-2", "4-12", "3-7-av1", "4-12-av2", "3-5-blocked"])
+def test_probe_signals_are_odd_in_epsilon(kw):
+    c = build_paradox_circuit(**kw)
+    for eps in (1e-2, 3e-3, 1e-4):
+        assert channel_probe_signal(c, -eps) == -channel_probe_signal(c, eps)
+        for arm, stamp in (("C", "c1.in1"), ("A", "c1.in2"), ("C", "c2.in1")):
+            assert simulate_weak_probe(c, arm, stamp, -eps) == \
+                -simulate_weak_probe(c, arm, stamp, eps)
 
 
 @pytest.mark.parametrize("step, adjoint", [(0, False), (-1, False), (0, True)],

@@ -1,14 +1,18 @@
-"""Presence CLI output, byte for byte against recorded golden files.
+"""Presence output, byte for byte against recorded golden files.
 
 The files in tests/golden/ hold the stdout text (.txt, .csv) and the
 --json-out record (.json) of each command below.  CI runs the same
-commands through the console script and compares them with cmp.
+commands through the console script and compares them with cmp.  The
+.hex file holds the blocked circuit's weak trace through the library, one
+cell per line with its value as float hex.
 """
 from pathlib import Path
 
 import pytest
 
+from zenoport.analysis import cycle_boundaries, end_to_end_boundaries, weak_trace_map
 from zenoport.cli import main
+from zenoport.optics import build_paradox_circuit
 
 GOLDEN = Path(__file__).parent / "golden"
 MN = ["--m", "4", "--n", "12"]
@@ -18,6 +22,9 @@ RUNS = [
     (["paradox", *MN, "--av-rounds", "2"], "paradox_m4_n12_av2.txt", "paradox_m4_n12_av2.json"),
     (["weakvalues", *MN], "weakvalues_m4_n12.csv", None),
     (["weakvalues", *MN, "--boundaries", "cycle1"], "weakvalues_m4_n12_cycle1.csv", None),
+    # entrance-block sinks, and a window that starts mid-circuit
+    (["weakvalues", *MN, "--av-rounds", "2", "--boundaries", "cycle2"],
+     "weakvalues_m4_n12_av2_cycle2.csv", None),
     (["histories", *MN, "--family", "all"], "histories_m4_n12.txt", "histories_m4_n12.json"),
 ]
 
@@ -31,3 +38,19 @@ def test_presence_output_matches_its_golden_file(argv, stdout_file, json_file, t
     assert capsys.readouterr().out.encode() == (GOLDEN / stdout_file).read_bytes()
     if json_file:
         assert json_out.read_bytes() == (GOLDEN / json_file).read_bytes()
+
+
+def blocked_weak_trace_text() -> str:
+    """Every cell of the blocked (4, 12) circuit's weak trace for end-to-end and
+    cycle1 boundaries: boundaries, arm, stamp, then re and im as float hex or None."""
+    c = build_paradox_circuit(4, 12, block_channel=True)
+    lines = []
+    for name, b in (("end-to-end", end_to_end_boundaries(c)), ("cycle1", cycle_boundaries(c, 1))):
+        for (arm, stamp), w in weak_trace_map(c, b).items():
+            value = "None" if w is None else f"{w.real.hex()} {w.imag.hex()}"
+            lines.append(f"{name} {arm} {stamp} {value}\n")
+    return "".join(lines)
+
+
+def test_blocked_weak_trace_matches_its_golden_file():
+    assert blocked_weak_trace_text() == (GOLDEN / "weak_trace_blocked_m4_n12.hex").read_text()

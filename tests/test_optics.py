@@ -1,5 +1,6 @@
 """Optical elements, schedules, and the nested interferometer builder."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -109,6 +110,18 @@ def test_index_of_unknown_stamp():
         c.index_of("t99")
 
 
+@pytest.mark.parametrize("kw", [{}, {"av_rounds": 2}, {"block_channel": True}],
+                         ids=["open", "av2", "blocked"])
+def test_index_of_finds_every_stamp_and_alias(kw):
+    for m, n in ((2, 2), (3, 4)):
+        c = build_paradox_circuit(m, n, **kw)
+        assert [c.index_of(s) for s in c.stamps] == list(range(len(c.stamps)))
+        assert {a: c.index_of(a) for a in c.aliases} == \
+            {a: c.stamps.index(s) for a, s in c.aliases.items()}
+        with pytest.raises(QStateError, match="^stamp 'c9.in1' not in schedule$"):
+            c.index_of("c9.in1")
+
+
 def test_paradox_forward_amplitudes_m2_n2():
     """Midpoint and endpoint amplitudes of the two-cycle nested run."""
     c = build_paradox_circuit(2, 2)
@@ -194,7 +207,7 @@ def test_run_schedule_flags_probability_drift():
     c = CircuitSchedule(stamps=("t0", "t1"), steps=((),), universe=uni,
                         pre_state=StateVector({label("S", "H"): 1.0}))
     lossy = LinearMap({l: {l: 0.5} for l in uni}, kind="general", name="lossy")
-    c._maps = (lossy,)
+    c._engine = dataclasses.replace(c._plan(), maps=(lossy,))  # step_maps() derive from it
     with pytest.raises(ConservationError):
         run_schedule(c)
 
@@ -517,11 +530,97 @@ def test_compiled_step_maps_equal_a_left_fold_bit_for_bit(m):
 def test_a_blocked_compile_makes_one_compose_per_new_blocked_inner_step(monkeypatch):
     made = []
     monkeypatch.setattr(optics, "compose", lambda a, b: made.append(a) or compose(a, b))
-    build_paradox_circuit(4, 12, block_channel=True).step_maps()
-    # HWP1;PBS1, HWP2;PBS2 and PBS2;HWP2;PBS2 once each, one per blocked inner
-    # step (4 x 11), four per outer merge (4 x 4) and one for the exit; folding
-    # each step from the left made 151
-    assert len(made) == 3 + 44 + 16 + 1 == 64
+    c = build_paradox_circuit(4, 12, block_channel=True)
+    c.step_maps()
+    c.adjoint_step_maps()
+    # the one compile behind the engines and the public maps: HWP1;PBS1,
+    # HWP2;PBS2 and PBS2;HWP2;PBS2 once each, one for the blocked inner steps,
+    # which differ only in their fresh sinks, four for the outer merges and one
+    # for the exit.  Compiling each step made 64 (3 + 4 x 11 + 4 x 4 + 1), and
+    # folding each step from the left 151
+    assert len(made) == 3 + 1 + 4 + 1 == 9
+    made.clear()
+    assert c._plan() is c._plan() and c.step_maps() is c.step_maps() and not made
+
+
+# ------------------------------------------------------------ the engines' plan
+
+def test_steps_share_a_map_only_where_renaming_keeps_the_column_order():
+    # the two steps differ only in their fresh sink; a sink labelled before S
+    # would sort first among its step's columns, the other after S
+    rotation = spr(0.3, "S")
+    steps = tuple((rotation, block("S", sink)) for sink in ("SinkX", "SinkY"))
+    s = StateVector({label("S", "H"): 1.0})
+    sx, sy = label("SinkX", "H"), label("SinkY", "H")
+    for universe, shared in (((*small_universe(), sx, sy), True),
+                             ((sx, *small_universe(), sy), False)):
+        c = CircuitSchedule(stamps=("t0", "t1", "t2"), steps=steps, universe=universe,
+                            pre_state=s)
+        plan = c._plan()
+        assert plan.fresh == {"SinkX", "SinkY"} and (plan.maps[0] is plan.maps[1]) == shared
+        for els, m in zip(c.steps, c.step_maps()):
+            assert _exact(m) == _exact(step_map(els, universe))
+
+
+def test_a_replaced_schedule_compiles_its_own_maps():
+    c = build_paradox_circuit(2, 2)
+    c.step_maps()
+    lone = dataclasses.replace(c, steps=c.steps[:-1] + ((),))
+    assert lone.step_maps()[-1].columns == {} != c.step_maps()[-1].columns
+
+
+def _renamed(m, pairs):
+    """_exact(m) with each label a of the (a, b) pairs renamed b."""
+    ren = dict(pairs)
+    cols, domain, kind, name = _exact(m)
+    return ([(ren.get(src, src), [(ren.get(dst, dst), *rest) for dst, *rest in col])
+             for src, col in cols], domain, kind, name)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_plan_maps_are_the_step_maps_up_to_their_fresh_sink_names(m):
+    for n in range(1, 13):
+        blocked, av = SHAPES[(m + n) % len(SHAPES)]
+        c = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)
+        plan = c._plan()
+        fed = {own.path for pairs in plan.feeds for _, own in pairs}
+        assert fed == plan.fresh == {lbl.path for lbl in c.universe if is_sink(lbl.path)}
+        for k, (full, adj) in enumerate(zip(c.step_maps(), c.adjoint_step_maps())):
+            assert _renamed(plan.maps[k], plan.feeds[k]) == _exact(full)
+            assert _renamed(plan.adjoints()[k], plan.feeds[k]) == _exact(adj)
+
+
+@pytest.mark.parametrize("blocked, av", SHAPES)
+def test_the_engines_compile_at_most_six_step_maps(monkeypatch, blocked, av):
+    # one map per step shape; one per distinct step made 14, 24 and 503 at
+    # (10, 50) for the open, av_rounds 1 and blocked circuits
+    made = []
+    compile_step = optics._step_map
+    monkeypatch.setattr(optics, "_step_map", lambda *a: made.append(a) or compile_step(*a))
+    for m in (1, 2, 3, 10):
+        for n in (1, 2, 3, 7, 50):
+            made.clear()
+            plan = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)._plan()
+            assert len(made) == len({id(x) for x in plan.maps}) <= 6
+
+
+@pytest.mark.parametrize("blocked, av", SHAPES)
+def test_live_states_are_the_full_states_without_their_fed_sinks(blocked, av):
+    c = build_paradox_circuit(3, 5, block_channel=blocked, av_rounds=av)
+    last = len(c.stamps) - 1
+    post = StateVector({label("F", "H"): 0.6, label("F", "V"): 0.8j})
+    mid = StateVector({label("D", "V"): 1.0})  # the inner carrier, from mid-circuit on
+    for s, i0, i1 in ((c.pre_state, 0, last), (post, last, 0),
+                      (mid, c.index_of("c2.t1"), c.index_of("c3.in3"))):
+        full = evolve(c, s, i0, i1)
+        ledger = optics._Ledger()
+        live = evolve(c, s, i0, i1, ledger)
+        assert len(live) == len(ledger.marks) == len(full) and ledger
+        for f, x, n in zip(full, live, ledger.marks):
+            fed = dict(ledger[:n])
+            assert [k for k in f if k not in fed] == list(x)  # live labels keep their order
+            assert sorted(_hex(f)) == sorted(_hex({**x, **fed}))
+        assert math.isclose(ledger.n2, sum(abs(v) ** 2 for _, v in ledger), rel_tol=1e-12)
 
 
 def _bits(s):

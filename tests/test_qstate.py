@@ -143,6 +143,15 @@ def test_inner_is_conjugate_linear_in_first_argument():
     assert inner(b, a) == pytest.approx(2j)
 
 
+def test_inner_iterates_the_state_smaller_by_full_size():
+    # the sum's order decides its bits: over a's order 1e16 + 1 rounds to 1e16
+    x, y, z = label("A"), label("B"), label("C")
+    a = StateVector({x: 1.0, y: 1.0, z: 1.0})
+    b = StateVector({x: 1e16, z: -1e16, y: 1.0})
+    assert inner(a, b) == inner(a, b, 0, 2) == 0.0
+    assert inner(b, a) == inner(a, b, 2, 0) == 1.0  # a has 2 more labels kept elsewhere
+
+
 def test_linear_map_requires_isometric_columns():
     with pytest.raises(QStateError):
         LinearMap({label("S"): {label("S"): 0.5}}, kind="unitary")
