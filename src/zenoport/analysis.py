@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .cqze import P_EMPTY
 from .optics import (
     CircuitSchedule,
     _checked_step,
-    _Ledger,
     _stepping,
     build_paradox_circuit,
     evolve,
@@ -30,6 +30,8 @@ from .qstate import (
     Projector,
     QStateError,
     StateVector,
+    _is_int,
+    _is_real,
     inner,
     is_sink,
     label,
@@ -169,39 +171,27 @@ def _live(c: CircuitSchedule, *specs: Projector | StateVector) -> bool:
     return True
 
 
-def _evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int,
-            live: bool) -> list[tuple[StateVector, int]]:
-    """evolve's states at stamps i0..i1, each with the number of labels its
-    ledger holds."""
-    ledger = _Ledger(live)
-    return list(zip(evolve(c, s, i0, i1, ledger), ledger.marks))
-
-
 def _trajectories(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int, live: bool
-                  ) -> tuple[list[tuple[StateVector, int]], list[tuple[StateVector, int]] | None]:
-    """Forward and backward states at stamps i_pre..i_post, both in stamp order
-    and each with its ledger's size; None for the backward list when the
-    boundaries are orthogonal."""
-    fwd = _evolve(c, b.pre[1], i_pre, i_post, live)
+                  ) -> tuple[list[StateVector], list[StateVector] | None]:
+    """Forward and backward states at stamps i_pre..i_post, both in stamp order;
+    None for the backward list when the boundaries are orthogonal."""
+    fwd = evolve(c, b.pre[1], i_pre, i_post, live)
     try:
-        post = _post_state(b.post, fwd[-1][0])
+        post = _post_state(b.post, fwd[-1])
     except OrthogonalBoundariesError:
         return fwd, None
-    return fwd, _evolve(c, post, i_post, i_pre, live)[::-1]
+    return fwd, evolve(c, post, i_post, i_pre, live)[::-1]
 
 
-def _weak_values(parts: list[StateVector], fwd: tuple[StateVector, int],
-                 bwd: tuple[StateVector, int]) -> list[complex] | None:
-    """Weak value of each projector between a forward and a backward state at
-    one stamp, each with its ledger's size, given each projector's part of the
-    forward state; None when their transition amplitude vanishes.  The sums
-    iterate the smaller state counting its ledger, as inner does over full
-    states."""
-    (f, nf), (w, nw) = fwd, bwd
-    den = inner(w, f, nw, nf)
+def _weak_values(parts: list[StateVector], f: StateVector,
+                 w: StateVector) -> list[complex] | None:
+    """Weak value of each projector between a forward state f and a backward
+    state w at one stamp, given each projector's part of f; None when their
+    transition amplitude vanishes."""
+    den = inner(w, f)
     if abs(den) < ATOL_DENOM:
         return None
-    return [inner(w, part, nw, 0) / den for part in parts]
+    return [inner(w, part) / den for part in parts]
 
 
 def _arm_parts(s: StateVector, arms: tuple[str, ...]) -> list[StateVector]:
@@ -219,7 +209,7 @@ def weak_value(pi: Projector, b: BoundaryPair, t: str, c: CircuitSchedule) -> co
     i_pre, i_post = _pair_window(c, b)
     k = _window_index(c, t, i_pre, i_post) - i_pre
     fwd, bwd = _trajectories(c, b, i_pre, i_post, _live(c, b.pre[1], b.post[1], pi))
-    w = None if bwd is None else _weak_values([project(pi, fwd[k][0])[0]], fwd[k], bwd[k])
+    w = None if bwd is None else _weak_values([project(pi, fwd[k])[0]], fwd[k], bwd[k])
     if w is None:
         raise OrthogonalBoundariesError(f"the boundaries are orthogonal at stamp {t!r}")
     return w[0]
@@ -248,14 +238,15 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
         ws = None
         if bwd is not None and i_pre <= i <= i_post:
             here = fwd[i - i_pre]
-            ws = _weak_values(_arm_parts(here[0], arms), here, bwd[i - i_pre])
+            ws = _weak_values(_arm_parts(here, arms), here, bwd[i - i_pre])
         for a, arm in enumerate(arms):
             out[(arm, stamp)] = None if ws is None else ws[a]
     return out
 
 
 def _rotated(psi: StateVector, p: dict, cm1: float, other: dict) -> tuple[StateVector, float]:
-    """(psi + p * cm1 + other).pruned(), as StateVector arithmetic would sum it, and its norm**2."""
+    """(psi + p * cm1 + other).pruned(), as StateVector arithmetic would sum it, and its
+    norm**2; the sum keeps psi's fed sinks, and its norm**2 counts theirs."""
     out = dict(psi._amps)
     for k, x in p.items():
         t = x * cm1
@@ -268,33 +259,32 @@ def _rotated(psi: StateVector, p: dict, cm1: float, other: dict) -> tuple[StateV
     for k, v in other.items():
         if v != 0:
             out[k] = out.get(k, 0j) + v
-    kept, n2 = {}, 0.0
+    kept, n2 = {}, psi._fed_n2
     for k, v in out.items():
         if abs(v) > PRUNE_EPS:
             kept[k] = v
-            n2 += v.real * v.real + v.imag * v.imag  # in StateVector.norm2's order
-    return StateVector._wrap(kept), n2
+            n2 += v.real * v.real + v.imag * v.imag  # after the fed sinks', in norm2's order
+    return StateVector._wrap(kept, psi._fed, psi._fed_n2), n2
 
 
-def _couple_pointer(pi: Projector, psi0: StateVector, psi1: StateVector,
+def _couple_pointer(arm: str, psi0: StateVector, psi1: StateVector,
                     epsilon: float) -> tuple[tuple[StateVector, float], tuple[StateVector, float]]:
-    # pointer rotation by epsilon, applied only on the arm's support:
+    # pointer rotation by epsilon, applied only on the arm's labels:
     # psi0 + p0*cm1 - p1*sn and psi1 + p1*cm1 + p0*sn, summed in that order
-    p0 = {k: x for k, x in psi0.items() if pi.matches(k)}
-    p1 = {k: y for k, y in psi1.items() if pi.matches(k)}
+    p0 = {k: x for k, x in psi0.items() if k.path == arm}
+    p1 = {k: y for k, y in psi1.items() if k.path == arm}
     cm1 = math.cos(epsilon / 2.0) - 1.0
     sn = math.sin(epsilon / 2.0)
     return (_rotated(psi0, p0, cm1, {k: (y * sn) * -1 for k, y in p1.items()}),
             _rotated(psi1, p1, cm1, {k: x * sn for k, x in p0.items()}))
 
 
-def _read_pointer(spec: Projector | StateVector, psi0: StateVector, n0: int,
-                  psi1: StateVector, n1: int) -> float:
-    """Conditioned transverse pointer reading of both branches at the post
-    stamp, given with their ledgers' sizes."""
+def _read_pointer(spec: Projector | StateVector, psi0: StateVector,
+                  psi1: StateVector) -> float:
+    """Conditioned transverse pointer reading of both branches at the post stamp."""
     if isinstance(spec, StateVector):
-        a0 = inner(spec, psi0, 0, n0)
-        a1 = inner(spec, psi1, 0, n1)
+        a0 = inner(spec, psi0)
+        a1 = inner(spec, psi1)
         num = 2.0 * ((a0.conjugate() * a1).real)
         den = abs(a0) ** 2 + abs(a1) ** 2
     else:
@@ -307,17 +297,22 @@ def _read_pointer(spec: Projector | StateVector, psi0: StateVector, n0: int,
     return num / den
 
 
-def _probe(c: CircuitSchedule, spec: Projector | StateVector, pi: Projector,
-           here: tuple[StateVector, int], i_t: int, i_post: int, epsilon: float,
-           live: bool) -> float:
-    """Pointer signal of one coupling of pi to the forward state here (with its
-    ledger's size) at stamp i_t: both pointer branches ride the schedule to the
-    post stamp i_post.  Branch 1 starts empty, so only branch 0 carries here's
-    ledger."""
-    (psi0, _), (psi1, _) = _couple_pointer(pi, here[0], StateVector(), epsilon)
-    psi0, n0 = _evolve(c, psi0, i_t, i_post, live)[-1]
-    psi1, n1 = _evolve(c, psi1, i_t, i_post, live)[-1]
-    return _read_pointer(spec, psi0, n0 + here[1], psi1, n1)
+def _probe(c: CircuitSchedule, spec: Projector | StateVector, arm: str, here: StateVector,
+           i_t: int, i_post: int, epsilon: float, live: bool) -> float:
+    """Pointer signal of one coupling to the arm of the forward state here at
+    stamp i_t: both pointer branches ride the schedule to the post stamp
+    i_post.  Branch 1 starts empty, so only branch 0 carries here's fed sinks."""
+    (psi0, _), (psi1, _) = _couple_pointer(arm, here, StateVector(), epsilon)
+    return _read_pointer(spec, evolve(c, psi0, i_t, i_post, live)[-1],
+                         evolve(c, psi1, i_t, i_post, live)[-1])
+
+
+def _check_probe(epsilon, arm: str = "C") -> None:
+    """Refuse an epsilon that is no finite real number, or an arm that is no path name."""
+    if not (_is_real(epsilon) and abs(epsilon) <= sys.float_info.max):
+        raise QStateError(f"epsilon must be a finite real number, got {epsilon!r}")
+    if not isinstance(arm, str):
+        raise QStateError(f"arm must be a path name, got {arm!r}")
 
 
 def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
@@ -331,15 +326,15 @@ def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
     (the branch rotated by -epsilon is the same with branch 1 negated), so
     the next term is third order.
     """
+    _check_probe(epsilon, arm)
     if epsilon == 0.0:
         return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
     i_t = _window_index(c, t, i_pre, i_post)
-    pi = projector(paths=arm)
-    live = _live(c, b.pre[1], b.post[1], pi)
-    here = _evolve(c, b.pre[1], i_pre, i_t, live)[-1]
-    return _probe(c, b.post[1], pi, here, i_t, i_post, epsilon, live)
+    live = _live(c, b.pre[1], b.post[1], projector(paths=arm))
+    here = evolve(c, b.pre[1], i_pre, i_t, live)[-1]
+    return _probe(c, b.post[1], arm, here, i_t, i_post, epsilon, live)
 
 
 def channel_probe_signal(c: CircuitSchedule, epsilon: float,
@@ -350,21 +345,20 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
     Models a single weakly reflecting element sitting in the channel for the
     whole run rather than being switched in at one stamp.
     """
+    _check_probe(epsilon, arm)
     if epsilon == 0.0:
         return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
-    pi = projector(paths=arm)
-    live = _live(c, b.pre[1], b.post[1], pi)
+    live = _live(c, b.pre[1], b.post[1], projector(paths=arm))
     maps, feeds = _stepping(c, live)
-    l0, l1 = _Ledger(live), _Ledger(live)  # the coupling touches no fed sink
-    (psi0, n0), (psi1, n1) = _couple_pointer(pi, b.pre[1], StateVector(), epsilon)
+    (psi0, n0), (psi1, n1) = _couple_pointer(arm, b.pre[1], StateVector(), epsilon)
     for j in range(i_pre + 1, i_post + 1):  # both branches one step each, then couple again
-        m, fed = maps[j - 1], feeds[j - 1] if feeds else ()
+        m, fed = maps[j - 1], feeds[j - 1]
         (psi0, n0), (psi1, n1) = _couple_pointer(
-            pi, _checked_step(c, m, psi0, n0 + l0.n2, j, fed, l0),
-            _checked_step(c, m, psi1, n1 + l1.n2, j, fed, l1), epsilon)
-    return _read_pointer(b.post[1], psi0, len(l0), psi1, len(l1))
+            arm, _checked_step(c, m, psi0, n0, j, fed), _checked_step(c, m, psi1, n1, j, fed),
+            epsilon)
+    return _read_pointer(b.post[1], psi0, psi1)
 
 
 def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
@@ -379,9 +373,9 @@ def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
     for arm, stamp in cells:
         i_t = _window_index(c, stamp, i_pre, i_post)
         here, pi = fwd[i_t - i_pre], pis[arm]
-        w = None if bwd is None else _weak_values([project(pi, here[0])[0]], here,
+        w = None if bwd is None else _weak_values([project(pi, here)[0]], here,
                                                   bwd[i_t - i_pre])
-        sig = 0.0 if epsilon == 0.0 else _probe(c, b.post[1], pi, here, i_t, i_post, epsilon,
+        sig = 0.0 if epsilon == 0.0 else _probe(c, b.post[1], arm, here, i_t, i_post, epsilon,
                                                 live)
         rows.append({"arm": arm, "stamp": stamp,
                      "weak_value": None if w is None else [w[0].real, w[0].imag],
@@ -399,6 +393,9 @@ def paradox_report(M: int, N: int, *, av_rounds: int = 0,
     first cycle's.  Per-cycle boundaries find it occupied in neither.  With
     av_rounds >= 1 the first-cycle end-to-end entry is suppressed as well.
     """
+    if not _is_int(av_rounds, 0):
+        raise QStateError("av_rounds must be an integer >= 0")
+    _check_probe(epsilon)
     c = build_paradox_circuit(M, N)
     first = "c1.in1"
     e2e_cells = [("S", "t0"), ("C", first)]  # sanity: source arm weak value is 1
@@ -500,14 +497,13 @@ def _kets(c: CircuitSchedule, pre: tuple[str, StateVector],
     ends = [c.index_of(stamp) for stamp, _ in slots] + [c.index_of(post[0])]
     if any(i >= j for i, j in zip([i_pre, *ends], ends)):
         raise QStateError("history stamps must strictly increase from pre to post")
-    # live, no projector matches a fresh sink, so each evolution starts its own ledger
     live = _live(c, pre[1], post[1], *(pi for _, offers in slots for pi in offers))
     kets: list[StateVector] = []
 
     def walk(depth: int, s: StateVector, i: int) -> None:
         j = ends[depth]
         if s:
-            s = evolve(c, s, i, j, _Ledger(live))[-1]
+            s = evolve(c, s, i, j, live)[-1]
         if depth == len(slots):
             kets.append(project(post[1], s)[0].pruned())
             return

@@ -2,10 +2,11 @@
 
 A schedule is an ordered list of time stamps with one composite step map
 between consecutive stamps.  Every element acts as a total unitary over the
-schedule's label universe: loss is modeled by routing into a sink label that
-is used exactly once, so the step stays unitary while the sink amplitude is
-frozen from then on.  That convention keeps distinct loss events orthogonal
-and makes adjoint (backward) evolution well defined everywhere.
+schedule's label universe: loss is modeled by routing into a sink label, so
+the step stays unitary.  The builder feeds each sink in one step, which freezes
+its amplitude; that keeps distinct loss events orthogonal and makes adjoint
+(backward) evolution well defined everywhere.  A sink that several steps of a
+user schedule touch is supported: it is stepped like any other label.
 
 The main builder assembles the nested two-level interferometer: M outer
 cycles (rotation pi/2M), each holding a chain of inner cycles (rotation
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .qstate import (
     PRUNE_EPS,
@@ -202,7 +202,7 @@ class _Plan:
     """A schedule compiled for stepping: one map per step shape, shared by every
     step of that shape, and the fresh sinks each step feeds as (label in the
     shape's map, the step's own label) pairs.  The analysis engines step these
-    maps with a ledger; step_maps() renames them to each step's own sinks."""
+    maps on live labels; step_maps() renames them to each step's own sinks."""
 
     maps: tuple[LinearMap, ...]
     feeds: tuple[tuple[tuple[BasisLabel, BasisLabel], ...], ...]
@@ -356,45 +356,34 @@ class TrajectoryRecord:
         return self.states[self.schedule.resolve(stamp)]
 
 
-class _Ledger(list):
-    """The fresh sinks one evolution fed, as (label, amplitude) pairs in feeding
-    order; n2 is their norm**2 and marks the ledger's length at each stamp
-    stepped.  With live False the evolution steps full states and feeds none."""
-
-    __slots__ = ("live", "n2", "marks")
-
-    def __init__(self, live: bool = True):
-        self.live, self.n2, self.marks = live, 0.0, []
-
-
 def _stepping(c: CircuitSchedule, live: bool, backward: bool = False):
     """Each step's map and fed sinks: the plan's when live, else the full maps
-    (adjoints when backward) with None for the feeds."""
+    (adjoints when backward), which feed none."""
     if live:
         plan = c._plan()
         return (plan.adjoints() if backward else plan.maps), plan.feeds
-    return (c.adjoint_step_maps() if backward else c.step_maps()), None
+    return (c.adjoint_step_maps() if backward else c.step_maps()), ((),) * len(c.steps)
 
 
 def _checked_step(c: CircuitSchedule, m: LinearMap, s: StateVector, base: float, k: int,
-                  fed=(), ledger: _Ledger | None = None) -> StateVector:
+                  fed=()) -> StateVector:
     """apply(m, s).pruned(); ConservationError unless its norm**2 at stamp k stays
     within ATOL_CONSERVE of base.
 
-    Each (label, own) pair in fed moves the kept sum at label out of the state
-    and onto the ledger under own; the checked norm**2 then adds the ledger's.
+    Each (label, own) pair in fed moves the kept sum at label out of the state,
+    into its _fed count and _fed_n2; the checked norm**2 adds that _fed_n2.
     """
     out = _accumulate(m, s)
-    if fed:
-        for lbl, own in fed:
-            v = out.pop(lbl, None)
-            if v is not None:
-                x = v.real * v.real + v.imag * v.imag
-                if x > _KEEP2 or abs(v) > PRUNE_EPS:
-                    ledger.append((own, v))
-                    ledger.n2 += x
-    n2, cut = (0.0 if ledger is None else ledger.n2), False
-    for v in out.values():  # the kept norm**2 in StateVector.norm2's order, after the ledger's
+    nfed, fed_n2 = s._fed, s._fed_n2
+    for lbl, _ in fed:
+        v = out.pop(lbl, None)
+        if v is not None:
+            x = v.real * v.real + v.imag * v.imag
+            if x > _KEEP2 or abs(v) > PRUNE_EPS:
+                nfed += 1
+                fed_n2 += x
+    n2, cut = fed_n2, False
+    for v in out.values():  # the kept norm**2 in StateVector.norm2's order, after the fed sinks'
         x = v.real * v.real + v.imag * v.imag
         if x > _KEEP2 or abs(v) > PRUNE_EPS:  # pruned() keeps v if abs(v) > PRUNE_EPS
             n2 += x
@@ -405,36 +394,30 @@ def _checked_step(c: CircuitSchedule, m: LinearMap, s: StateVector, base: float,
                                 f"{c.stamps[k]} (started at {base:.15f})")
     if cut:  # the sums are complex and keyed by BasisLabel, so they are wrapped as they are
         out = {lbl: v for lbl, v in out.items() if abs(v) > PRUNE_EPS}
-    return StateVector._wrap(out)
+    return StateVector._wrap(out, nfed, fed_n2)
 
 
 def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int,
-           ledger: _Ledger | None = None) -> list[StateVector]:
+           live: bool = False) -> list[StateVector]:
     """States at stamps i0..i1 in stepping order, checking conservation per stamp.
 
     Steps forward, or backward through the adjoint maps when i1 < i0.  Every
-    stamp's norm**2 must stay within ATOL_CONSERVE of the start's, else
-    ConservationError.  Without a ledger, or with one that is not live, the
-    states are full and step through step_maps().  With a live ledger they
-    step through the plan: each fresh sink leaves the state at the step that
-    feeds it for the ledger, so a state's full size is its length plus the
-    ledger's mark at its stamp.  s must then hold no fresh sink label.
+    stamp's norm**2, its fed sinks' included, must stay within ATOL_CONSERVE
+    of the start's, else ConservationError.  With live False the states are
+    full and step through step_maps().  With live True they step through the
+    plan: each fresh sink leaves the state at the step that feeds it, and the
+    state counts it in _fed and _fed_n2.  s must then hold no fresh sink label.
     """
-    if ledger is None:
-        ledger = _Ledger(False)
-    maps, feeds = _stepping(c, ledger.live, i1 < i0)
+    maps, feeds = _stepping(c, live, i1 < i0)
     if i1 >= i0:  # ks: the stamp each step leads to; step k lies between stamps k and k + 1
-        ks, maps, feeds = range(i0 + 1, i1 + 1), maps[i0:i1], feeds and feeds[i0:i1]
+        ks, maps, feeds = range(i0 + 1, i1 + 1), maps[i0:i1], feeds[i0:i1]
     else:
-        ks, maps, feeds = range(i0 - 1, i1 - 1, -1), maps[i1:i0][::-1], feeds and feeds[i1:i0][::-1]
-    base = s.norm2() + ledger.n2
-    marks = ledger.marks
-    marks.append(len(ledger))
+        ks, maps, feeds = range(i0 - 1, i1 - 1, -1), maps[i1:i0][::-1], feeds[i1:i0][::-1]
+    base = s.norm2() + s._fed_n2
     states = [s]
-    for k, m, fed in zip(ks, maps, feeds or repeat(())):
-        s = _checked_step(c, m, s, base, k, fed, ledger)
+    for k, m, fed in zip(ks, maps, feeds):
+        s = _checked_step(c, m, s, base, k, fed)
         states.append(s)
-        marks.append(len(ledger))
     return states
 
 

@@ -92,13 +92,17 @@ class StateVector(Mapping):
     """Immutable map from BasisLabel to complex amplitude.
 
     Zero amplitudes are dropped at construction so labels are always
-    pairwise distinct and support checks stay cheap.
+    pairwise distinct and support checks stay cheap.  A state that
+    optics.evolve steps on live labels also counts the fresh sink labels its
+    evolution moved out (_fed) and their norm**2 (_fed_n2); every other
+    state has both at zero.
     """
 
-    __slots__ = ("_amps",)
+    __slots__ = ("_amps", "_fed", "_fed_n2")
 
     def __init__(self, amps: Mapping[BasisLabel, complex] | Iterable[tuple[BasisLabel, complex]] = ()):
         d = dict(amps)
+        self._fed, self._fed_n2 = 0, 0.0
         self._amps: dict[BasisLabel, complex] = {}
         for k, v in d.items():
             if not isinstance(k, BasisLabel):
@@ -108,10 +112,11 @@ class StateVector(Mapping):
                 self._amps[k] = cv
 
     @classmethod
-    def _wrap(cls, amps: dict[BasisLabel, complex]) -> "StateVector":
+    def _wrap(cls, amps: dict[BasisLabel, complex], fed: int = 0,
+              fed_n2: float = 0.0) -> "StateVector":
         """A state over amps as given: nonzero complex values keyed by BasisLabel."""
         s = object.__new__(cls)
-        s._amps = amps
+        s._amps, s._fed, s._fed_n2 = amps, fed, fed_n2
         return s
 
     def __getitem__(self, key: BasisLabel) -> complex:
@@ -400,15 +405,16 @@ def project(p: Projector, s: StateVector) -> tuple[StateVector, float]:
     return kept, kept.norm2()
 
 
-def inner(a: StateVector, b: StateVector, na: int = 0, nb: int = 0) -> complex:
+def inner(a: StateVector, b: StateVector) -> complex:
     """Conjugate-linear in a, linear in b.
 
-    The sum iterates the state with fewer labels.  na and nb count labels of
-    a and b kept elsewhere (an evolution's ledger of fed sinks), which pair
-    with none in the other state but count toward its size.
+    The sum iterates the state with fewer labels, counting a state's fed
+    sinks (_fed) toward its size: they pair with none in the other state, so
+    a live-stepped state sums as its full state would.
     """
     a_amps, b_amps = a._amps, b._amps
-    small, big = (a_amps, b_amps) if len(a_amps) + na <= len(b_amps) + nb else (b_amps, a_amps)
+    small, big = ((a_amps, b_amps) if len(a_amps) + a._fed <= len(b_amps) + b._fed
+                  else (b_amps, a_amps))
     total = 0j
     for k in small:
         if k in big:

@@ -43,6 +43,7 @@ from zenoport.qstate import (
     QStateError,
     StateVector,
     inner,
+    is_sink,
     label,
     project,
     projector,
@@ -585,7 +586,7 @@ def test_pointer_coupling_sums_like_state_vector_arithmetic(psi0, psi1, epsilon)
     cm1 = math.cos(epsilon / 2.0) - 1.0
     sn = math.sin(epsilon / 2.0)
     ref0, ref1 = (psi0 + p0 * cm1 + p1 * sn * -1).pruned(), (psi1 + p1 * cm1 + p0 * sn).pruned()
-    (out0, n0), (out1, n1) = analysis._couple_pointer(pi, psi0, psi1, epsilon)
+    (out0, n0), (out1, n1) = analysis._couple_pointer("C", psi0, psi1, epsilon)
     assert (_bits(out0), _bits(out1)) == (_bits(ref0), _bits(ref1))
     assert (n0.hex(), n1.hex()) == (float(out0.norm2()).hex(), float(out1.norm2()).hex())
 
@@ -707,6 +708,59 @@ def test_a_sink_that_two_steps_touch_stays_live():
     b = BoundaryPair(("t0", c.pre_state), ("t5", projector(paths="A")))
     assert analysis._live(c, b.pre[1], b.post[1])
     _same_as_the_reference(c, b, (("t2", ((a, projector(paths=a)) for a in ("S", "A"))),))
+
+
+# two state posts of the blocked (2, 3) circuit, and a probe that each sums to
+# other bits over the other state: at the post stamp a probe branch holds fewer
+# labels than the post, but more once the sinks its evolution fed are counted
+_POSTS = [
+    ("c2.in2", {("S", "H"): 0.7387479589315287+0.9042494965729735j,
+                ("A", "H"): -0.16807997300018007-0.9760311053020514j,
+                ("B", "V"): -0.6752891595109647-0.41843330787719224j,
+                ("A", "V"): -0.7683886374318585-0.13875854123811315j,
+                ("D", "V"): 0.22594090130038413-0.44337292974499465j,
+                ("F", "H"): 0.5362916984281652+0.437997573100648j,
+                ("C", "H"): -0.01169782018614507-0.43739083992611305j}, ("B", "c2.in1")),
+    ("c2.in3", {("C", "H"): -0.9100924643553021+0.5521399708409429j,
+                ("B", "V"): 0.5192460790685862+0.0870820119688076j,
+                ("D", "H"): 0.44443985023097765+0.3100922990529502j,
+                ("A", "H"): -0.37988815753223903-0.04896688260498494j,
+                ("S", "V"): -0.9579471542341174-0.09763669321379931j,
+                ("B", "H"): 0.9814265917040286+0.34817560879449894j,
+                ("F", "H"): -0.3098872835080553+0.4235515797628797j,
+                ("C", "V"): 0.7122279736081096+0.5352792440553378j}, None),
+]
+
+
+@pytest.mark.parametrize("stamp, amps, cell", _POSTS, ids=["probe", "channel"])
+def test_a_probe_branch_meets_a_state_post_by_full_size(stamp, amps, cell):
+    c = build_paradox_circuit(2, 3, block_channel=True)
+    post = StateVector({label(*k): v for k, v in amps.items()}).normalized()
+    b = BoundaryPair(("t0", c.pre_state), (stamp, post))
+    assert analysis._live(c, b.pre[1], b.post[1])
+    if cell is None:
+        assert channel_probe_signal(c, 2.5e-3, b).hex() == \
+            ref.channel_probe_signal(c, 2.5e-3, b).hex()
+    else:
+        assert simulate_weak_probe(c, *cell, 2.5e-3, b).hex() == \
+            ref.simulate_weak_probe(c, *cell, 2.5e-3, b).hex()
+
+
+@pytest.mark.parametrize("blocked, av", [(True, 0), (False, 2)])
+def test_no_returned_state_counts_fed_sinks(blocked, av):
+    # the engines step live states that count the sinks they fed; the states
+    # they return count none and hold their sinks as full states do
+    c = build_paradox_circuit(3, 5, block_channel=blocked, av_rounds=av)
+    f = builtin_families(c)["final_via_cycle1"]
+    pre, post = (c.stamps[0], c.pre_state), (c.stamps[-1], c.post_projector)
+    assert analysis._live(c, pre[1], post[1])
+    states = [*optics.run_schedule(c).states.values(),
+              *(forward_state(c, pre, t) for t in c.stamps),
+              *(backward_state(c, post, t) for t in c.stamps),
+              chain_ket(f.histories()[0], f, c).state,
+              *(k.state for k in evaluate_family(f, c).kets)]
+    assert all(s._fed == 0 and s._fed_n2 == 0.0 for s in states)
+    assert any(is_sink(k.path) for s in states for k in s)
 
 
 _ROTATION, _SPLIT, _MERGE = spr(0.7, "S"), pbs("S", "A", "B"), pbs("S", "A", "B", name="merge")

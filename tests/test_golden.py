@@ -1,7 +1,8 @@
 """Presence output, byte for byte against recorded golden files.
 
 The files in tests/golden/ hold the stdout text (.txt, .csv) and the
---json-out record (.json) of each command below.  CI runs the same
+--json-out record (.json) of each command below, and the family file
+(.family) that one of them reads.  CI runs the same
 commands through the console script and compares them with cmp.  The
 .hex file holds the blocked circuit's weak trace through the library, one
 cell per line with its value as float hex.
@@ -26,6 +27,9 @@ RUNS = [
     (["weakvalues", *MN, "--av-rounds", "2", "--boundaries", "cycle2"],
      "weakvalues_m4_n12_av2_cycle2.csv", None),
     (["histories", *MN, "--family", "all"], "histories_m4_n12.txt", "histories_m4_n12.json"),
+    # a post projector that matches the fresh sinks, so the engines step full states
+    (["histories", *MN, "--family-file", str(GOLDEN / "final_via_cycle1_any_path_h.family")],
+     "histories_m4_n12_any_path_h.txt", "histories_m4_n12_any_path_h.json"),
 ]
 
 

@@ -5,9 +5,11 @@ Python error."""
 import cmath
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenoport.analysis import channel_probe_signal, paradox_report, simulate_weak_probe
 from zenoport.counterport import counterport, sample_bloch
 from zenoport.cqze import ATOL_SUM, BobQubit, ProtocolConfig, run_cqze
 from zenoport.optics import (ELEMENT_KINDS, Element, block, build_paradox_circuit, element_map,
@@ -161,3 +163,45 @@ def test_counterport(cfg, bob):
         if r is not None:
             assert all(in_unit(p) for p in (r.p_port1, r.p_port2, r.p_lost, r.fidelity,
                                              r.fidelity_post_selected, *r.bob_purity.values()))
+
+
+PROBED = build_paradox_circuit(2, 2)
+
+
+def finite_or_refused(signal):
+    assert signal is None or math.isfinite(signal)
+
+
+@fast
+@given(arm=either("C", "A"), t=either("t2", "c1.in1"), eps=either(1e-3, -0.5, 0.0))
+def test_simulate_weak_probe(arm, t, eps):
+    finite_or_refused(returns_or_refuses(simulate_weak_probe, PROBED, arm, t, eps))
+
+
+@fast
+@given(eps=either(1e-3, -0.5, 0.0), arm=either("C", "B"))
+def test_channel_probe_signal(eps, arm):
+    finite_or_refused(returns_or_refuses(channel_probe_signal, PROBED, eps, arm=arm))
+
+
+@fast
+@given(m=either(2, 3, max_int=4), n=either(2, max_int=4), av=either(0, 1, max_int=2),
+       eps=either(1e-3, 0.0))
+def test_paradox_report(m, n, av, eps):
+    report = returns_or_refuses(paradox_report, m, n, av_rounds=av, epsilon=eps)
+    if report is not None:
+        assert (report["av_rounds"], report["epsilon"]) == (av, eps)
+        for signal in (*(row["probe_signal"] for row in report["rows"]),
+                       *report["channel_probe_signal"].values()):
+            finite_or_refused(signal)
+
+
+# a NaN epsilon compares unequal to 0.0 and would sum to a NaN-free 0.0 signal
+@pytest.mark.parametrize("call", [
+    lambda eps: simulate_weak_probe(PROBED, "C", "t2", eps),
+    lambda eps: channel_probe_signal(PROBED, eps),
+    lambda eps: paradox_report(2, 2, epsilon=eps),
+], ids=["simulate_weak_probe", "channel_probe_signal", "paradox_report"])
+def test_presence_probes_refuse_a_nan_epsilon(call):
+    with pytest.raises(QStateError, match="epsilon"):
+        call(math.nan)

@@ -607,20 +607,31 @@ def test_the_engines_compile_at_most_six_step_maps(monkeypatch, blocked, av):
 @pytest.mark.parametrize("blocked, av", SHAPES)
 def test_live_states_are_the_full_states_without_their_fed_sinks(blocked, av):
     c = build_paradox_circuit(3, 5, block_channel=blocked, av_rounds=av)
+    fresh = c._plan().fresh
     last = len(c.stamps) - 1
     post = StateVector({label("F", "H"): 0.6, label("F", "V"): 0.8j})
     mid = StateVector({label("D", "V"): 1.0})  # the inner carrier, from mid-circuit on
     for s, i0, i1 in ((c.pre_state, 0, last), (post, last, 0),
                       (mid, c.index_of("c2.t1"), c.index_of("c3.in3"))):
         full = evolve(c, s, i0, i1)
-        ledger = optics._Ledger()
-        live = evolve(c, s, i0, i1, ledger)
-        assert len(live) == len(ledger.marks) == len(full) and ledger
-        for f, x, n in zip(full, live, ledger.marks):
-            fed = dict(ledger[:n])
-            assert [k for k in f if k not in fed] == list(x)  # live labels keep their order
-            assert sorted(_hex(f)) == sorted(_hex({**x, **fed}))
-        assert math.isclose(ledger.n2, sum(abs(v) ** 2 for _, v in ledger), rel_tol=1e-12)
+        live = evolve(c, s, i0, i1, live=True)
+        assert len(live) == len(full) and live[-1]._fed
+        for f, x in zip(full, live):
+            fed = [v for k, v in f.items() if k.path in fresh]
+            assert _hex(x) == _hex({k: v for k, v in f.items() if k.path not in fresh})
+            assert x._fed == len(fed) and f._fed == 0 and f._fed_n2 == 0.0
+            assert math.isclose(x._fed_n2, sum(abs(v) ** 2 for v in fed), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("blocked, av", [(True, 0), (False, 2)])
+def test_a_live_state_is_a_plain_state_of_its_items(blocked, av):
+    c = build_paradox_circuit(3, 5, block_channel=blocked, av_rounds=av)
+    for x in evolve(c, c.pre_state, 0, len(c.stamps) - 1, live=True)[1:]:
+        plain = StateVector(dict(x.items()))
+        assert x == plain and plain == x and x != dict(x.items(), Z=1.0)
+        assert list(x) == list(plain) and len(x) == len(plain)
+        assert repr(x) == repr(plain) and x.norm2() == plain.norm2()
+    assert x._fed and x._fed_n2 > 0.0 and not plain._fed and plain._fed_n2 == 0.0
 
 
 def _bits(s):

@@ -148,8 +148,10 @@ def test_inner_iterates_the_state_smaller_by_full_size():
     x, y, z = label("A"), label("B"), label("C")
     a = StateVector({x: 1.0, y: 1.0, z: 1.0})
     b = StateVector({x: 1e16, z: -1e16, y: 1.0})
-    assert inner(a, b) == inner(a, b, 0, 2) == 0.0
-    assert inner(b, a) == inner(a, b, 2, 0) == 1.0  # a has 2 more labels kept elsewhere
+    assert inner(a, b) == 0.0 and inner(b, a) == 1.0
+    # a state's fed sinks (moved out by a live evolution) count toward its size
+    assert inner(a, StateVector._wrap(dict(b.items()), 2, 0.5)) == 0.0
+    assert inner(StateVector._wrap(dict(a.items()), 2, 0.5), b) == 1.0
 
 
 def test_linear_map_requires_isometric_columns():
