@@ -307,12 +307,12 @@ def _probe(c: CircuitSchedule, spec: Projector | StateVector, arm: str, here: St
                          evolve(c, psi1, i_t, i_post, live)[-1])
 
 
-def _check_probe(epsilon, arm: str = "C") -> None:
-    """Refuse an epsilon that is no finite real number, or an arm that is no path name."""
+def _check_probe(epsilon, c: CircuitSchedule | None = None, arm: str | None = None) -> None:
+    """Refuse an epsilon that is no finite real number, or an arm that is no path of c."""
     if not (_is_real(epsilon) and abs(epsilon) <= sys.float_info.max):
         raise QStateError(f"epsilon must be a finite real number, got {epsilon!r}")
-    if not isinstance(arm, str):
-        raise QStateError(f"arm must be a path name, got {arm!r}")
+    if c is not None and not (isinstance(arm, str) and any(lbl.path == arm for lbl in c.universe)):
+        raise QStateError(f"arm must be a path of the circuit, got {arm!r}")
 
 
 def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
@@ -326,7 +326,7 @@ def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
     (the branch rotated by -epsilon is the same with branch 1 negated), so
     the next term is third order.
     """
-    _check_probe(epsilon, arm)
+    _check_probe(epsilon, c, arm)
     if epsilon == 0.0:
         return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
@@ -345,7 +345,7 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
     Models a single weakly reflecting element sitting in the channel for the
     whole run rather than being switched in at one stamp.
     """
-    _check_probe(epsilon, arm)
+    _check_probe(epsilon, c, arm)
     if epsilon == 0.0:
         return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)

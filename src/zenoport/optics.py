@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .qstate import (
     PRUNE_EPS,
@@ -202,19 +203,28 @@ class _Plan:
     """A schedule compiled for stepping: one map per step shape, shared by every
     step of that shape, and the fresh sinks each step feeds as (label in the
     shape's map, the step's own label) pairs.  The analysis engines step these
-    maps on live labels; step_maps() renames them to each step's own sinks."""
+    maps on live labels.  Every map derived from them is built on first use and
+    kept here, so a plan that replaces another derives its own."""
 
     maps: tuple[LinearMap, ...]
     feeds: tuple[tuple[tuple[BasisLabel, BasisLabel], ...], ...]
     fresh: frozenset[str]  # sink paths that exactly one step touches
-    _adjoints: tuple[LinearMap, ...] | None = None
 
+    @cached_property
     def adjoints(self) -> tuple[LinearMap, ...]:
-        """Adjoint of each step's map, built on first use, one per shape."""
-        if self._adjoints is None:
-            adjoints = {m: m.adjoint() for m in dict.fromkeys(self.maps)}
-            self._adjoints = tuple(map(adjoints.__getitem__, self.maps))
-        return self._adjoints
+        """Adjoint of each step's map, one per shape."""
+        adjoints = {m: m.adjoint() for m in dict.fromkeys(self.maps)}
+        return tuple(map(adjoints.__getitem__, self.maps))
+
+    @cached_property
+    def own_maps(self) -> tuple[LinearMap, ...]:
+        """Each step's map with its shape's fresh sinks renamed the step's own."""
+        return tuple([m._renamed(fed) if fed else m for m, fed in zip(self.maps, self.feeds)])
+
+    @cached_property
+    def own_adjoints(self) -> tuple[LinearMap, ...]:
+        """Each step's adjoint, renamed as own_maps."""
+        return tuple([m._renamed(fed) if fed else m for m, fed in zip(self.adjoints, self.feeds)])
 
 
 def _compile_plan(c: CircuitSchedule) -> _Plan:
@@ -270,21 +280,6 @@ def _compile_plan(c: CircuitSchedule) -> _Plan:
     return _Plan(tuple(maps), tuple(feeds), fresh)
 
 
-def _own_maps(maps: tuple[LinearMap, ...], feeds) -> tuple[LinearMap, ...]:
-    """Each step's map renamed by its fed sinks' pairs, built once per distinct pair."""
-    own: dict[tuple[int, tuple], LinearMap] = {}
-    out = []
-    pm = pf = x = None
-    for m, fed in zip(maps, feeds):
-        if m is not pm or fed is not pf:  # a run of one step object is looked up once
-            x = own.get((id(m), fed))
-            if x is None:
-                x = own[id(m), fed] = m._renamed(fed)
-            pm, pf = m, fed
-        out.append(x)
-    return tuple(out)
-
-
 @dataclass
 class CircuitSchedule:
     """Ordered time stamps plus one composite element step between each pair."""
@@ -296,11 +291,7 @@ class CircuitSchedule:
     post_projector: Projector | None = None
     aliases: dict[str, str] = field(default_factory=dict)
     meta: dict[str, object] = field(default_factory=dict)
-    # compiled on first use; dataclasses.replace() builds a copy without them
-    _maps: tuple[LinearMap, ...] | None = field(default=None, init=False, repr=False,
-                                                compare=False)
-    _adj_maps: tuple[LinearMap, ...] | None = field(default=None, init=False, repr=False,
-                                                    compare=False)
+    # compiled on first use; dataclasses.replace() builds a copy without it
     _engine: _Plan | None = field(default=None, init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -323,20 +314,14 @@ class CircuitSchedule:
     def step_maps(self) -> tuple[LinearMap, ...]:
         """One audited map per step; equal element tuples share one map object.
 
-        Each is the plan's map of the step's shape with the shape's fresh
-        sinks renamed the step's own.
+        The plan's own_maps: each is the plan's map of the step's shape with
+        the shape's fresh sinks renamed the step's own.
         """
-        if self._maps is None:
-            plan = self._plan()
-            self._maps = _own_maps(plan.maps, plan.feeds)
-        return self._maps
+        return self._plan().own_maps
 
     def adjoint_step_maps(self) -> tuple[LinearMap, ...]:
         """Adjoint of each step map, same step order as step_maps()."""
-        if self._adj_maps is None:
-            plan = self._plan()
-            self._adj_maps = _own_maps(plan.adjoints(), plan.feeds)
-        return self._adj_maps
+        return self._plan().own_adjoints
 
     def _plan(self) -> _Plan:
         """The plan that the engines step and step_maps() derive from, compiled once."""
@@ -361,7 +346,7 @@ def _stepping(c: CircuitSchedule, live: bool, backward: bool = False):
     (adjoints when backward), which feed none."""
     if live:
         plan = c._plan()
-        return (plan.adjoints() if backward else plan.maps), plan.feeds
+        return (plan.adjoints if backward else plan.maps), plan.feeds
     return (c.adjoint_step_maps() if backward else c.step_maps()), ((),) * len(c.steps)
 
 
@@ -464,7 +449,7 @@ def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,
     outer_split = (spr(theta_m, "S", "HWP1"), pbs("S", "A", "D", "PBS1"))
     entrance_v = route("D", "V", "B", name="PBS2")
     outer_merge = (route("A", "H", "S", name="OuterMerge"), route("D", "V", "S", name="OuterMerge"))
-    # and so are the plain inner steps, which step_maps() then looks up once per run
+    # and so are the plain inner steps, which the compile then looks up once per run
     first_inner_step, inner_step = (hwp2, pbs2), (pbs2, hwp2, pbs2)
 
     stamps: list[str] = ["t0"]

@@ -166,6 +166,9 @@ def test_counterport(cfg, bob):
 
 
 PROBED = build_paradox_circuit(2, 2)
+PROBED_PATHS = {lbl.path for lbl in PROBED.universe}
+# arms a probe may couple to, a sink among them, then names of no path
+PROBE_ARMS = ("C", "A", "B", "SinkD3#1", "Z", "c")
 
 
 def finite_or_refused(signal):
@@ -173,15 +176,19 @@ def finite_or_refused(signal):
 
 
 @fast
-@given(arm=either("C", "A"), t=either("t2", "c1.in1"), eps=either(1e-3, -0.5, 0.0))
+@given(arm=either(*PROBE_ARMS), t=either("t2", "c1.in1"), eps=either(1e-3, -0.5, 0.0))
 def test_simulate_weak_probe(arm, t, eps):
-    finite_or_refused(returns_or_refuses(simulate_weak_probe, PROBED, arm, t, eps))
+    signal = returns_or_refuses(simulate_weak_probe, PROBED, arm, t, eps)
+    finite_or_refused(signal)
+    assert signal is None or arm in PROBED_PATHS
 
 
 @fast
-@given(eps=either(1e-3, -0.5, 0.0), arm=either("C", "B"))
+@given(eps=either(1e-3, -0.5, 0.0), arm=either(*PROBE_ARMS))
 def test_channel_probe_signal(eps, arm):
-    finite_or_refused(returns_or_refuses(channel_probe_signal, PROBED, eps, arm=arm))
+    signal = returns_or_refuses(channel_probe_signal, PROBED, eps, arm=arm)
+    finite_or_refused(signal)
+    assert signal is None or arm in PROBED_PATHS
 
 
 @fast
@@ -205,3 +212,15 @@ def test_paradox_report(m, n, av, eps):
 def test_presence_probes_refuse_a_nan_epsilon(call):
     with pytest.raises(QStateError, match="epsilon"):
         call(math.nan)
+
+
+@pytest.mark.parametrize("call", [
+    lambda arm: simulate_weak_probe(PROBED, arm, "t2", 1e-3),
+    lambda arm: channel_probe_signal(PROBED, 1e-3, arm=arm),
+], ids=["simulate_weak_probe", "channel_probe_signal"])
+def test_presence_probes_refuse_an_arm_that_is_no_path(call):
+    # a signal of 0.0 would read as "the photon was not there"
+    for arm in ("Z", "c"):
+        with pytest.raises(QStateError, match="arm must be a path of the circuit"):
+            call(arm)
+    assert math.isfinite(call("SinkD3#1"))

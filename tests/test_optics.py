@@ -587,7 +587,7 @@ def test_plan_maps_are_the_step_maps_up_to_their_fresh_sink_names(m):
         assert fed == plan.fresh == {lbl.path for lbl in c.universe if is_sink(lbl.path)}
         for k, (full, adj) in enumerate(zip(c.step_maps(), c.adjoint_step_maps())):
             assert _renamed(plan.maps[k], plan.feeds[k]) == _exact(full)
-            assert _renamed(plan.adjoints()[k], plan.feeds[k]) == _exact(adj)
+            assert _renamed(plan.adjoints[k], plan.feeds[k]) == _exact(adj)
 
 
 @pytest.mark.parametrize("blocked, av", SHAPES)
