@@ -297,14 +297,24 @@ def _read_pointer(spec: Projector | StateVector, psi0: StateVector,
     return num / den
 
 
-def _probe(c: CircuitSchedule, spec: Projector | StateVector, arm: str, here: StateVector,
-           i_t: int, i_post: int, epsilon: float, live: bool) -> float:
-    """Pointer signal of one coupling to the arm of the forward state here at
-    stamp i_t: both pointer branches ride the schedule to the post stamp
-    i_post.  Branch 1 starts empty, so only branch 0 carries here's fed sinks."""
-    (psi0, _), (psi1, _) = _couple_pointer(arm, here, StateVector(), epsilon)
-    return _read_pointer(spec, evolve(c, psi0, i_t, i_post, live)[-1],
-                         evolve(c, psi1, i_t, i_post, live)[-1])
+def _pointer_walk(c: CircuitSchedule, spec: Projector | StateVector, arm: str,
+                  psi0: StateVector, i0: int, i_post: int, at: tuple[int, ...] | range,
+                  epsilon: float, live: bool) -> float:
+    """Pointer signal of a probe on the arm coupled at each stamp index in at.
+
+    Branch 0 starts as psi0 at stamp i0 and branch 1 empty, so only branch 0
+    carries psi0's fed sinks; both step together to the post stamp i_post,
+    and only the current pair is held."""
+    maps, feeds = _stepping(c, live)
+    psi1, n0, n1 = StateVector(), psi0.norm2() + psi0._fed_n2, 0.0
+    for j in range(i0, i_post + 1):
+        if j > i0:
+            m, fed = maps[j - 1], feeds[j - 1]
+            psi0 = _checked_step(c, m, psi0, n0, j, fed)
+            psi1 = _checked_step(c, m, psi1, n1, j, fed)
+        if j in at:
+            (psi0, n0), (psi1, n1) = _couple_pointer(arm, psi0, psi1, epsilon)
+    return _read_pointer(spec, psi0, psi1)
 
 
 def _check_probe(epsilon, c: CircuitSchedule | None = None, arm: str | None = None) -> None:
@@ -327,14 +337,11 @@ def simulate_weak_probe(c: CircuitSchedule, arm: str, t: str, epsilon: float,
     the next term is third order.
     """
     _check_probe(epsilon, c, arm)
-    if epsilon == 0.0:
-        return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
     i_t = _window_index(c, t, i_pre, i_post)
-    live = _live(c, b.pre[1], b.post[1], projector(paths=arm))
-    here = evolve(c, b.pre[1], i_pre, i_t, live)[-1]
-    return _probe(c, b.post[1], arm, here, i_t, i_post, epsilon, live)
+    return _pointer_walk(c, b.post[1], arm, b.pre[1], i_pre, i_post, (i_t,), epsilon,
+                         _live(c, b.pre[1], b.post[1], projector(paths=arm)))
 
 
 def channel_probe_signal(c: CircuitSchedule, epsilon: float,
@@ -346,19 +353,10 @@ def channel_probe_signal(c: CircuitSchedule, epsilon: float,
     whole run rather than being switched in at one stamp.
     """
     _check_probe(epsilon, c, arm)
-    if epsilon == 0.0:
-        return 0.0
     b = boundaries if boundaries is not None else end_to_end_boundaries(c)
     i_pre, i_post = _pair_window(c, b)
-    live = _live(c, b.pre[1], b.post[1], projector(paths=arm))
-    maps, feeds = _stepping(c, live)
-    (psi0, n0), (psi1, n1) = _couple_pointer(arm, b.pre[1], StateVector(), epsilon)
-    for j in range(i_pre + 1, i_post + 1):  # both branches one step each, then couple again
-        m, fed = maps[j - 1], feeds[j - 1]
-        (psi0, n0), (psi1, n1) = _couple_pointer(
-            arm, _checked_step(c, m, psi0, n0, j, fed), _checked_step(c, m, psi1, n1, j, fed),
-            epsilon)
-    return _read_pointer(b.post[1], psi0, psi1)
+    return _pointer_walk(c, b.post[1], arm, b.pre[1], i_pre, i_post, range(i_pre, i_post + 1),
+                         epsilon, _live(c, b.pre[1], b.post[1], projector(paths=arm)))
 
 
 def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
@@ -375,11 +373,11 @@ def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
         here, pi = fwd[i_t - i_pre], pis[arm]
         w = None if bwd is None else _weak_values([project(pi, here)[0]], here,
                                                   bwd[i_t - i_pre])
-        sig = 0.0 if epsilon == 0.0 else _probe(c, b.post[1], arm, here, i_t, i_post, epsilon,
-                                                live)
         rows.append({"arm": arm, "stamp": stamp,
                      "weak_value": None if w is None else [w[0].real, w[0].imag],
-                     "probe_signal": sig, "boundaries": bname})
+                     "probe_signal": _pointer_walk(c, b.post[1], arm, here, i_t, i_post, (i_t,),
+                                                   epsilon, live),
+                     "boundaries": bname})
     return rows
 
 

@@ -166,10 +166,9 @@ def _element_map(el: Element, index) -> LinearMap:
     return LinearMap(cols, kind="unitary", name=el.name, domain=dom)
 
 
-def _step_map(elements: tuple[Element, ...], index, element_maps: dict,
-              products: dict) -> LinearMap:
-    # folded from the right, so steps that end alike share their suffix products;
-    # columns stay in universe order: the adjoint's sums follow column order
+def _step_map(elements: tuple[Element, ...], index, element_maps: dict) -> LinearMap:
+    # folded from the right; columns stay in universe order: the adjoint's sums
+    # follow column order
     dom, pos, _, _ = index
     m = None
     for el in reversed(elements):
@@ -178,12 +177,7 @@ def _step_map(elements: tuple[Element, ...], index, element_maps: dict,
         em = element_maps.get(id(el))
         if em is None:
             em = element_maps[id(el)] = _element_map(el, index)
-        if m is not None:  # products carries the suffix products, keyed by their two factors
-            key = em, m
-            em = products.get(key)
-            if em is None:
-                em = products[key] = compose(*key)
-        m = em
+        m = em if m is None else compose(em, m)
     if m is None:
         m = LinearMap({}, kind="unitary", name="idle", domain=dom)
     return m._ordered(pos.__getitem__)
@@ -195,7 +189,7 @@ def element_map(el: Element, universe: tuple[BasisLabel, ...]) -> LinearMap:
 
 
 def step_map(elements: tuple[Element, ...], universe: tuple[BasisLabel, ...]) -> LinearMap:
-    return _step_map(elements, _label_index(universe), {}, {})
+    return _step_map(elements, _label_index(universe), {})
 
 
 @dataclass
@@ -255,7 +249,6 @@ def _compile_plan(c: CircuitSchedule) -> _Plan:
     share = all(lbl.path in fresh for lbl in c.universe[first:])
 
     element_maps: dict[int, LinearMap] = {}
-    products: dict[tuple[LinearMap, LinearMap], LinearMap] = {}
     shapes: dict[object, tuple[LinearMap, list[BasisLabel]]] = {}  # -> map, its fresh labels
     maps, feeds = [], []
     prev = m = fed = None
@@ -273,7 +266,7 @@ def _compile_plan(c: CircuitSchedule) -> _Plan:
                        tuple((place[lbl.path], lbl.pol, lbl.bob) for lbl in labels))
             hit = shapes.get(key)
             if hit is None:
-                hit = shapes[key] = _step_map(els, index, element_maps, products), labels
+                hit = shapes[key] = _step_map(els, index, element_maps), labels
             m, fed, prev = hit[0], tuple(zip(hit[1], labels)), els
         maps.append(m)
         feeds.append(fed)

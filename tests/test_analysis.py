@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,21 @@ def test_probe_vanishes_at_zero_coupling(circuit):
     assert simulate_weak_probe(circuit, "C", "t2", 0.0) == 0.0
 
 
+def test_a_probe_holds_only_its_current_pair_of_branches():
+    # the walk keeps no state per stamp, so its memory does not grow with
+    # depth (stepping through evolve's per-stamp lists peaked at 6.3 MB here)
+    c = build_paradox_circuit(10, 1600)
+    c._plan()
+    tracemalloc.start()
+    try:
+        signal = simulate_weak_probe(c, "C", "c1.in1", 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(signal) and signal != 0.0
+    assert peak < 64 * 1024
+
+
 def test_probe_outside_window_rejected(circuit):
     with pytest.raises(QStateError):
         simulate_weak_probe(circuit, "C", "t_final", 1e-3,
@@ -315,13 +331,14 @@ def test_paradox_report_evolves_each_boundary_pair_once(analysis_work, monkeypat
 
     monkeypatch.setattr(optics, "_accumulate", counted_kernel)
     paradox_report(4, 12, av_rounds=1)
-    # 4 pairs x 2 trajectories and 2 pointer branches for each of 6 cells; each
-    # channel probe steps its two branches itself (57 and 105 steps), so it makes
-    # no evolve call but still applies 2 step maps per step.  A report made 368
-    # calls and 1,540 steps when every cell evolved its own pair, and 344 calls
-    # and 1,264 steps when each channel probe called evolve once per branch and step
-    assert analysis_work == {"validate": 0, "evolve": 20, "steps": 940}
-    assert len(applied) == 940 + 2 * (57 + 105) == 1264
+    # 4 pairs x 2 trajectories; the pointer walk steps the two branches of each
+    # of 6 cells (280 steps) and of each channel probe (57 and 105 steps) itself,
+    # so it makes no evolve call but still applies 2 step maps per step.  A report
+    # made 368 calls and 1,540 steps when every cell evolved its own pair, 344 calls
+    # and 1,264 steps when each channel probe called evolve once per branch and
+    # step, and 20 calls and 940 steps when each cell's branches called evolve
+    assert analysis_work == {"validate": 0, "evolve": 8, "steps": 380}
+    assert len(applied) == 380 + 2 * (280 + 57 + 105) == 1264
 
 
 def test_history_probability_error_order(circuit):

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenoport.analysis import channel_probe_signal, paradox_report, simulate_weak_probe
+from zenoport.analysis import (BoundaryPair, channel_probe_signal, paradox_report,
+                               simulate_weak_probe)
 from zenoport.counterport import counterport, sample_bloch
 from zenoport.cqze import ATOL_SUM, BobQubit, ProtocolConfig, run_cqze
 from zenoport.optics import (ELEMENT_KINDS, Element, block, build_paradox_circuit, element_map,
                              route, spr)
-from zenoport.qstate import QStateError, label
+from zenoport.qstate import QStateError, StateVector, label, projector
 
 UNIVERSE = tuple(label(path, pol) for path in ("S", "A", "B", "C", "D", "SinkX") for pol in "HV")
 
@@ -212,6 +213,27 @@ def test_paradox_report(m, n, av, eps):
 def test_presence_probes_refuse_a_nan_epsilon(call):
     with pytest.raises(QStateError, match="epsilon"):
         call(math.nan)
+
+
+# pre stamp after post stamp, and a pre state of norm**2 9
+LATE_PRE = BoundaryPair(pre=("c1.t4", StateVector({label("S", "H"): 1.0})),
+                        post=("t1", projector(paths="S")))
+HEAVY_PRE = BoundaryPair(pre=("t0", StateVector({label("S", "H"): 3.0})),
+                         post=("t_final", projector(paths="F")))
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.0, 1e-3])
+@pytest.mark.parametrize("call", [
+    lambda eps: simulate_weak_probe(PROBED, "C", "no-such-stamp", eps),
+    lambda eps: simulate_weak_probe(PROBED, "C", "t2", eps, LATE_PRE),
+    lambda eps: simulate_weak_probe(PROBED, "C", "t2", eps, HEAVY_PRE),
+    lambda eps: channel_probe_signal(PROBED, eps, LATE_PRE),
+    lambda eps: channel_probe_signal(PROBED, eps, HEAVY_PRE),
+], ids=["unknown-stamp", "late-pre", "heavy-pre", "channel-late-pre", "channel-heavy-pre"])
+def test_zero_strength_probes_check_their_inputs(call, eps):
+    # a zero coupling leaves the pointer unread, but not the boundaries unchecked
+    with pytest.raises(QStateError):
+        call(eps)
 
 
 @pytest.mark.parametrize("call", [

@@ -494,7 +494,7 @@ SHAPES = [(False, 0), (True, 0), (False, 1), (True, 1), (False, 2), (True, 2)]
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_compiled_step_maps_equal_the_public_step_map(m):
-    # one compile shares element maps and suffix products across steps;
+    # one compile shares element maps and step maps across steps;
     # step_map compiles each step on its own.  N runs 1..12 and each
     # (M, N) takes one circuit shape in turn, so every M meets all six.
     for n in range(1, 13):
@@ -514,7 +514,7 @@ def test_compiled_step_maps_equal_the_public_step_map(m):
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_compiled_step_maps_equal_a_left_fold_bit_for_bit(m):
-    # the compile folds each step from the right and shares suffix products;
+    # the compile folds each step from the right;
     # _audited_product folds it from the left, with no sharing
     for n in range(1, 13):
         blocked, av = SHAPES[(m + n) % len(SHAPES)]
@@ -533,12 +533,12 @@ def test_a_blocked_compile_makes_one_compose_per_new_blocked_inner_step(monkeypa
     c = build_paradox_circuit(4, 12, block_channel=True)
     c.step_maps()
     c.adjoint_step_maps()
-    # the one compile behind the engines and the public maps: HWP1;PBS1,
-    # HWP2;PBS2 and PBS2;HWP2;PBS2 once each, one for the blocked inner steps,
-    # which differ only in their fresh sinks, four for the outer merges and one
-    # for the exit.  Compiling each step made 64 (3 + 4 x 11 + 4 x 4 + 1), and
-    # folding each step from the left 151
-    assert len(made) == 3 + 1 + 4 + 1 == 9
+    # the one compile behind the engines and the public maps: one each for
+    # HWP1;PBS1 and HWP2;PBS2, three for the blocked inner steps, which differ
+    # only in their fresh sinks, four for the outer merges and one for the exit.
+    # Sharing suffix products made 9, compiling each step 64 (3 + 4 x 11 + 4 x 4
+    # + 1), and folding each step from the left 151
+    assert len(made) == 1 + 1 + 3 + 4 + 1 == 10
     made.clear()
     assert c._plan() is c._plan() and c.step_maps() is c.step_maps() and not made
 
