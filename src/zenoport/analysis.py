@@ -110,7 +110,7 @@ def forward_state(c: CircuitSchedule, pre: tuple[str, StateVector], t: str) -> S
     i1 = c.index_of(t)
     if i1 < i0:
         raise QStateError(f"stamp {t!r} lies before the pre stamp {stamp!r}")
-    return evolve(c, s, i0, i1)[-1]
+    return evolve(c, s, i0, i1)[0]
 
 
 def _post_state(post: tuple[str, Projector | StateVector],
@@ -145,8 +145,8 @@ def backward_state(c: CircuitSchedule, post: tuple[str, Projector | StateVector]
     i0 = c.index_of(t)
     if i0 > i1:
         raise QStateError(f"stamp {t!r} lies after the post stamp {stamp!r}")
-    fwd = None if isinstance(spec, StateVector) else evolve(c, c.pre_state.normalized(), 0, i1)[-1]
-    return evolve(c, _post_state(post, fwd), i1, i0)[-1]
+    fwd = None if isinstance(spec, StateVector) else evolve(c, c.pre_state.normalized(), 0, i1)[0]
+    return evolve(c, _post_state(post, fwd), i1, i0)[0]
 
 
 def _window_index(c: CircuitSchedule, t: str, i_pre: int, i_post: int) -> int:
@@ -171,16 +171,16 @@ def _live(c: CircuitSchedule, *specs: Projector | StateVector) -> bool:
     return True
 
 
-def _trajectories(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int, live: bool
-                  ) -> tuple[list[StateVector], list[StateVector] | None]:
-    """Forward and backward states at stamps i_pre..i_post, both in stamp order;
-    None for the backward list when the boundaries are orthogonal."""
-    fwd = evolve(c, b.pre[1], i_pre, i_post, live)
+def _trajectories(c: CircuitSchedule, b: BoundaryPair, i_pre: int, i_post: int, live: bool,
+                  keep: tuple[int, ...] | range) -> tuple[dict, dict | None]:
+    """Forward and backward states at each stamp index in keep, keyed by it;
+    None for the backward states when the boundaries are orthogonal."""
+    end, fwd = evolve(c, b.pre[1], i_pre, i_post, live, keep)
     try:
-        post = _post_state(b.post, fwd[-1])
+        post = _post_state(b.post, end)
     except OrthogonalBoundariesError:
         return fwd, None
-    return fwd, evolve(c, post, i_post, i_pre, live)[::-1]
+    return fwd, evolve(c, post, i_post, i_pre, live, keep)[1]
 
 
 def _weak_values(parts: list[StateVector], f: StateVector,
@@ -207,8 +207,8 @@ def _arm_parts(s: StateVector, arms: tuple[str, ...]) -> list[StateVector]:
 def weak_value(pi: Projector, b: BoundaryPair, t: str, c: CircuitSchedule) -> complex:
     """Two-state-vector weak value of pi at stamp t between the pair's boundaries."""
     i_pre, i_post = _pair_window(c, b)
-    k = _window_index(c, t, i_pre, i_post) - i_pre
-    fwd, bwd = _trajectories(c, b, i_pre, i_post, _live(c, b.pre[1], b.post[1], pi))
+    k = _window_index(c, t, i_pre, i_post)
+    fwd, bwd = _trajectories(c, b, i_pre, i_post, _live(c, b.pre[1], b.post[1], pi), (k,))
     w = None if bwd is None else _weak_values([project(pi, fwd[k])[0]], fwd[k], bwd[k])
     if w is None:
         raise OrthogonalBoundariesError(f"the boundaries are orthogonal at stamp {t!r}")
@@ -232,15 +232,14 @@ def weak_trace_map(c: CircuitSchedule, b: BoundaryPair) -> dict[tuple[str, str],
     """
     i_pre, i_post = _pair_window(c, b)
     arms = arm_paths(c)
-    fwd, bwd = _trajectories(c, b, i_pre, i_post, _live(c, b.pre[1], b.post[1]))
-    out: dict[tuple[str, str], complex | None] = {}
-    for i, stamp in enumerate(c.stamps):
-        ws = None
-        if bwd is not None and i_pre <= i <= i_post:
-            here = fwd[i - i_pre]
-            ws = _weak_values(_arm_parts(here, arms), here, bwd[i - i_pre])
-        for a, arm in enumerate(arms):
-            out[(arm, stamp)] = None if ws is None else ws[a]
+    fwd, bwd = _trajectories(c, b, i_pre, i_post, _live(c, b.pre[1], b.post[1]),
+                             range(i_pre, i_post + 1))
+    out: dict[tuple[str, str], complex | None] = dict.fromkeys(
+        (arm, stamp) for stamp in c.stamps for arm in arms)
+    for i, here in fwd.items() if bwd is not None else ():
+        ws = _weak_values(_arm_parts(here, arms), here, bwd[i])
+        if ws is not None:
+            out.update(zip([(arm, c.stamps[i]) for arm in arms], ws))
     return out
 
 
@@ -364,15 +363,14 @@ def _report_rows(c: CircuitSchedule, bname: str, b: BoundaryPair,
     """Rows of one boundary pair's (arm, stamp) cells, from one forward and one
     backward trajectory."""
     i_pre, i_post = _pair_window(c, b)
+    ts = tuple(_window_index(c, stamp, i_pre, i_post) for _, stamp in cells)
     pis = {arm: projector(paths=arm) for arm, _ in cells}
     live = _live(c, b.pre[1], b.post[1], *pis.values())
-    fwd, bwd = _trajectories(c, b, i_pre, i_post, live)
+    fwd, bwd = _trajectories(c, b, i_pre, i_post, live, ts)
     rows = []
-    for arm, stamp in cells:
-        i_t = _window_index(c, stamp, i_pre, i_post)
-        here, pi = fwd[i_t - i_pre], pis[arm]
-        w = None if bwd is None else _weak_values([project(pi, here)[0]], here,
-                                                  bwd[i_t - i_pre])
+    for (arm, stamp), i_t in zip(cells, ts):
+        here, pi = fwd[i_t], pis[arm]
+        w = None if bwd is None else _weak_values([project(pi, here)[0]], here, bwd[i_t])
         rows.append({"arm": arm, "stamp": stamp,
                      "weak_value": None if w is None else [w[0].real, w[0].imag],
                      "probe_signal": _pointer_walk(c, b.post[1], arm, here, i_t, i_post, (i_t,),
@@ -501,7 +499,7 @@ def _kets(c: CircuitSchedule, pre: tuple[str, StateVector],
     def walk(depth: int, s: StateVector, i: int) -> None:
         j = ends[depth]
         if s:
-            s = evolve(c, s, i, j, live)[-1]
+            s = evolve(c, s, i, j, live)[0]
         if depth == len(slots):
             kets.append(project(post[1], s)[0].pruned())
             return

@@ -331,7 +331,7 @@ class TrajectoryRecord:
     states: dict[str, StateVector]
 
     def at(self, stamp: str) -> StateVector:
-        return self.states[self.schedule.resolve(stamp)]
+        return self.states[self.schedule.stamps[self.schedule.index_of(stamp)]]
 
 
 def _stepping(c: CircuitSchedule, live: bool, backward: bool = False):
@@ -375,9 +375,9 @@ def _checked_step(c: CircuitSchedule, m: LinearMap, s: StateVector, base: float,
     return StateVector._wrap(out, nfed, fed_n2)
 
 
-def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int,
-           live: bool = False) -> list[StateVector]:
-    """States at stamps i0..i1 in stepping order, checking conservation per stamp.
+def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int, live: bool = False,
+           keep: tuple[int, ...] | range = ()) -> tuple[StateVector, dict[int, StateVector]]:
+    """s stepped from stamp i0 to i1, and {k: its state at k} for each k in keep, in step order.
 
     Steps forward, or backward through the adjoint maps when i1 < i0.  Every
     stamp's norm**2, its fed sinks' included, must stay within ATOL_CONSERVE
@@ -392,17 +392,19 @@ def evolve(c: CircuitSchedule, s: StateVector, i0: int, i1: int,
     else:
         ks, maps, feeds = range(i0 - 1, i1 - 1, -1), maps[i1:i0][::-1], feeds[i1:i0][::-1]
     base = s.norm2() + s._fed_n2
-    states = [s]
+    kept = {i0: s} if i0 in keep else {}
     for k, m, fed in zip(ks, maps, feeds):
         s = _checked_step(c, m, s, base, k, fed)
-        states.append(s)
-    return states
+        if k in keep:
+            kept[k] = s
+    return s, kept
 
 
 def run_schedule(c: CircuitSchedule, input_state: StateVector | None = None) -> TrajectoryRecord:
     """Evolve the input through every step, checking conservation per stamp."""
     s = c.pre_state if input_state is None else input_state
-    return TrajectoryRecord(c, dict(zip(c.stamps, evolve(c, s, 0, len(c.stamps) - 1))))
+    _, kept = evolve(c, s, 0, len(c.stamps) - 1, keep=range(len(c.stamps)))
+    return TrajectoryRecord(c, {c.stamps[i]: x for i, x in kept.items()})
 
 
 def build_paradox_circuit(M: int, N: int, *, block_channel: bool = False,

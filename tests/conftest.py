@@ -27,10 +27,10 @@ def analysis_work(monkeypatch):
         counts["validate"] += 1
         return validate(self, c)
 
-    def counted_evolve(c, s, i0, i1, live=False):
+    def counted_evolve(c, s, i0, i1, live=False, keep=()):
         counts["evolve"] += 1
         counts["steps"] += abs(i1 - i0)
-        return evolve(c, s, i0, i1, live)
+        return evolve(c, s, i0, i1, live, keep)
 
     monkeypatch.setattr(analysis.Family, "validate", counted_validate)
     monkeypatch.setattr(analysis, "evolve", counted_evolve)

@@ -341,6 +341,27 @@ def test_paradox_report_evolves_each_boundary_pair_once(analysis_work, monkeypat
     assert len(applied) == 380 + 2 * (280 + 57 + 105) == 1264
 
 
+def test_the_engines_keep_only_the_states_they_read(monkeypatch):
+    # a report reads at most 3 cells of a boundary pair's trajectories, and a
+    # family only the state at the end of each leg
+    evolve, kept = analysis.evolve, []
+
+    def recorded(*args, **kwargs):
+        end, states = evolve(*args, **kwargs)
+        assert isinstance(states, dict)
+        kept.append(len(states))
+        return end, states
+
+    monkeypatch.setattr(analysis, "evolve", recorded)
+    paradox_report(20, 100, av_rounds=1)
+    assert kept and max(kept) <= 3
+    kept.clear()
+    c = build_paradox_circuit(10, 50)
+    for f in builtin_families(c).values():
+        evaluate_family(f, c)
+    assert kept and set(kept) == {0}
+
+
 def test_history_probability_error_order(circuit):
     fams = builtin_families(circuit)
     foreign = fams["final_via_cycle2"].histories()[0]

@@ -195,6 +195,14 @@ def test_paradox_refuses_booleans(args, kwargs, message):
         build_paradox_circuit(*args, **kwargs)
 
 
+def test_a_trajectory_refuses_a_stamp_outside_its_schedule():
+    tr = run_schedule(build_paradox_circuit(2, 2))
+    assert tr.at("t2") is tr.states["c1.in1"]
+    for stamp in ("nope", 3):
+        with pytest.raises(QStateError, match=f"^stamp {stamp!r} not in schedule$"):
+            tr.at(stamp)
+
+
 def test_trajectory_conserves_probability_at_every_stamp():
     c = build_paradox_circuit(3, 4, block_channel=True)
     tr = run_schedule(c)
@@ -613,10 +621,13 @@ def test_live_states_are_the_full_states_without_their_fed_sinks(blocked, av):
     mid = StateVector({label("D", "V"): 1.0})  # the inner carrier, from mid-circuit on
     for s, i0, i1 in ((c.pre_state, 0, last), (post, last, 0),
                       (mid, c.index_of("c2.t1"), c.index_of("c3.in3"))):
-        full = evolve(c, s, i0, i1)
-        live = evolve(c, s, i0, i1, live=True)
-        assert len(live) == len(full) and live[-1]._fed
-        for f, x in zip(full, live):
+        step = 1 if i1 >= i0 else -1
+        every = range(i0, i1 + step, step)  # every stamp, in stepping order
+        full_end, full = evolve(c, s, i0, i1, keep=every)
+        live_end, live = evolve(c, s, i0, i1, live=True, keep=every)
+        assert list(live) == list(full) == list(every)
+        assert live_end is live[i1] and full_end is full[i1] and live_end._fed
+        for f, x in zip(full.values(), live.values()):
             fed = [v for k, v in f.items() if k.path in fresh]
             assert _hex(x) == _hex({k: v for k, v in f.items() if k.path not in fresh})
             assert x._fed == len(fed) and f._fed == 0 and f._fed_n2 == 0.0
@@ -626,7 +637,8 @@ def test_live_states_are_the_full_states_without_their_fed_sinks(blocked, av):
 @pytest.mark.parametrize("blocked, av", [(True, 0), (False, 2)])
 def test_a_live_state_is_a_plain_state_of_its_items(blocked, av):
     c = build_paradox_circuit(3, 5, block_channel=blocked, av_rounds=av)
-    for x in evolve(c, c.pre_state, 0, len(c.stamps) - 1, live=True)[1:]:
+    last = len(c.stamps) - 1
+    for x in evolve(c, c.pre_state, 0, last, live=True, keep=range(1, last + 1))[1].values():
         plain = StateVector(dict(x.items()))
         assert x == plain and plain == x and x != dict(x.items(), Z=1.0)
         assert list(x) == list(plain) and len(x) == len(plain)
@@ -688,21 +700,24 @@ def test_checked_step_is_apply_then_prune_bit_for_bit(cols, amps):
 def test_evolve_steps_exactly_like_apply_then_prune():
     c = build_paradox_circuit(3, 3, block_channel=True, av_rounds=1)
     last = len(c.stamps) - 1
-    fwd = evolve(c, c.pre_state, 0, last)
+    every = range(last + 1)
+    fwd_end, fwd = evolve(c, c.pre_state, 0, last, keep=every)
+    assert list(fwd) == list(every) and fwd_end is fwd[last]
     s, ref = c.pre_state, [c.pre_state]
     for m in c.step_maps():
         s = apply(m, s).pruned()
         assert abs(s.norm2() - 1.0) <= 1e-12
         ref.append(s)
-    assert [_bits(x) for x in fwd] == [_bits(x) for x in ref]
+    assert [_bits(x) for x in fwd.values()] == [_bits(x) for x in ref]
     post = StateVector({label("F", "H"): 0.6, label("F", "V"): 0.8j})
-    bwd = evolve(c, post, last, 0)
+    bwd_end, bwd = evolve(c, post, last, 0, keep=every)
+    assert list(bwd) == list(every)[::-1] and bwd_end is bwd[0]
     s, ref = post, [post]
     for m in reversed(c.adjoint_step_maps()):
         s = apply(m, s).pruned()
         assert abs(s.norm2() - 1.0) <= 1e-12
         ref.append(s)
-    assert [_bits(x) for x in bwd] == [_bits(x) for x in ref]
+    assert [_bits(x) for x in bwd.values()] == [_bits(x) for x in ref]
 
 
 def test_evolve_rejects_a_label_outside_the_universe():
