@@ -16,7 +16,7 @@ two module runs (control bit 0 and 1) fix every run of it.  `_transport`
 evaluates the protocol from those transfers in closed form, indexing them
 by control bit, with arithmetic that plain numbers and numpy arrays share:
 `counterport` passes one qubit's transfers as Python numbers, and `sweep`
-passes numpy arrays, one batch per block of consecutive grid rows.
+a block of cells' arrays on the basis inputs, whose forms fix every qubit.
 
 numpy is imported inside the functions that use it, and the process pool
 where `sweep` starts one, so that `import zenoport`, the presence commands
@@ -29,6 +29,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice, product
 
 from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, BobQubit, ProtocolConfig, _abs2, _as_bob,
                    _module, _require_one, _two_rail)
@@ -114,6 +115,19 @@ class _Transport:
     fidelity_post_selected: float | np.ndarray
 
 
+def _post_selected(f_li, p_success, total):
+    """f_li / p_success, 0 below P_EMPTY, once each port/loss total of the run or
+    batch is within ATOL_SUM of 1 (a batch names its first breach, NaN included)."""
+    if isinstance(total, float):
+        _require_one(total, "port/loss probabilities sum to")
+        return f_li / p_success if p_success >= P_EMPTY else 0.0
+    import numpy as np
+    bad = total[~(abs(total - 1.0) <= ATOL_SUM)]
+    if bad.size:
+        _require_one(float(bad[0]), "port/loss probabilities sum to")
+    return np.divide(f_li, p_success, out=np.zeros_like(f_li), where=p_success >= P_EMPTY)
+
+
 def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
     """Run the two-round protocol in closed form.
 
@@ -149,17 +163,7 @@ def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
         f = [_abs2(a_conj * h[b] + b_conj * v[b]) for b in bits]
         p_port[name], f_port[name] = p[0] + p[1], f[0] + f[1]
     p_success = p_port["Port1"] + p_port["Port2"]
-    total = p_success + p_lost
     f_li = f_port["Port1"] + f_port["Port2"]
-    if isinstance(total, float):
-        _require_one(total, "port/loss probabilities sum to")
-        f_ps = f_li / p_success if p_success >= P_EMPTY else 0.0
-    else:  # a batch reports its first breach; a NaN sum counts as one
-        import numpy as np
-        bad = total[~(abs(total - 1.0) <= ATOL_SUM)]
-        if bad.size:
-            _require_one(float(bad[0]), "port/loss probabilities sum to")
-        f_ps = np.divide(f_li, p_success, out=np.zeros_like(f_li), where=p_success >= P_EMPTY)
     return _Transport(
         rounds={"round1": {"F": round1}, "between_rounds": {"F": between},
                 "round2_ports": {"Port1": port1, "Port2": port2}, "final": final},
@@ -168,7 +172,7 @@ def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
         losses=losses,
         p_lost=p_lost,
         fidelity=f_li,
-        fidelity_post_selected=f_ps,
+        fidelity_post_selected=_post_selected(f_li, p_success, p_success + p_lost),
     )
 
 
@@ -301,27 +305,69 @@ class FidelityGrid:
         }
 
 
-# Cell-qubit entries per sweep `_transport` call.  In a fresh process on a
-# 2-core VM, an 8 x 8 x 100 sweep raised peak RSS by 3.3 MB as one call, by
-# 0.55 MB in calls of at most 2048 entries and by 0.27 MB in one call per row.
+# Cells per basis `_transport` call: _BATCH // 4; entries per forms read: max(_BATCH,
+# n_max·samples).  Fresh on a 2-core VM, an 80 x 400 x 20 sweep peaks at 39.3 MB RSS
+# (39.9 at _BATCH // 2 cells, 41.8 / 50.6 at _BATCH 8192 / 32768; 38.5 run per qubit).
 _BATCH = 2048
+
+
+def _hermitian(amps):
+    """Coefficients on u of the sum over amps of |alpha·a[..., 0] + beta·a[..., 1]|^2."""
+    cross = sum(a[..., 0].conjugate() * a[..., 1] for a in amps)
+    return (sum(_abs2(a[..., 0]) for a in amps), sum(_abs2(a[..., 1]) for a in amps),
+            2.0 * cross.real, -2.0 * cross.imag)
+
+
+def _cell_forms(cfgs):
+    """Per configuration, the coefficients on u = (|alpha|^2, |beta|^2, Re and Im of
+    conj(alpha)·beta) of the arrival probability and port/loss total (linear) and of the
+    loss-inclusive fidelity (quadratic, k <= l in order), from `_transport` on (1, 0), (0, 1)."""
+    import numpy as np
+    basis = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    f_h, f_v, loss = _transfer_arrays(cfgs, (2, len(cfgs), 1))
+    rounds = _transport(*basis, f_h, f_v, loss).rounds
+    final, between = rounds["final"].values(), rounds["between_rounds"]["F"]
+    prob = np.array(_hermitian([amp for pair in final for amps in pair for amp in amps]))
+    # each bit's loss coefficient times its weight in the control and between the rounds
+    lost = sum(sum(loss[fam][b, :, 0] for fam in LOSS_FAMILIES)
+               * np.array(_hermitian([basis[b], between[0][b], between[1][b]])) for b in (0, 1))
+    # conj(alpha)·h + conj(beta)·v on each port and bit is the sum of u_k·c_k
+    cs = [(h[b][:, 0], v[b][:, 1], h[b][:, 1] + v[b][:, 0], 1j * (h[b][:, 1] - v[b][:, 0]))
+          for h, v in final for b in (0, 1)]
+    fid = np.array([(1.0 if k == l else 2.0) * sum((c[k] * c[l].conjugate()).real for c in cs)
+                    for k in range(4) for l in range(k, 4)])
+    return prob, prob + lost, fid
+
+
+def _cell_sums(forms, terms, mode):
+    """Each cell's sample sums of its fidelity reading and arrival probability
+    from its forms and the sample's terms; checks every entry's total."""
+    import numpy as np
+    prob, total, fid = (sum(c[:, None] * x for c, x in zip(coeffs, xs))
+                        for coeffs, xs in zip(forms, terms))
+    f_ps = _post_selected(fid, prob, total)
+    # np.sum along the contiguous qubit axis is each cell's pairwise sum in a
+    # fixed order, so averages are bit-stable across job splits and workers
+    return np.sum(fid if mode == "loss-inclusive" else f_ps, axis=-1), np.sum(prob, axis=-1)
 
 
 def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
     """Averaged fidelity and arrival probability for a block of grid rows."""
     import numpy as np
     m_values, n_values, cfg_template, qubits, mode = job
-    # (bit, m, n, 1) against control amplitudes (1, 1, qubit)
-    transfers = _transfer_arrays([replace(cfg_template, M=m, N=n)
-                                  for m in m_values for n in n_values],
-                                 (2, len(m_values), len(n_values), 1))
-    alpha = np.array([[[q.alpha for q in qubits]]])
-    beta = np.array([[[q.beta for q in qubits]]])
-    t = _transport(alpha, beta, *transfers)
-    fids = t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected
-    # np.sum along the contiguous qubit axis is each cell's pairwise sum in a
-    # fixed order, so averages are bit-stable across job splits and workers
-    return tuple(np.sum(x, axis=-1) / len(qubits) for x in (fids, t.p_port1 + t.p_port2))
+    amps = np.array([(q.alpha, q.beta, q.alpha.conjugate() * q.beta) for q in qubits]).T
+    u = (_abs2(amps[0]), _abs2(amps[1]), amps[2].real, amps[2].imag)
+    terms = (u, u, [u[k] * u[l] for k in range(4) for l in range(k, 4)])
+    cells, size = product(m_values, n_values), max(1, _BATCH // 4)
+    step = max(_BATCH, len(n_values) * len(qubits)) // len(qubits)
+    sums = np.empty((2, len(m_values) * len(n_values)))
+    for i in range(0, sums.shape[1], size):
+        out = sums[:, i:i + size]
+        forms = _cell_forms([replace(cfg_template, M=m, N=n) for m, n in islice(cells, size)])
+        for j in range(0, out.shape[1], step):
+            out[:, j:j + step] = _cell_sums([x[:, j:j + step] for x in forms], terms, mode)
+    sums /= len(qubits)
+    return tuple(sums.reshape(2, len(m_values), -1))
 
 
 def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
@@ -329,10 +375,10 @@ def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
     """Average counterport fidelity over the sample for every (M, N) cell.
 
     cfg_template supplies the imperfection coefficients; its own M and N
-    are replaced cell by cell.  The grid is cut into jobs of consecutive
-    rows, each one `_transport` call of at most max(_BATCH, n_max·samples)
-    entries; workers > 1 spreads the jobs over at most one process per
-    job.  Results are identical for any worker count.
+    are replaced cell by cell.  The grid is cut into one job of consecutive
+    rows per worker (at most one per row), and a cell costs its two basis
+    runs whatever the sample size.  Results are identical for any worker
+    count and job split.
     """
     import numpy as np
     if not (_is_int(m_max, 1) and _is_int(n_max, 1)):
@@ -341,12 +387,14 @@ def sweep(m_max: int, n_max: int, cfg_template: ProtocolConfig, sample,
         raise QStateError(f"workers must be None or an integer >= 1, got {workers!r}")
     if fidelity_mode not in FIDELITY_MODES:
         raise QStateError(f"fidelity_mode must be one of {FIDELITY_MODES}")
-    qubits = tuple(sample.qubits) if isinstance(sample, BlochSample) else tuple(sample)
+    if not isinstance(cfg_template, ProtocolConfig):
+        raise QStateError(f"cfg_template must be a ProtocolConfig, got {cfg_template!r}")
+    qubits = tuple(map(_as_bob, sample.qubits if isinstance(sample, BlochSample) else sample))
     if not qubits:
         raise QStateError("sample must contain at least one qubit")
     m_values = tuple(range(1, m_max + 1))
     n_values = tuple(range(1, n_max + 1))
-    size = max(1, min(math.ceil(m_max / (workers or 1)), _BATCH // (n_max * len(qubits))))
+    size = math.ceil(m_max / (workers or 1))
     jobs = [(m_values[i:i + size], n_values, cfg_template, qubits, fidelity_mode)
             for i in range(0, m_max, size)]
     workers = min(workers or 1, len(jobs))  # a pool starts all its workers at once

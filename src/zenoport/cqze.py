@@ -59,8 +59,8 @@ LOSS_FAMILIES = ("DA", "DB", "Block", "AV")
 # 0.03 ms per module there against 0.04-0.05 ms in the exact tier (0.01
 # against 0.02 ms with the dwell cached, as in a sweep row of up to hundreds
 # of modules), and the two break even near (30, 30).  Between that and the
-# line the loops cost at most about 0.6 ms more per module, and keeping them
-# there keeps every shallow result, the default sweep included, bit for bit.
+# line the loops cost at most about 0.6 ms more per module; the exact tier
+# would move shallow results, the default sweep included, by up to 1.3e-14.
 LOOP_BUDGET = 512
 
 
@@ -367,20 +367,21 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
 
 def _outer_loop(cfg: ProtocolConfig, dwell: tuple):
     """M outer cycles around the float `dwell` on a plain H input, stepped
-    one by one in complex float64; returns the output (H, V) amplitudes and
-    each family's loss."""
+    one by one in float64 (every step is real); returns the output (H, V)
+    amplitudes as complex numbers and each family's loss, its coefficient
+    times the summed dwell input |V|^2 as in `_outer_exact`."""
     c, sn = math.cos(cfg.theta_outer), math.sin(cfg.theta_outer)
     t01, t11, coeff_items = dwell
-    vH, vV = 1 + 0j, 0j
-    loss = dict.fromkeys(LOSS_FAMILIES, 0.0)
+    vH, vV, sum_p = 1.0, 0.0, 0.0
     for _ in range(cfg.M):
         vH, vV = c * vH - sn * vV, sn * vH + c * vV
-        p = abs(vV) ** 2
-        loss["DA"] += (t01 * t01) * p
-        for famname, coeff in coeff_items:
-            loss[famname] += coeff * p
+        sum_p += vV * vV
         vV *= t11
-    return vH, vV, loss
+    loss = dict.fromkeys(LOSS_FAMILIES, 0.0)
+    loss["DA"] = t01 * t01 * sum_p
+    for famname, coeff in coeff_items:
+        loss[famname] = coeff * sum_p
+    return complex(vH), complex(vV), loss
 
 
 def _outer_exact(cfg: ProtocolConfig, dwell: tuple):

@@ -310,15 +310,9 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
 
 
 def _reference_cell(cfg, qubits, mode):
-    """One cell's averages as one transport call on a 1-D qubit row, then np.sum."""
-    runs = [cp._module(bit, cfg) for bit in (0, 1)]
-    f_h, f_v = (np.array([[run[k]] for run in runs]) for k in (0, 1))
-    loss = {fam: np.array([[run[2][fam]] for run in runs]) for fam in LOSS_FAMILIES}
-    t = cp._transport(np.array([q.alpha for q in qubits]), np.array([q.beta for q in qubits]),
-                      f_h, f_v, loss)
-    fids = t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected
-    return (float(np.sum(fids) / len(qubits)),
-            float(np.sum(t.p_port1 + t.p_port2) / len(qubits)))
+    """One cell's averages as the sweep kernel's run on a one-cell job."""
+    fid, prob = cp._grid_rows(((cfg.M,), (cfg.N,), cfg, tuple(qubits), mode))
+    return float(fid[0, 0]), float(prob[0, 0])
 
 
 # pairwise summation changes at 8 and at 128 entries
@@ -331,7 +325,8 @@ def _reference_cell(cfg, qubits, mode):
        batch=st.sampled_from((1, cp._BATCH, 10 ** 9)), workers=st.integers(1, 3))
 def test_sweep_job_splits_match_per_cell_sums_bit_for_bit(m_max, n_max, count, scheme, seed,
                                                           er, eb, av, per, mode, batch, workers):
-    # batch 1 gives one row per job, 10**9 ceil(m_max / workers) rows per job
+    # batch 1 builds one cell's forms per call and reads one cell per block;
+    # 10**9 builds and reads each job's cells at once
     tmpl = ProtocolConfig(M=1, N=1, eps_reflect=er, eps_block=eb, av_rounds=av,
                           eps_block_per=per)
     sample = sample_bloch(count, scheme, seed)
@@ -346,28 +341,114 @@ def test_sweep_job_splits_match_per_cell_sums_bit_for_bit(m_max, n_max, count, s
             assert grid.cell(m, n) == want
 
 
-def test_sweep_makes_one_transport_call_per_job(monkeypatch):
-    calls, real = [], cp._transport
+def test_sweep_makes_one_basis_transport_call_per_forms_block(monkeypatch):
+    calls, blocks = [], []
+    real_transport, real_sums = cp._transport, cp._cell_sums
 
     def spy(alpha, beta, f_h, f_v, loss):
-        calls.append((f_h.shape, np.broadcast(alpha, f_h[0]).size))
-        return real(alpha, beta, f_h, f_v, loss)
+        calls.append((alpha.tolist(), beta.tolist(), f_h.shape))
+        return real_transport(alpha, beta, f_h, f_v, loss)
+
+    def sums_spy(forms, terms, mode):
+        blocks.append(forms[0].shape[1] * len(terms[0][0]))
+        return real_sums(forms, terms, mode)
 
     created = []
     monkeypatch.setattr(cp, "_transport", spy)
+    monkeypatch.setattr(cp, "_cell_sums", sums_spy)
     monkeypatch.setattr(InlinePool, "created", created)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     cfg = ProtocolConfig(M=1, N=1, eps_reflect=0.05, eps_block=0.02)
-    for (m_max, n_max, count, workers), want in [
-            ((5, 4, 10, None), [(2, 5, 4, 1)]),  # the whole grid fits one batch
-            ((3, 30, 100, None), [(2, 1, 30, 1)] * 3),  # each row exceeds the batch
-            ((8, 8, 100, None), [(2, 2, 8, 1)] * 4),
-            ((7, 5, 40, 3), [(2, 3, 5, 1), (2, 3, 5, 1), (2, 1, 5, 1)])]:
+    # (grid, _BATCH): cells per basis call, entries per block
+    for (m_max, n_max, count, workers, batch), cells, entries in [
+            ((5, 4, 10, None, 2048), [20], [200]),  # the whole grid is one block
+            ((3, 30, 100, None, 2048), [90], [3000] * 3),  # each row exceeds the batch
+            ((8, 8, 100, None, 2048), [64], [2000] * 3 + [400]),  # blocks split rows
+            ((7, 5, 40, 3, 2048), [15, 15, 5], [600, 600, 200]),  # one job per worker
+            ((3, 5, 2, None, 8), [2] * 7 + [1], [4] * 7 + [2])]:  # the cells exceed _BATCH // 4
+        monkeypatch.setattr(cp, "_BATCH", batch)
         calls.clear()
+        blocks.clear()
         sweep(m_max, n_max, cfg, sample_bloch(count), workers=workers)
-        assert [shape for shape, _ in calls] == want
-        assert all(size <= max(cp._BATCH, n_max * count) for _, size in calls)
+        assert calls == [([1.0, 0.0], [0.0, 1.0], (2, k, 1)) for k in cells]
+        assert blocks == entries
+        assert all(size <= max(batch, n_max * count) for size in blocks)
     assert created == [3]
+
+
+def _transport_readings(cfg, qubits, mode):
+    """Each qubit's fidelity reading and arrival probability as one
+    `_transport` batch along the qubits (the sweep's evaluation before the
+    forms)."""
+    runs = [cp._module(bit, cfg) for bit in (0, 1)]
+    f_h, f_v = (np.array([[run[k]] for run in runs]) for k in (0, 1))
+    loss = {fam: np.array([[run[2][fam]] for run in runs]) for fam in LOSS_FAMILIES}
+    t = cp._transport(np.array([q.alpha for q in qubits]), np.array([q.beta for q in qubits]),
+                      f_h, f_v, loss)
+    return (t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected,
+            t.p_port1 + t.p_port2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_max=st.integers(1, 6), n_max=st.integers(1, 6), er=st.floats(0, 0.5),
+       eb=st.floats(0, 0.5), av=st.integers(0, 2), per=st.sampled_from(("inner", "outer")),
+       mode=st.sampled_from(FIDELITY_MODES), count=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 16))
+def test_sweep_forms_match_per_qubit_transport_runs(m_max, n_max, er, eb, av, per, mode,
+                                                    count, seed):
+    tmpl = ProtocolConfig(M=1, N=1, eps_reflect=er, eps_block=eb, av_rounds=av,
+                          eps_block_per=per)
+    poles = (BobQubit(1.0, 0.0), BobQubit(0.0, 1.0), BobQubit(0.0, 1j))
+    qubits = poles + (sample_bloch(count, "seeded-uniform", seed).qubits if count else ())
+    # a one-qubit sample makes each cell one entry
+    grids = [sweep(m_max, n_max, tmpl, [q], fidelity_mode=mode) for q in qubits]
+    for i, m in enumerate(grids[0].m_values):
+        for j, n in enumerate(grids[0].n_values):
+            fid, prob = _transport_readings(replace(tmpl, M=m, N=n), qubits, mode)
+            got_fid = [g.avg_fidelity[i, j] for g in grids]
+            got_prob = [g.avg_success_prob[i, j] for g in grids]
+            assert np.allclose(got_fid, fid, rtol=0.0, atol=1e-14)
+            assert np.allclose(got_prob, prob, rtol=0.0, atol=1e-14)
+
+
+def test_hermitian_coefficients_read_complex_amplitudes():
+    # module transfers are real, so a sweep never weighs the Im ᾱβ term of a
+    # linear form; complex amplitudes do
+    rng = np.random.default_rng(7)
+    amps = [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(4)]
+    coeffs = cp._hermitian(amps)
+    for q in sample_bloch(9, "seeded-uniform", 1).qubits:
+        z = q.alpha.conjugate() * q.beta
+        u = (abs(q.alpha) ** 2, abs(q.beta) ** 2, z.real, z.imag)
+        want = sum(abs(q.alpha * a[:, 0] + q.beta * a[:, 1]) ** 2 for a in amps)
+        assert np.allclose(sum(c * x for c, x in zip(coeffs, u)), want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 100])
+def test_single_cycle_cell_reads_one_half_when_post_selected(count):
+    # a 5.6e-65 arrival residue, which the forms resolve as the runs do
+    grid = sweep(1, 1, ProtocolConfig(M=1, N=1), sample_bloch(count),
+                 fidelity_mode="post-selected")
+    assert grid.cell(1, 1)[0] == 0.5
+
+
+@pytest.mark.parametrize("coeff", [0, 2])
+def test_a_breach_in_one_cells_loss_form_is_caught_per_entry(monkeypatch, coeff):
+    # the basis runs pass their own check; only qubits that weigh the
+    # corrupted coefficient (|alpha|^2 or Re conj(alpha)·beta) breach
+    real = cp._cell_forms
+
+    def leaky(cfgs):
+        prob, total, fid = real(cfgs)
+        total = total.copy()
+        total[coeff, -1] += 4e-12
+        return prob, total, fid
+
+    monkeypatch.setattr(cp, "_cell_forms", leaky)
+    with pytest.raises(ConservationError) as info:
+        sweep(2, 2, ProtocolConfig(M=1, N=1, eps_reflect=0.1), sample_bloch(3, "seeded-uniform"))
+    total = re.fullmatch(r"port/loss probabilities sum to (\S+), expected 1", str(info.value))
+    assert 1e-12 < abs(float(total[1]) - 1.0) < 5e-12
 
 
 @pytest.mark.parametrize("args,kwargs,message", [

@@ -3,20 +3,24 @@ values: each call returns or raises a QStateError subclass, never a bare
 Python error."""
 
 import cmath
+import importlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenoport.analysis import (BoundaryPair, channel_probe_signal, paradox_report,
                                simulate_weak_probe)
-from zenoport.counterport import counterport, sample_bloch
+from zenoport.counterport import counterport, sample_bloch, sweep
 from zenoport.cqze import ATOL_SUM, BobQubit, ProtocolConfig, run_cqze
 from zenoport.optics import (ELEMENT_KINDS, Element, block, build_paradox_circuit, element_map,
                              route, spr)
 from zenoport.qstate import QStateError, StateVector, label, projector
 
+# the package re-exports the function under the module's name
+cp = importlib.import_module("zenoport.counterport")
 UNIVERSE = tuple(label(path, pol) for path in ("S", "A", "B", "C", "D", "SinkX") for pol in "HV")
 
 
@@ -164,6 +168,31 @@ def test_counterport(cfg, bob):
         if r is not None:
             assert all(in_unit(p) for p in (r.p_port1, r.p_port2, r.p_lost, r.fidelity,
                                              r.fidelity_post_selected, *r.bob_purity.values()))
+
+
+@pytest.mark.parametrize("template,sample", [
+    ("cfg", sample_bloch(2)),
+    (None, [0, 1]),
+    (ProtocolConfig(M=1, N=1), [(0.6, 0.8)]),
+    (ProtocolConfig(M=1, N=1), [None]),
+    (ProtocolConfig(M=1, N=1), [BobQubit(0.6, 0.8), 2]),
+], ids=["text-template", "no-template", "pair-entry", "none-entry", "bit-2-entry"])
+def test_sweep_refuses_a_template_or_sample_entry_before_any_job(monkeypatch, template, sample):
+    def started(*args, **kwargs):
+        raise AssertionError("a sweep job or pool started")
+
+    monkeypatch.setattr(cp, "_grid_rows", started)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", started)
+    with pytest.raises(QStateError):
+        sweep(2, 2, template, sample, workers=2)
+
+
+def test_sweep_takes_control_bits_as_counterport_does():
+    cfg = ProtocolConfig(M=2, N=3, eps_reflect=0.1)
+    bits, qubits = (sweep(2, 3, cfg, sample) for sample in ([0, 1], [BobQubit(1.0, 0.0),
+                                                                    BobQubit(0.0, 1.0)]))
+    assert np.array_equal(bits.avg_fidelity, qubits.avg_fidelity)
+    assert np.array_equal(bits.avg_success_prob, qubits.avg_success_prob)
 
 
 PROBED = build_paradox_circuit(2, 2)
