@@ -292,10 +292,8 @@ def weak_map_to_csv(c, trace: dict) -> str:
 
 def _ramp_color(v: float) -> str:
     v = min(1.0, max(0.0, v))
-    lo = (20, 42, 94)
-    hi = (250, 236, 120)
-    r, g, b = (round(a + (z - a) * v) for a, z in zip(lo, hi))
-    return f"#{r:02x}{g:02x}{b:02x}"
+    # from (20, 42, 94) at 0 to (250, 236, 120) at 1
+    return f"#{round(20 + 230 * v):02x}{round(42 + 194 * v):02x}{round(94 + 26 * v):02x}"
 
 
 def svg_heatmap(grid: FidelityGrid, *, contour: float = CLASSICAL_LIMIT) -> str:
@@ -312,22 +310,22 @@ def svg_heatmap(grid: FidelityGrid, *, contour: float = CLASSICAL_LIMIT) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{ml}" y="20" font-size="14">average transport fidelity</text>',
     ]
-    vals = grid.avg_fidelity
+    vals = grid.avg_fidelity.tolist()
     for i in range(rows):
         for j in range(cols):
             x = ml + j * cell
             y = mt + i * cell
             parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                         f'fill="{_ramp_color(float(vals[i, j]))}"/>')
+                         f'fill="{_ramp_color(vals[i][j])}"/>')
     # contour: edges where neighbours straddle the threshold
     seg = []
     for i in range(rows):
         for j in range(cols):
-            here = float(vals[i, j]) >= contour
-            if j + 1 < cols and here != (float(vals[i, j + 1]) >= contour):
+            here = vals[i][j] >= contour
+            if j + 1 < cols and here != (vals[i][j + 1] >= contour):
                 x = ml + (j + 1) * cell
                 seg.append(f'M{x} {mt + i * cell} V{mt + (i + 1) * cell}')
-            if i + 1 < rows and here != (float(vals[i + 1, j]) >= contour):
+            if i + 1 < rows and here != (vals[i + 1][j] >= contour):
                 y = mt + (i + 1) * cell
                 seg.append(f'M{ml + j * cell} {y} H{ml + (j + 1) * cell}')
     if seg:
@@ -382,8 +380,8 @@ def cmd_sweep(p: dict) -> int:
     _write_text(csv_path, grid.to_csv())
     _write_text(json_path, _json_text(grid.to_json()))
     _write_text(svg_path, svg_heatmap(grid))
-    best = max((float(grid.avg_fidelity[i, j]), m, n)
-               for i, m in enumerate(grid.m_values) for j, n in enumerate(grid.n_values))
+    best = max((f, m, n) for m, row in zip(grid.m_values, grid.avg_fidelity.tolist())
+               for n, f in zip(grid.n_values, row))
     print(f"wrote {csv_path} {json_path} {svg_path}")
     print(f"best avg fidelity {best[0]:.6f} at (M,N)=({best[1]},{best[2]})")
     return EXIT_OK

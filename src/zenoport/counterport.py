@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice, product
 
 from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, BobQubit, ProtocolConfig, _abs2, _as_bob,
@@ -115,6 +115,14 @@ class _Transport:
     fidelity_post_selected: float | np.ndarray
 
 
+def _require_totals(total) -> None:
+    """Raise ConservationError at a batch's first port/loss total that misses 1
+    by more than ATOL_SUM (NaN included)."""
+    bad = total[~(abs(total - 1.0) <= ATOL_SUM)]
+    if bad.size:
+        _require_one(float(bad[0]), "port/loss probabilities sum to")
+
+
 def _post_selected(f_li, p_success, total):
     """f_li / p_success, 0 below P_EMPTY, once each port/loss total of the run or
     batch is within ATOL_SUM of 1 (a batch names its first breach, NaN included)."""
@@ -122,9 +130,7 @@ def _post_selected(f_li, p_success, total):
         _require_one(total, "port/loss probabilities sum to")
         return f_li / p_success if p_success >= P_EMPTY else 0.0
     import numpy as np
-    bad = total[~(abs(total - 1.0) <= ATOL_SUM)]
-    if bad.size:
-        _require_one(float(bad[0]), "port/loss probabilities sum to")
+    _require_totals(total)
     return np.divide(f_li, p_success, out=np.zeros_like(f_li), where=p_success >= P_EMPTY)
 
 
@@ -263,8 +269,8 @@ def sample_bloch(count: int, scheme: str = "fibonacci", seed: int = 0) -> BlochS
         raise QStateError(f"unknown sampling scheme {scheme!r}")
     qubits = []
     for z, phi in points:  # the point with z = cos(theta) and azimuth phi
-        theta = math.acos(max(-1.0, min(1.0, z)))
-        qubits.append(BobQubit(math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)))
+        half = math.acos(max(-1.0, min(1.0, z))) / 2.0
+        qubits.append(BobQubit._unit(complex(math.cos(half)), cmath.exp(1j * phi) * math.sin(half)))
     return BlochSample(tuple(qubits), count, scheme)
 
 
@@ -289,18 +295,18 @@ class FidelityGrid:
 
     def to_csv(self) -> str:
         lines = ["M,N,avg_fidelity,avg_success_prob"]
-        for i, m in enumerate(self.m_values):
-            for j, n in enumerate(self.n_values):
-                lines.append(f"{m},{n},{float(self.avg_fidelity[i, j])!r},"
-                             f"{float(self.avg_success_prob[i, j])!r}")
+        fid, prob = self.avg_fidelity.tolist(), self.avg_success_prob.tolist()
+        for m, fid_row, prob_row in zip(self.m_values, fid, prob):
+            for n, f, p in zip(self.n_values, fid_row, prob_row):
+                lines.append(f"{m},{n},{f!r},{p!r}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {
             "m_values": list(self.m_values),
             "n_values": list(self.n_values),
-            "avg_fidelity": [[float(x) for x in row] for row in self.avg_fidelity],
-            "avg_success_prob": [[float(x) for x in row] for row in self.avg_success_prob],
+            "avg_fidelity": self.avg_fidelity.tolist(),
+            "avg_success_prob": self.avg_success_prob.tolist(),
             "meta": dict(self.meta),
         }
 
@@ -345,10 +351,13 @@ def _cell_sums(forms, terms, mode):
     import numpy as np
     prob, total, fid = (sum(c[:, None] * x for c, x in zip(coeffs, xs))
                         for coeffs, xs in zip(forms, terms))
-    f_ps = _post_selected(fid, prob, total)
+    if mode == "loss-inclusive":
+        _require_totals(total)
+    else:
+        fid = _post_selected(fid, prob, total)
     # np.sum along the contiguous qubit axis is each cell's pairwise sum in a
     # fixed order, so averages are bit-stable across job splits and workers
-    return np.sum(fid if mode == "loss-inclusive" else f_ps, axis=-1), np.sum(prob, axis=-1)
+    return np.sum(fid, axis=-1), np.sum(prob, axis=-1)
 
 
 def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
@@ -363,7 +372,7 @@ def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
     sums = np.empty((2, len(m_values) * len(n_values)))
     for i in range(0, sums.shape[1], size):
         out = sums[:, i:i + size]
-        forms = _cell_forms([replace(cfg_template, M=m, N=n) for m, n in islice(cells, size)])
+        forms = _cell_forms([cfg_template._with_counts(m, n) for m, n in islice(cells, size)])
         for j in range(0, out.shape[1], step):
             out[:, j:j + step] = _cell_sums([x[:, j:j + step] for x in forms], terms, mode)
     sums /= len(qubits)

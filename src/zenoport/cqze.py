@@ -116,9 +116,12 @@ class ProtocolConfig:
         if self.eps_block_per not in ("inner", "outer"):
             raise QStateError('eps_block_per must be "inner" or "outer"')
 
-    @property
-    def theta_outer(self) -> float:
-        return math.pi / (2 * self.M)
+    def _with_counts(self, M: int, N: int) -> "ProtocolConfig":
+        """replace(self, M=M, N=N) for counts known to be integers >= 1, without
+        re-running the checks that self's other fields passed."""
+        cfg = object.__new__(self.__class__)
+        cfg.__dict__.update(self.__dict__, M=M, N=N)
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,14 @@ class BobQubit:
         except OverflowError:  # an int beyond any float: its norm^2 reads inf
             _require_one(math.inf, "control qubit norm^2 =", NormalizationError)
         _require_one(_norm2(self.alpha, self.beta), "control qubit norm^2 =", NormalizationError)
+
+    @classmethod
+    def _unit(cls, alpha: complex, beta: complex) -> "BobQubit":
+        """A qubit over complex alpha and beta as given, checked for norm 1 only."""
+        _require_one(_norm2(alpha, beta), "control qubit norm^2 =", NormalizationError)
+        q = object.__new__(cls)
+        q.__dict__.update(alpha=alpha, beta=beta)
+        return q
 
 
 def _as_bob(bob) -> BobQubit:
@@ -321,7 +332,7 @@ def _dwell_exact(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
         if r < av_rounds:
             t01, t11, lost = _apply(entrance_block, t01, t11)
             coeffs["AV"] += lost
-    return t01, t11, tuple(sorted(coeffs.items()))
+    return t01, t11, tuple(coeffs.values())
 
 
 @lru_cache(maxsize=None)
@@ -330,13 +341,13 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     """Transfer of one full dwell of n inner cycles (plus av_rounds
     extension rounds) on a pure V input slice.
 
-    Returns (t_HV, t_VV, loss coefficients): the dwell maps (0, l) to
-    (t_HV*l, t_VV*l) and each family loses coeff*|l|^2.  Real entries only,
-    since every step is a real rotation or a real scaling.  With exact the
-    entries are fixed-point integers from `_dwell_exact`; otherwise floats
-    from a cycle loop in extended precision, which keeps a shallow dwell's
-    rounding far below the 1e-12 budget.  The outer cycle count plays no
-    part, so the cache key leaves it out.
+    Returns (t_HV, t_VV, (DB, Block, AV) coefficients): the dwell maps
+    (0, l) to (t_HV*l, t_VV*l) and each family loses coeff*|l|^2.  Real
+    entries only, since every step is a real rotation or a real scaling.
+    With exact the entries are fixed-point integers from `_dwell_exact`;
+    otherwise floats from a cycle loop in extended precision, which keeps
+    a shallow dwell's rounding far below the 1e-12 budget.  The outer cycle
+    count plays no part, so the cache key leaves it out.
     """
     if exact:
         return _dwell_exact(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
@@ -361,8 +372,7 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
             t01 = t01 * k
             if bit == 1 and eps_block_per == "outer":  # later visits absorb fully
                 k2, k = zero, zero
-    out = tuple(sorted((k, float(v)) for k, v in coeffs.items()))
-    return float(t01), float(t11), out
+    return float(t01), float(t11), tuple(map(float, coeffs.values()))
 
 
 def _outer_loop(cfg: ProtocolConfig, dwell: tuple):
@@ -370,34 +380,30 @@ def _outer_loop(cfg: ProtocolConfig, dwell: tuple):
     one by one in float64 (every step is real); returns the output (H, V)
     amplitudes as complex numbers and each family's loss, its coefficient
     times the summed dwell input |V|^2 as in `_outer_exact`."""
-    c, sn = math.cos(cfg.theta_outer), math.sin(cfg.theta_outer)
-    t01, t11, coeff_items = dwell
+    theta = math.pi / (2 * cfg.M)
+    c, sn = math.cos(theta), math.sin(theta)
+    t01, t11, (db, block, av) = dwell
     vH, vV, sum_p = 1.0, 0.0, 0.0
     for _ in range(cfg.M):
         vH, vV = c * vH - sn * vV, sn * vH + c * vV
         sum_p += vV * vV
         vV *= t11
-    loss = dict.fromkeys(LOSS_FAMILIES, 0.0)
-    loss["DA"] = t01 * t01 * sum_p
-    for famname, coeff in coeff_items:
-        loss[famname] = coeff * sum_p
-    return complex(vH), complex(vV), loss
+    return complex(vH), complex(vV), {"DA": t01 * t01 * sum_p, "DB": db * sum_p,
+                                      "Block": block * sum_p, "AV": av * sum_p}
 
 
 def _outer_exact(cfg: ProtocolConfig, dwell: tuple):
     """`_outer_loop` in the exact tier, around a fixed-point `dwell`: the
     outer cycle diag(1, t_VV)·R(pi/2M) with the loss row of the rotated
     |V|^2, raised to the M-th power and applied to the real input (1, 0)."""
-    t01, t11, coeff_items = dwell
+    t01, t11, (db, block, av) = dwell
     c, s = _cos_sin(cfg.M)
     cycle = ((c, -s, t11 * s >> _F, t11 * c >> _F),
              (s * s >> _F, 2 * c * s >> _F, c * c >> _F))
     f_h, f_v, sum_p = _power(cycle, cfg.M, _ONE, 0)
-    loss = dict.fromkeys(LOSS_FAMILIES, 0.0)
-    loss["DA"] = t01 * t01 * sum_p / _ONE ** 3
-    for famname, coeff in coeff_items:
-        loss[famname] = coeff * sum_p / _ONE ** 2
-    return complex(f_h / _ONE), complex(f_v / _ONE), loss
+    return complex(f_h / _ONE), complex(f_v / _ONE), {
+        "DA": t01 * t01 * sum_p / _ONE ** 3, "DB": db * sum_p / _ONE ** 2,
+        "Block": block * sum_p / _ONE ** 2, "AV": av * sum_p / _ONE ** 2}
 
 
 def _module(bit: int, cfg: ProtocolConfig):

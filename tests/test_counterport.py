@@ -4,7 +4,7 @@ import cmath
 import importlib
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -222,6 +222,28 @@ def test_bloch_sample_bits_are_pinned(scheme, seed, count):
     qubits = sample_bloch(count, scheme, seed).qubits
     assert [(q.alpha.real.hex(), q.beta.real.hex(), q.beta.imag.hex()) for q in qubits] == want
     assert all(q.alpha.imag == 0.0 for q in qubits)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 100])
+@pytest.mark.parametrize("scheme", ["fibonacci", "seeded-uniform"])
+def test_sampled_qubits_are_checked_qubits_bit_for_bit(scheme, count):
+    for seed in (0, 1, 3, 2 ** 40):
+        for q in sample_bloch(count, scheme, seed).qubits:
+            want = BobQubit(q.alpha, q.beta)
+            assert type(q) is BobQubit and type(q.alpha) is type(q.beta) is complex
+            assert ([x.hex() for x in (q.alpha.real, q.alpha.imag, q.beta.real, q.beta.imag)]
+                    == [x.hex() for x in (want.alpha.real, want.alpha.imag,
+                                          want.beta.real, want.beta.imag)])
+
+
+@pytest.mark.parametrize("scheme", ["fibonacci", "seeded-uniform"])
+def test_sampled_qubits_keep_their_norm_check(monkeypatch, scheme):
+    exp = cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda z: 1.01 * exp(z))
+    with pytest.raises(NormalizationError) as info:
+        sample_bloch(3, scheme)
+    assert info.type is NormalizationError
+    assert re.fullmatch(r"control qubit norm\^2 = \S+, expected 1", str(info.value))
 
 
 def test_bloch_sample_validation():
@@ -445,10 +467,28 @@ def test_a_breach_in_one_cells_loss_form_is_caught_per_entry(monkeypatch, coeff)
         return prob, total, fid
 
     monkeypatch.setattr(cp, "_cell_forms", leaky)
-    with pytest.raises(ConservationError) as info:
-        sweep(2, 2, ProtocolConfig(M=1, N=1, eps_reflect=0.1), sample_bloch(3, "seeded-uniform"))
-    total = re.fullmatch(r"port/loss probabilities sum to (\S+), expected 1", str(info.value))
-    assert 1e-12 < abs(float(total[1]) - 1.0) < 5e-12
+    for mode in FIDELITY_MODES:  # a loss-inclusive reading takes no ratio but checks each total
+        with pytest.raises(ConservationError) as info:
+            sweep(2, 2, ProtocolConfig(M=1, N=1, eps_reflect=0.1),
+                  sample_bloch(3, "seeded-uniform"), fidelity_mode=mode)
+        total = re.fullmatch(r"port/loss probabilities sum to (\S+), expected 1", str(info.value))
+        assert 1e-12 < abs(float(total[1]) - 1.0) < 5e-12
+
+
+def test_only_a_post_selected_sweep_takes_each_entrys_ratio(monkeypatch):
+    real, shapes = cp._post_selected, []
+
+    def spy(f_li, p_success, total):
+        shapes.append(f_li.shape)
+        return real(f_li, p_success, total)
+
+    monkeypatch.setattr(cp, "_post_selected", spy)
+    for mode in FIDELITY_MODES:
+        shapes.clear()
+        sweep(3, 3, ProtocolConfig(M=1, N=1, eps_reflect=0.1), sample_bloch(5), fidelity_mode=mode)
+        # the basis runs' readings are (cell, basis input) arrays, the entries (cell, qubit)
+        assert (9, 2) in shapes
+        assert ((9, 5) in shapes) == (mode == "post-selected")
 
 
 @pytest.mark.parametrize("args,kwargs,message", [
@@ -514,6 +554,29 @@ def test_module_transfers_are_the_per_bit_module_runs(m, n, av, per):
         assert f_v == o.joint.amp(label("F", "V", str(bit)))
         assert loss == o.loss_breakdown
         assert tuple(loss) == LOSS_FAMILIES
+
+
+@pytest.mark.parametrize("template", [
+    ProtocolConfig(M=1, N=1),
+    ProtocolConfig(M=9, N=2, eps_reflect=0.1, eps_block=1, av_rounds=2, eps_block_per="outer"),
+], ids=["plain", "lossy"])
+def test_sweep_cells_run_the_template_with_their_counts(monkeypatch, template):
+    real, seen = cp._module, []
+
+    def spy(bit, cfg):
+        seen.append(cfg)
+        return real(bit, cfg)
+
+    monkeypatch.setattr(cp, "_module", spy)
+    sweep(3, 4, template, sample_bloch(2))
+    assert sorted((cfg.M, cfg.N) for cfg in seen) == sorted(
+        (m, n) for m in range(1, 4) for n in range(1, 5) for _ in (0, 1))
+    for cfg in seen:
+        want = replace(template, M=cfg.M, N=cfg.N)
+        assert type(cfg) is ProtocolConfig and cfg == want and hash(cfg) == hash(want)
+        for f in fields(ProtocolConfig):
+            got_value, want_value = getattr(cfg, f.name), getattr(want, f.name)
+            assert type(got_value) is type(want_value) and got_value == want_value, f.name
 
 
 def test_sweep_validation():

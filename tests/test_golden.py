@@ -1,11 +1,14 @@
-"""Presence output, byte for byte against recorded golden files.
+"""Command output, byte for byte against recorded golden files.
 
 The files in tests/golden/ hold the stdout text (.txt, .csv) and the
---json-out record (.json) of each command below, and the family file
-(.family) that one of them reads.  CI runs the same
-commands through the console script and compares them with cmp.  The
-.hex file holds the blocked circuit's weak trace through the library, one
-cell per line with its value as float hex.
+--json-out record (.json) of each presence command below, and the family
+file (.family) that one of them reads; the stdout text (.txt) and the
+sweep.csv, sweep.json and sweep.svg (.csv, .json, .svg) of each sweep, run
+with --out-dir . from its own directory; and the JSON record (.json) of
+each counterport run, whose signed zeros pin the types of the module's
+transfers.  CI runs the same commands through the console script and
+compares them with cmp.  The .hex file holds the blocked circuit's weak
+trace through the library, one cell per line with its value as float hex.
 """
 from pathlib import Path
 
@@ -42,6 +45,41 @@ def test_presence_output_matches_its_golden_file(argv, stdout_file, json_file, t
     assert capsys.readouterr().out.encode() == (GOLDEN / stdout_file).read_bytes()
     if json_file:
         assert json_out.read_bytes() == (GOLDEN / json_file).read_bytes()
+
+
+# (argv, golden file stem): two lossy grids, both schemes and both fidelity modes
+SWEEPS = [
+    (["sweep", "--m-max", "4", "--n-max", "5", "--samples", "7"], "sweep_m4_n5_s7"),
+    (["sweep", "--m-max", "5", "--n-max", "4", "--samples", "9", "--scheme", "seeded-uniform",
+      "--seed", "3", "--av-rounds", "1", "--eps-block-per", "outer",
+      "--fidelity-mode", "post-selected"], "sweep_m5_n4_s9_post"),
+]
+
+
+@pytest.mark.parametrize("argv, stem", SWEEPS, ids=[stem for _, stem in SWEEPS])
+def test_sweep_output_matches_its_golden_files(argv, stem, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out-dir", "."]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{stem}.txt").read_bytes()
+    for ext in ("csv", "json", "svg"):
+        assert (tmp_path / f"sweep.{ext}").read_bytes() == (GOLDEN / f"{stem}.{ext}").read_bytes()
+
+
+LOSSY = ["--alpha", "0.6", "--eps-reflect", "0.05", "--eps-block", "0.02"]
+# (argv, golden stdout file): a loop-tier and an exact-tier run, each with a complex beta
+COUNTERPORTS = [
+    (["counterport", "--m", "10", "--n", "20", "--av-rounds", "1", *LOSSY,
+      "--beta", "-0.48+0.64j"], "counterport_m10_n20_av1.json"),
+    (["counterport", "--m", "100", "--n", "40000", *LOSSY, "--beta", "0.48+0.64j"],
+     "counterport_m100_n40000.json"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout_file", COUNTERPORTS,
+                         ids=[name for _, name in COUNTERPORTS])
+def test_counterport_record_matches_its_golden_file(argv, stdout_file, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / stdout_file).read_bytes()
 
 
 def blocked_weak_trace_text() -> str:
