@@ -12,11 +12,15 @@ a lost photon as zero (an unconditional figure), "post-selected" divides
 by the arrival probability (the conditional figure).
 
 The protocol is linear in the control amplitudes, so one configuration's
-two module runs (control bit 0 and 1) fix every run of it.  `_transport`
-evaluates the protocol from those transfers in closed form, indexing them
-by control bit, with arithmetic that plain numbers and numpy arrays share:
-`counterport` passes one qubit's transfers as Python numbers, and `sweep`
-a block of cells' arrays on the basis inputs, whose forms fix every qubit.
+two module runs (control bit 0 and 1) fix every run of it.  `_rounds`
+computes the protocol's amplitudes from those transfers in closed form,
+indexing them by control bit, with arithmetic that plain numbers and numpy
+arrays share; each caller takes only the readings it needs.  `counterport`
+runs one qubit on Python numbers and takes every reading.  `sweep` runs a
+block of cells on the basis inputs (1, 0) and (0, 1) and keeps only each
+cell's forms on u = (|alpha|^2, |beta|^2, Re and Im of conj(alpha)·beta),
+which fix every qubit's readings; each cell's port/loss total is checked
+once, on the whole Bloch sphere.
 
 numpy is imported inside the functions that use it, and the process pool
 where `sweep` starts one, so that `import zenoport`, the presence commands
@@ -83,66 +87,14 @@ def _had_pol(pair):
     return tuple(zip(*(_had(h, v) for h, v in zip(*pair))))
 
 
-def _transfer_arrays(cfgs, shape):
-    """The (f_h, f_v, loss) transfer arrays of `_transport` for a sequence
-    of configurations: each one's `_module` run per control bit, one array
-    per field, control bit first, then the configurations in order,
-    reshaped to shape."""
-    import numpy as np
-    # f_h[bit][cfg], f_v[bit][cfg] and losses[bit][cfg] as plain numbers
-    f_h, f_v, losses = zip(*(zip(*(_module(bit, cfg) for cfg in cfgs)) for bit in (0, 1)))
-    loss = {fam: np.array([[x[fam] for x in bit_losses] for bit_losses in losses]).reshape(shape)
-            for fam in LOSS_FAMILIES}
-    return np.array(f_h).reshape(shape), np.array(f_v).reshape(shape), loss
+def _rounds(alpha, beta, f_h, f_v) -> dict:
+    """The two-round protocol's amplitudes in closed form.
 
-
-@dataclass(frozen=True)
-class _Transport:
-    """Protocol amplitudes and readings for one run or a batch of runs.
-
-    rounds maps each snapshot name to its paths, each path to an (H, V)
-    pair whose entries are (bit 0, bit 1) pairs of amplitudes.  Every
-    amplitude and reading is a plain number for one run, or an array of
-    the batch shape.
-    """
-
-    rounds: dict
-    p_port1: float | np.ndarray
-    p_port2: float | np.ndarray
-    losses: dict
-    p_lost: float | np.ndarray
-    fidelity: float | np.ndarray
-    fidelity_post_selected: float | np.ndarray
-
-
-def _require_totals(total) -> None:
-    """Raise ConservationError at a batch's first port/loss total that misses 1
-    by more than ATOL_SUM (NaN included)."""
-    bad = total[~(abs(total - 1.0) <= ATOL_SUM)]
-    if bad.size:
-        _require_one(float(bad[0]), "port/loss probabilities sum to")
-
-
-def _post_selected(f_li, p_success, total):
-    """f_li / p_success, 0 below P_EMPTY, once each port/loss total of the run or
-    batch is within ATOL_SUM of 1 (a batch names its first breach, NaN included)."""
-    if isinstance(total, float):
-        _require_one(total, "port/loss probabilities sum to")
-        return f_li / p_success if p_success >= P_EMPTY else 0.0
-    import numpy as np
-    _require_totals(total)
-    return np.divide(f_li, p_success, out=np.zeros_like(f_li), where=p_success >= P_EMPTY)
-
-
-def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
-    """Run the two-round protocol in closed form.
-
-    alpha and beta are the control amplitudes.  f_h, f_v and each family's
-    entry of loss are indexed by control bit first: either `_module`'s
-    plain numbers per bit for one run, or the arrays of `_transfer_arrays`
-    for a batch, whose other axes broadcast against alpha and beta.
-    Raises ConservationError if any run's port and loss probabilities miss
-    1 by more than ATOL_SUM.
+    alpha and beta are the control amplitudes; f_h and f_v are indexed by
+    control bit first: `_module`'s plain numbers per bit for one run, or
+    arrays for a batch, whose other axes broadcast against alpha and beta.
+    Returns each snapshot's paths, each path an (H, V) pair whose entries
+    are (bit 0, bit 1) pairs of amplitudes.
     """
     w = (alpha, beta)
     bits = (0, 1)
@@ -157,29 +109,9 @@ def _transport(alpha, beta, f_h, f_v, loss) -> _Transport:
     # Port1 flip swaps its H and V
     port2_h, port2_v = _had_pol(_had_bit(port2))
     port1_v, port1_h = _had_pol(_had_bit(port1))
-    final = {"Port1": (port1_h, port1_v), "Port2": (port2_h, port2_v)}
-
-    weight = [_abs2(w[b]) + _abs2(between[0][b]) + _abs2(between[1][b]) for b in bits]
-    losses = {fam: weight[0] * val[0] + weight[1] * val[1] for fam, val in loss.items()}
-    p_lost = sum(losses.values())
-    a_conj, b_conj = alpha.conjugate(), beta.conjugate()
-    p_port, f_port = {}, {}
-    for name, (h, v) in final.items():
-        p = [_abs2(h[b]) + _abs2(v[b]) for b in bits]
-        f = [_abs2(a_conj * h[b] + b_conj * v[b]) for b in bits]
-        p_port[name], f_port[name] = p[0] + p[1], f[0] + f[1]
-    p_success = p_port["Port1"] + p_port["Port2"]
-    f_li = f_port["Port1"] + f_port["Port2"]
-    return _Transport(
-        rounds={"round1": {"F": round1}, "between_rounds": {"F": between},
-                "round2_ports": {"Port1": port1, "Port2": port2}, "final": final},
-        p_port1=p_port["Port1"],
-        p_port2=p_port["Port2"],
-        losses=losses,
-        p_lost=p_lost,
-        fidelity=f_li,
-        fidelity_post_selected=_post_selected(f_li, p_success, p_success + p_lost),
-    )
+    return {"round1": {"F": round1}, "between_rounds": {"F": between},
+            "round2_ports": {"Port1": port1, "Port2": port2},
+            "final": {"Port1": (port1_h, port1_v), "Port2": (port2_h, port2_v)}}
 
 
 def _state(paths: dict) -> StateVector:
@@ -215,26 +147,36 @@ def counterport(bob, cfg: ProtocolConfig) -> CounterportResult:
     amplitude pair; both fidelity readings compare against it.
     """
     bob = _as_bob(bob)
+    alpha, beta = bob.alpha, bob.beta
     f_h, f_v, losses = zip(*(_module(bit, cfg) for bit in (0, 1)))
-    t = _transport(bob.alpha, bob.beta, f_h, f_v,
-                   {fam: (losses[0][fam], losses[1][fam]) for fam in LOSS_FAMILIES})
-    final = t.rounds["final"]
-    purity = {}
-    for name, pair in final.items():
-        p = _bob_purity(pair)
-        if p is not None:
-            purity[name] = p
+    rounds = _rounds(alpha, beta, f_h, f_v)
+    final, between = rounds["final"], rounds["between_rounds"]["F"]
+    # each bit's weight in the control and between the rounds
+    weight = [_abs2(w) + _abs2(between[0][b]) + _abs2(between[1][b])
+              for b, w in enumerate((alpha, beta))]
+    loss = {fam: weight[0] * losses[0][fam] + weight[1] * losses[1][fam] for fam in LOSS_FAMILIES}
+    a_conj, b_conj = alpha.conjugate(), beta.conjugate()
+    p_port, f_port, purity = {}, {}, {}
+    for name, (h, v) in final.items():
+        p = [_abs2(h[b]) + _abs2(v[b]) for b in (0, 1)]
+        f = [_abs2(a_conj * h[b] + b_conj * v[b]) for b in (0, 1)]
+        p_port[name], f_port[name] = p[0] + p[1], f[0] + f[1]
+        pure = _bob_purity((h, v))
+        if pure is not None:
+            purity[name] = pure
+    p_success = p_port["Port1"] + p_port["Port2"]
+    fidelity = f_port["Port1"] + f_port["Port2"]
     return CounterportResult(
         port1=_state({"Port1": final["Port1"]}),
         port2=_state({"Port2": final["Port2"]}),
-        p_port1=t.p_port1,
-        p_port2=t.p_port2,
-        p_lost=t.p_lost,
-        loss_breakdown=t.losses,
-        fidelity=t.fidelity,
-        fidelity_post_selected=t.fidelity_post_selected,
+        p_port1=p_port["Port1"],
+        p_port2=p_port["Port2"],
+        p_lost=sum(loss.values()),
+        loss_breakdown=loss,
+        fidelity=fidelity,
+        fidelity_post_selected=fidelity / p_success if p_success >= P_EMPTY else 0.0,
         bob_purity=purity,
-        round_trace={name: _state(paths) for name, paths in t.rounds.items()},
+        round_trace={name: _state(paths) for name, paths in rounds.items()},
     )
 
 
@@ -311,7 +253,7 @@ class FidelityGrid:
         }
 
 
-# Cells per basis `_transport` call: _BATCH // 4; entries per forms read: max(_BATCH,
+# Cells per basis `_rounds` call: _BATCH // 4; entries per forms read: max(_BATCH,
 # n_max·samples).  Fresh on a 2-core VM, an 80 x 400 x 20 sweep peaks at 39.3 MB RSS
 # (39.9 at _BATCH // 2 cells, 41.8 / 50.6 at _BATCH 8192 / 32768; 38.5 run per qubit).
 _BATCH = 2048
@@ -324,37 +266,57 @@ def _hermitian(amps):
             2.0 * cross.real, -2.0 * cross.imag)
 
 
+def _require_totals(t) -> None:
+    """Raise ConservationError at the first cell whose port/loss total misses 1
+    by more than ATOL_SUM for some control qubit (NaN included).
+
+    t is the (4, cells) total form on u.  On the Bloch sphere n, t·u - 1 is
+    c + d·n with c = (t0 + t1)/2 - 1 and d = (t0 - t1, t2, t3)/2, so the worst
+    qubit's total is 1 ± (|c| + |d|), on the side of c's sign."""
+    import numpy as np
+    c = (t[0] + t[1]) / 2.0 - 1.0
+    d = np.sqrt((t[0] - t[1]) ** 2 + t[2] ** 2 + t[3] ** 2) / 2.0
+    worst = 1.0 + np.copysign(abs(c) + d, c)
+    bad = worst[~(abs(worst - 1.0) <= ATOL_SUM)]
+    if bad.size:
+        _require_one(float(bad[0]), "port/loss probabilities sum to")
+
+
 def _cell_forms(cfgs):
     """Per configuration, the coefficients on u = (|alpha|^2, |beta|^2, Re and Im of
-    conj(alpha)·beta) of the arrival probability and port/loss total (linear) and of the
-    loss-inclusive fidelity (quadratic, k <= l in order), from `_transport` on (1, 0), (0, 1)."""
+    conj(alpha)·beta) of the arrival probability (linear) and of the loss-inclusive
+    fidelity (quadratic, k <= l in order), from `_rounds` on (1, 0) and (0, 1) over each
+    one's `_module` runs; checks each one's port/loss total on the whole Bloch sphere."""
     import numpy as np
     basis = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    f_h, f_v, loss = _transfer_arrays(cfgs, (2, len(cfgs), 1))
-    rounds = _transport(*basis, f_h, f_v, loss).rounds
+    # f_h[bit][cfg], f_v[bit][cfg] and losses[bit][cfg] as plain numbers
+    f_h, f_v, losses = zip(*(zip(*(_module(bit, cfg) for cfg in cfgs)) for bit in (0, 1)))
+    rounds = _rounds(*basis, np.array(f_h)[:, :, None], np.array(f_v)[:, :, None])
     final, between = rounds["final"].values(), rounds["between_rounds"]["F"]
     prob = np.array(_hermitian([amp for pair in final for amps in pair for amp in amps]))
-    # each bit's loss coefficient times its weight in the control and between the rounds
-    lost = sum(sum(loss[fam][b, :, 0] for fam in LOSS_FAMILIES)
-               * np.array(_hermitian([basis[b], between[0][b], between[1][b]])) for b in (0, 1))
+    # each bit's loss coefficients, summed in family order, times its weight in the
+    # control and between the rounds
+    loss = sum(np.array([[x[fam] for x in bit_losses] for bit_losses in losses])
+               for fam in LOSS_FAMILIES)
+    lost = sum(loss[b] * np.array(_hermitian([basis[b], between[0][b], between[1][b]]))
+               for b in (0, 1))
+    _require_totals(prob + lost)
     # conj(alpha)·h + conj(beta)·v on each port and bit is the sum of u_k·c_k
     cs = [(h[b][:, 0], v[b][:, 1], h[b][:, 1] + v[b][:, 0], 1j * (h[b][:, 1] - v[b][:, 0]))
           for h, v in final for b in (0, 1)]
     fid = np.array([(1.0 if k == l else 2.0) * sum((c[k] * c[l].conjugate()).real for c in cs)
                     for k in range(4) for l in range(k, 4)])
-    return prob, prob + lost, fid
+    return prob, fid
 
 
 def _cell_sums(forms, terms, mode):
     """Each cell's sample sums of its fidelity reading and arrival probability
-    from its forms and the sample's terms; checks every entry's total."""
+    from its forms and the sample's terms."""
     import numpy as np
-    prob, total, fid = (sum(c[:, None] * x for c, x in zip(coeffs, xs))
-                        for coeffs, xs in zip(forms, terms))
-    if mode == "loss-inclusive":
-        _require_totals(total)
-    else:
-        fid = _post_selected(fid, prob, total)
+    prob, fid = (sum(c[:, None] * x for c, x in zip(coeffs, xs))
+                 for coeffs, xs in zip(forms, terms))
+    if mode == "post-selected":
+        fid = np.divide(fid, prob, out=np.zeros_like(fid), where=prob >= P_EMPTY)
     # np.sum along the contiguous qubit axis is each cell's pairwise sum in a
     # fixed order, so averages are bit-stable across job splits and workers
     return np.sum(fid, axis=-1), np.sum(prob, axis=-1)
@@ -366,7 +328,7 @@ def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
     m_values, n_values, cfg_template, qubits, mode = job
     amps = np.array([(q.alpha, q.beta, q.alpha.conjugate() * q.beta) for q in qubits]).T
     u = (_abs2(amps[0]), _abs2(amps[1]), amps[2].real, amps[2].imag)
-    terms = (u, u, [u[k] * u[l] for k in range(4) for l in range(k, 4)])
+    terms = (u, [u[k] * u[l] for k in range(4) for l in range(k, 4)])
     cells, size = product(m_values, n_values), max(1, _BATCH // 4)
     step = max(_BATCH, len(n_values) * len(qubits)) // len(qubits)
     sums = np.empty((2, len(m_values) * len(n_values)))

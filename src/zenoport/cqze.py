@@ -356,23 +356,21 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     c = np.cos(np.longdouble(math.pi) / (2 * n))
     sn = np.sin(np.longdouble(math.pi) / (2 * n))
     keep2 = (one - np.longdouble(eps_reflect)) if bit == 0 else np.longdouble(eps_block)
-    keep = np.sqrt(keep2)
-    fam = "DB" if bit == 0 else "Block"
-    coeffs = {"DB": np.longdouble(0.0), "Block": np.longdouble(0.0), "AV": np.longdouble(0.0)}
     zero = np.longdouble(0.0)
-    t01, t11 = zero, one
-    k2, k = keep2, keep  # the first channel visit's retention
+    t01, t11, lost, av = zero, one, zero, zero  # lost: the bit's channel family, DB or Block
+    leak, k = one - keep2, np.sqrt(keep2)  # the first channel visit's loss and retention
     for j in range(1, (1 + av_rounds) * n + 1):
         t01, t11 = c * t01 - sn * t11, sn * t01 + c * t11
         if j % n == 0 and j // n <= av_rounds:
-            coeffs["AV"] += t01 * t01
+            av += t01 * t01
             t01 = zero
         else:
-            coeffs[fam] += (one - k2) * (t01 * t01)
+            lost += leak * (t01 * t01)
             t01 = t01 * k
             if bit == 1 and eps_block_per == "outer":  # later visits absorb fully
-                k2, k = zero, zero
-    return float(t01), float(t11), tuple(map(float, coeffs.values()))
+                leak, k = one, zero
+    db, block = (lost, zero) if bit == 0 else (zero, lost)
+    return float(t01), float(t11), (float(db), float(block), float(av))
 
 
 def _outer_loop(cfg: ProtocolConfig, dwell: tuple):

@@ -135,23 +135,18 @@ def test_one_run_in_plain_numbers_matches_a_one_qubit_batch(m, n, er, eb, av, pe
     bob = BobQubit(cmath.exp(1j * chi) * math.cos(theta / 2),
                    cmath.exp(1j * (chi + phi)) * math.sin(theta / 2))
     r = counterport(bob, cfg)
-    t = cp._transport(np.array([bob.alpha]), np.array([bob.beta]),
-                      *cp._transfer_arrays([cfg], (2, 1)))
-    # amplitudes and probabilities are products of a complex and a real
-    # number, or sums of squares, so both evaluations round them alike
-    for name, paths in t.rounds.items():
+    runs = [cp._module(bit, cfg) for bit in (0, 1)]
+    rounds = cp._rounds(np.array([bob.alpha]), np.array([bob.beta]),
+                        *(np.array([[run[k]] for run in runs]) for k in (0, 1)))
+    # amplitudes are products of a complex and a real number, so both
+    # evaluations round them alike
+    for name, paths in rounds.items():
         want = {label(path, pol, str(b)): _bits(amps[b][0])
                 for path, pair in paths.items() for pol, amps in zip("HV", pair)
                 for b in (0, 1) if amps[b][0] != 0}
         assert {k: _bits(v) for k, v in r.round_trace[name].items()} == want
-    for got, want in [(r.p_port1, t.p_port1), (r.p_port2, t.p_port2), (r.p_lost, t.p_lost),
-                      *((r.loss_breakdown[fam], t.losses[fam]) for fam in LOSS_FAMILIES)]:
-        assert got.hex() == float(want[0]).hex()
-    # a complex product rounds differently in numpy's array loops
-    assert abs(r.fidelity - t.fidelity[0]) <= 1e-15
-    assert abs(r.fidelity_post_selected - t.fidelity_post_selected[0]) <= 1e-15
     final = {name: [[x[0] for x in amps] for amps in pair]
-             for name, pair in t.rounds["final"].items()}
+             for name, pair in rounds["final"].items()}
     purity = {name: _matrix_purity(pair) for name, pair in final.items()}
     assert set(r.bob_purity) == {name for name, p in purity.items() if p is not None}
     for name, p in r.bob_purity.items():
@@ -365,18 +360,18 @@ def test_sweep_job_splits_match_per_cell_sums_bit_for_bit(m_max, n_max, count, s
 
 def test_sweep_makes_one_basis_transport_call_per_forms_block(monkeypatch):
     calls, blocks = [], []
-    real_transport, real_sums = cp._transport, cp._cell_sums
+    real_rounds, real_sums = cp._rounds, cp._cell_sums
 
-    def spy(alpha, beta, f_h, f_v, loss):
+    def spy(alpha, beta, f_h, f_v):
         calls.append((alpha.tolist(), beta.tolist(), f_h.shape))
-        return real_transport(alpha, beta, f_h, f_v, loss)
+        return real_rounds(alpha, beta, f_h, f_v)
 
     def sums_spy(forms, terms, mode):
         blocks.append(forms[0].shape[1] * len(terms[0][0]))
         return real_sums(forms, terms, mode)
 
     created = []
-    monkeypatch.setattr(cp, "_transport", spy)
+    monkeypatch.setattr(cp, "_rounds", spy)
     monkeypatch.setattr(cp, "_cell_sums", sums_spy)
     monkeypatch.setattr(InlinePool, "created", created)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
@@ -398,17 +393,12 @@ def test_sweep_makes_one_basis_transport_call_per_forms_block(monkeypatch):
     assert created == [3]
 
 
-def _transport_readings(cfg, qubits, mode):
-    """Each qubit's fidelity reading and arrival probability as one
-    `_transport` batch along the qubits (the sweep's evaluation before the
-    forms)."""
-    runs = [cp._module(bit, cfg) for bit in (0, 1)]
-    f_h, f_v = (np.array([[run[k]] for run in runs]) for k in (0, 1))
-    loss = {fam: np.array([[run[2][fam]] for run in runs]) for fam in LOSS_FAMILIES}
-    t = cp._transport(np.array([q.alpha for q in qubits]), np.array([q.beta for q in qubits]),
-                      f_h, f_v, loss)
-    return (t.fidelity if mode == "loss-inclusive" else t.fidelity_post_selected,
-            t.p_port1 + t.p_port2)
+def _run_readings(cfg, qubits, mode):
+    """Each qubit's fidelity reading and arrival probability from its own
+    `counterport` run."""
+    runs = [counterport(q, cfg) for q in qubits]
+    return ([r.fidelity if mode == "loss-inclusive" else r.fidelity_post_selected for r in runs],
+            [r.p_success for r in runs])
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,7 +416,7 @@ def test_sweep_forms_match_per_qubit_transport_runs(m_max, n_max, er, eb, av, pe
     grids = [sweep(m_max, n_max, tmpl, [q], fidelity_mode=mode) for q in qubits]
     for i, m in enumerate(grids[0].m_values):
         for j, n in enumerate(grids[0].n_values):
-            fid, prob = _transport_readings(replace(tmpl, M=m, N=n), qubits, mode)
+            fid, prob = _run_readings(replace(tmpl, M=m, N=n), qubits, mode)
             got_fid = [g.avg_fidelity[i, j] for g in grids]
             got_prob = [g.avg_success_prob[i, j] for g in grids]
             assert np.allclose(got_fid, fid, rtol=0.0, atol=1e-14)
@@ -454,41 +444,90 @@ def test_single_cycle_cell_reads_one_half_when_post_selected(count):
     assert grid.cell(1, 1)[0] == 0.5
 
 
-@pytest.mark.parametrize("coeff", [0, 2])
+def _leaky_totals(monkeypatch, index):
+    """Make each sweep cell's total form miss by 4e-12 at t[index] before its check."""
+    real = cp._require_totals
+
+    def leaky(t):
+        t = t.copy()
+        t[index] += 4e-12
+        return real(t)
+
+    monkeypatch.setattr(cp, "_require_totals", leaky)
+
+
+def _breach(info):
+    """How far the total in a conservation breach's message misses 1."""
+    total = re.fullmatch(r"port/loss probabilities sum to (\S+), expected 1", str(info.value))
+    return abs(float(total[1]) - 1.0)
+
+
+@pytest.mark.parametrize("coeff", [0, 1, 2, 3])
 def test_a_breach_in_one_cells_loss_form_is_caught_per_entry(monkeypatch, coeff):
-    # the basis runs pass their own check; only qubits that weigh the
-    # corrupted coefficient (|alpha|^2 or Re conj(alpha)·beta) breach
-    real = cp._cell_forms
-
-    def leaky(cfgs):
-        prob, total, fid = real(cfgs)
-        total = total.copy()
-        total[coeff, -1] += 4e-12
-        return prob, total, fid
-
-    monkeypatch.setattr(cp, "_cell_forms", leaky)
-    for mode in FIDELITY_MODES:  # a loss-inclusive reading takes no ratio but checks each total
+    # the last cell's total form misses by 4e-12 on |alpha|^2, |beta|^2, Re or
+    # Im conj(alpha)·beta: its worst qubit misses by 4e-12 (a pole) or 2e-12
+    # (the equator); real module transfers never reach the Im coefficient
+    _leaky_totals(monkeypatch, (coeff, -1))
+    for mode in FIDELITY_MODES:  # each cell's total is checked before any reading
         with pytest.raises(ConservationError) as info:
             sweep(2, 2, ProtocolConfig(M=1, N=1, eps_reflect=0.1),
                   sample_bloch(3, "seeded-uniform"), fidelity_mode=mode)
-        total = re.fullmatch(r"port/loss probabilities sum to (\S+), expected 1", str(info.value))
-        assert 1e-12 < abs(float(total[1]) - 1.0) < 5e-12
+        assert 1e-12 < _breach(info) < 5e-12
+
+
+@pytest.mark.parametrize("coeff", [2, 3])
+def test_a_breach_that_no_sampled_qubit_weighs_is_caught(monkeypatch, tmp_path, capsys, coeff):
+    # at the poles conj(alpha)·beta is 0, so no entry of the sample reads the
+    # corrupted coefficient (a two-point Fibonacci sample reads it times 6e-17)
+    _leaky_totals(monkeypatch, coeff)
+    poles = [BobQubit(1.0, 0.0), BobQubit(0.0, 1.0)]
+    for mode in FIDELITY_MODES:
+        with pytest.raises(ConservationError) as info:
+            sweep(2, 2, ProtocolConfig(M=1, N=1, eps_reflect=0.1), poles, fidelity_mode=mode)
+        assert 1e-12 < _breach(info) < 5e-12
+    assert main(["sweep", "--m-max", "2", "--n-max", "2", "--samples", "2",
+                 "--out-dir", str(tmp_path)]) == 3
+    assert "conservation breach" in capsys.readouterr().err
+
+
+FIBONACCI_2000 = sample_bloch(2000).qubits
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), er=st.floats(0, 1), eb=st.floats(0, 1),
+       av=st.integers(0, 2), per=st.sampled_from(("inner", "outer")))
+def test_a_cells_total_bound_covers_every_sampled_qubit(m, n, er, eb, av, per):
+    # the bound |(t0 + t1)/2 - 1| + |(t0 - t1, t2, t3)|/2 is the largest miss
+    # of t·u over the sphere, so dense samples reach it only up to rounding
+    cfg = ProtocolConfig(M=m, N=n, eps_reflect=er, eps_block=eb, av_rounds=av,
+                         eps_block_per=per)
+    forms = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cp, "_require_totals", forms.append)
+        cp._cell_forms([cfg])
+    t = forms[0][:, 0].tolist()
+    bound = abs((t[0] + t[1]) / 2.0 - 1.0) + math.hypot(t[0] - t[1], t[2], t[3]) / 2.0
+    miss = max(abs(t[0] * abs(q.alpha) ** 2 + t[1] * abs(q.beta) ** 2
+                   + t[2] * (q.alpha.conjugate() * q.beta).real
+                   + t[3] * (q.alpha.conjugate() * q.beta).imag - 1.0) for q in FIBONACCI_2000)
+    assert miss <= bound + 1e-15
+    cp._require_totals(forms[0])  # the cell passes the check
 
 
 def test_only_a_post_selected_sweep_takes_each_entrys_ratio(monkeypatch):
-    real, shapes = cp._post_selected, []
+    real, shapes = np.divide, []
 
-    def spy(f_li, p_success, total):
-        shapes.append(f_li.shape)
-        return real(f_li, p_success, total)
+    def spy(x, y, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return real(x, y, *args, **kwargs)
 
-    monkeypatch.setattr(cp, "_post_selected", spy)
+    monkeypatch.setattr(np, "divide", spy)
     for mode in FIDELITY_MODES:
         shapes.clear()
         sweep(3, 3, ProtocolConfig(M=1, N=1, eps_reflect=0.1), sample_bloch(5), fidelity_mode=mode)
-        # the basis runs' readings are (cell, basis input) arrays, the entries (cell, qubit)
-        assert (9, 2) in shapes
-        assert ((9, 5) in shapes) == (mode == "post-selected")
+        # the basis runs take no ratio; a post-selected sweep divides its
+        # (cell, qubit) entries once
+        assert shapes == ([(9, 5)] if mode == "post-selected" else [])
 
 
 @pytest.mark.parametrize("args,kwargs,message", [
@@ -734,11 +773,9 @@ def test_leaking_module_transfer_is_a_conservation_breach(monkeypatch, tmp_path,
     assert "conservation breach" in capsys.readouterr().err
 
 
-def _transport_batch(total):
-    """Two protocol runs whose port and loss probabilities sum to 1 and to total."""
-    zeros = np.zeros((2, 2))
-    return cp._transport(np.ones(2), np.zeros(2), zeros, zeros,
-                         {"DA": np.array([[1.0, total], [0.0, 0.0]])})
+def _sweep_cell(total):
+    """Check one sweep cell whose port/loss total is total for every qubit."""
+    cp._require_totals(np.array([[total], [total], [0.0], [0.0]]))
 
 
 def _root2(total):
@@ -773,7 +810,7 @@ UNIT_SUM_CHECKS = {
     "CounterportResult": (lambda t: CounterportResult(StateVector(), StateVector(), t, 0.0, 0.0,
                                                       {}, 1.0, 1.0, {}, {}),
                           float, ConservationError, "port/loss probabilities sum to"),
-    "transport": (_transport_batch, float, ConservationError, "port/loss probabilities sum to"),
+    "sweep-cell": (_sweep_cell, float, ConservationError, "port/loss probabilities sum to"),
 }
 
 

@@ -264,6 +264,46 @@ def test_dwell_cache_ignores_the_outer_cycle_count():
     assert warm.loss_breakdown == cold.loss_breakdown
 
 
+def _dwell_by_dict(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit):
+    """The loop-tier dwell as it once stood: `one - k2` on every channel visit
+    and the loss coefficients in a dict, kept as the bit-for-bit reference."""
+    import numpy as np
+    one = np.longdouble(1.0)
+    c = np.cos(np.longdouble(math.pi) / (2 * n))
+    sn = np.sin(np.longdouble(math.pi) / (2 * n))
+    keep2 = (one - np.longdouble(eps_reflect)) if bit == 0 else np.longdouble(eps_block)
+    keep = np.sqrt(keep2)
+    fam = "DB" if bit == 0 else "Block"
+    coeffs = {"DB": np.longdouble(0.0), "Block": np.longdouble(0.0), "AV": np.longdouble(0.0)}
+    zero = np.longdouble(0.0)
+    t01, t11 = zero, one
+    k2, k = keep2, keep
+    for j in range(1, (1 + av_rounds) * n + 1):
+        t01, t11 = c * t01 - sn * t11, sn * t01 + c * t11
+        if j % n == 0 and j // n <= av_rounds:
+            coeffs["AV"] += t01 * t01
+            t01 = zero
+        else:
+            coeffs[fam] += (one - k2) * (t01 * t01)
+            t01 = t01 * k
+            if bit == 1 and eps_block_per == "outer":
+                k2, k = zero, zero
+    return float(t01), float(t11), tuple(map(float, coeffs.values()))
+
+
+def test_loop_dwell_matches_the_dict_loop_bit_for_bit():
+    def hexed(dwell):
+        t01, t11, coeffs = dwell
+        return [x.hex() for x in (t01, t11, *coeffs)]
+
+    for n in range(1, 121):
+        for av in (0, 1, 2):
+            for per in ("inner", "outer"):
+                for bit in (0, 1):
+                    args = (n, 0.07, 0.03, av, per, bit)
+                    assert hexed(_dwell.__wrapped__(*args)) == hexed(_dwell_by_dict(*args)), args
+
+
 def test_reflection_leak_drains_success():
     grid = [0.0, 0.05, 0.10, 0.25, 0.50]
     ps = [run_cqze(0, ProtocolConfig(M=5, N=5, eps_reflect=e)).p_success
