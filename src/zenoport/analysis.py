@@ -448,7 +448,9 @@ class Family:
         return tuple(out)
 
     def validate(self, c: CircuitSchedule) -> None:
-        """Stamps strictly increasing inside the boundary window; slot menus orthogonal."""
+        """Stamps strictly increasing inside the boundary window; slot menus
+        orthogonal, and their names distinct and free of ",", so that no two
+        histories share a label."""
         i_pre = c.index_of(self.pre[0])
         i_post = c.index_of(self.post[0])
         if i_pre >= i_post:
@@ -462,6 +464,13 @@ class Family:
             prev = i
             if not offers:
                 raise QStateError(f"slot at {stamp!r} offers no projectors")
+            names = [nm for nm, _ in offers]
+            for nm in names:
+                if "," in nm:
+                    raise QStateError(f"slot at {stamp!r} offers {nm!r}: history labels "
+                                      "join names with ','")
+                if names.count(nm) > 1:
+                    raise QStateError(f"slot at {stamp!r} offers the name {nm!r} twice")
             for lbl in c.universe:
                 hits = sum(1 for _, pi in offers if pi.matches(lbl))
                 if hits > 1:

@@ -14,10 +14,11 @@ conservation breach.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import (
@@ -184,80 +185,51 @@ def _emit(text: str, out: str | None) -> None:
 
 # ----------------------------------------------------------------- JSON text
 
-_SCALAR = (str, int, float, type(None))
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# each scalar's text by its exact type, as json writes it
+_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: _NON_FINITE.get(text := float.__repr__(x), text),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
-@functools.cache
-def _encoder(indent: str):
-    """json's encoder with sorted keys and a comma and indent between items;
-    without indent=, json runs it in C."""
-    return json.JSONEncoder(sort_keys=True, separators=("," + indent, ": ")).encode
-
-
-def _scalars(values) -> bool:
-    return all(map(isinstance, values, itertools.repeat(_SCALAR)))
-
-
-def _rows(items) -> bool:
-    """True if items are non-empty dicts, or non-empty lists and tuples, of scalars only."""
-    kinds = set(map(type, items))
-    if kinds == {dict}:
-        values = itertools.chain.from_iterable(map(dict.values, items))
-    elif kinds <= {list, tuple}:
-        values = itertools.chain.from_iterable(items)
-    else:
-        return False
-    return all(items) and _scalars(values)
+def _key(k) -> str:
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return encode_basestring_ascii(k if isinstance(k, str) else _indented(k, ""))
 
 
 def _indented(obj, outer: str) -> str:
     """obj as json.dumps writes it with sorted keys and an indent of 2,
-    nested at the indent that outer ("\n" and spaces) carries.
-
-    An encoded string holds no raw newline, so in the encoder's text every
-    raw newline is an item separator.
-    """
-    if isinstance(obj, dict):
-        values = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    else:
-        return _encoder(outer)(obj)  # a scalar, or TypeError
+    nested at the indent that outer ("\n" and spaces) carries.  Each item's
+    exact type is looked up first: most are scalars, and a call costs more."""
+    write = _SCALAR.get(type(obj))
+    if write is not None:
+        return write(obj)
     inner = outer + "  "
-    if _scalars(values):
-        text = _encoder(inner)(obj)
-        return text[0] + inner + text[1:-1] + outer + text[-1] if obj else text
-    # otherwise one call with 0 standing in for each container, whose own
-    # text then replaces that 0
     if isinstance(obj, dict):
-        # both sorts see the same keys in the same order, and no value decides
-        # an order, so the items come out as the encoder writes them
-        stand_in = {k: v if isinstance(v, _SCALAR) else 0 for k, v in obj.items()}
-        values = [v for _, v in sorted(obj.items())]
-    elif _rows(obj):
-        # but rows take one call at their items' indent, and each join
-        # between two rows is re-indented
-        deeper = inner + "  "
-        text = _encoder(deeper)(obj)
-        o, c = text[1], text[-2]
-        body = text[2:-2].replace(c + "," + deeper + o, inner + c + "," + inner + o + deeper)
-        return "[" + inner + o + deeper + body + inner + c + outer + "]"
-    else:
-        stand_in = [v if isinstance(v, _SCALAR) else 0 for v in obj]
-    text = _encoder(inner)(stand_in)
-    items = (item if isinstance(v, _SCALAR) else item[:-1] + _indented(v, inner)
-             for item, v in zip(text[1:-1].split("," + inner), values))
-    return text[0] + inner + ("," + inner).join(items) + outer + text[-1]
+        items = [f"{encode_basestring_ascii(k) if type(k) is str else _key(k)}: "
+                 f"{w(v) if (w := _SCALAR.get(type(v))) else _indented(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        o, c = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        items = [w(v) if (w := _SCALAR.get(type(v))) else _indented(v, inner) for v in obj]
+        o, c = "[", "]"
+    else:  # a subclass of a scalar type, taken as json's isinstance chain takes it
+        for kind in (str, int, float):
+            if isinstance(obj, kind):
+                return _SCALAR[kind](obj)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return o + inner + ("," + inner).join(items) + outer + c if items else o + c
 
 
 def _json_text(obj) -> str:
     """obj as json.dumps writes it with sorted keys and an indent of 2, then
-    a newline, byte for byte.
-
-    json indents in pure Python.  Here a container of scalars, a list of
-    such rows or the scalars of any other container are one call of json's
-    C encoder, and only the nesting recurses in Python.
-    """
+    a newline, byte for byte."""
     return _indented(obj, "\n") + "\n"
 
 
@@ -265,12 +237,8 @@ def _json_text(obj) -> str:
 
 def state_to_obj(s: StateVector) -> list[dict]:
     """JSON-friendly form of a state: one row per label, sorted."""
-    rows = []
-    for k in sorted(s):
-        v = s[k]
-        rows.append({"path": k.path, "pol": k.pol, "bob": k.bob,
-                     "re": v.real, "im": v.imag})
-    return rows
+    return [{"path": k.path, "pol": k.pol, "bob": k.bob, "re": v.real, "im": v.imag}
+            for k, v in sorted(s.items())]
 
 
 # --------------------------------------------------------------- weak map CSV
@@ -296,8 +264,8 @@ def _ramp_color(v: float) -> str:
     return f"#{round(20 + 230 * v):02x}{round(42 + 194 * v):02x}{round(94 + 26 * v):02x}"
 
 
-def svg_heatmap(grid: FidelityGrid, *, contour: float = CLASSICAL_LIMIT) -> str:
-    """Self-contained SVG heatmap of avg_fidelity with a contour overlay."""
+def svg_heatmap(grid: FidelityGrid) -> str:
+    """Self-contained SVG heatmap of avg_fidelity with the classical limit's contour."""
     cell = 22
     ml, mt, mr, mb = 70, 46, 130, 64
     rows = len(grid.m_values)
@@ -317,15 +285,15 @@ def svg_heatmap(grid: FidelityGrid, *, contour: float = CLASSICAL_LIMIT) -> str:
             y = mt + i * cell
             parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                          f'fill="{_ramp_color(vals[i][j])}"/>')
-    # contour: edges where neighbours straddle the threshold
+    # contour: edges where neighbours straddle the classical limit
     seg = []
     for i in range(rows):
         for j in range(cols):
-            here = vals[i][j] >= contour
-            if j + 1 < cols and here != (vals[i][j + 1] >= contour):
+            here = vals[i][j] >= CLASSICAL_LIMIT
+            if j + 1 < cols and here != (vals[i][j + 1] >= CLASSICAL_LIMIT):
                 x = ml + (j + 1) * cell
                 seg.append(f'M{x} {mt + i * cell} V{mt + (i + 1) * cell}')
-            if i + 1 < rows and here != (vals[i + 1][j] >= contour):
+            if i + 1 < rows and here != (vals[i + 1][j] >= CLASSICAL_LIMIT):
                 y = mt + (i + 1) * cell
                 seg.append(f'M{ml + j * cell} {y} H{ml + (j + 1) * cell}')
     if seg:
@@ -355,7 +323,7 @@ def svg_heatmap(grid: FidelityGrid, *, contour: float = CLASSICAL_LIMIT) -> str:
                      f'fill="{_ramp_color(v)}"/>')
     parts.append(f'<text x="{lx + 22}" y="{mt + 10}">1.0</text>')
     parts.append(f'<text x="{lx + 22}" y="{mt + lh}">0.0</text>')
-    cy = mt + round((1.0 - contour) * (lh - 1))
+    cy = mt + round((1.0 - CLASSICAL_LIMIT) * (lh - 1))
     parts.append(f'<line x1="{lx - 4}" y1="{cy}" x2="{lx + 20}" y2="{cy}" '
                  f'stroke="#d62728" stroke-width="2.5"/>')
     parts.append(f'<text x="{lx + 22}" y="{cy + 4}" fill="#d62728">2/3</text>')
@@ -394,19 +362,17 @@ def cmd_counterport(p: dict) -> int:
                           eps_block_per=p["eps_block_per"])
     res = counterport(bob, pcfg)
     record = {
-        "config": {"M": p["m"], "N": p["n"], "eps_reflect": p["eps_reflect"],
-                   "eps_block": p["eps_block"], "av_rounds": p["av_rounds"],
-                   "eps_block_per": p["eps_block_per"]},
+        "config": dataclasses.asdict(pcfg),
         "bob": [[bob.alpha.real, bob.alpha.imag], [bob.beta.real, bob.beta.imag]],
         "p_port1": res.p_port1,
         "p_port2": res.p_port2,
         "p_success": res.p_success,
         "p_lost": res.p_lost,
-        "loss_breakdown": dict(sorted(res.loss_breakdown.items())),
+        "loss_breakdown": res.loss_breakdown,
         "fidelity": res.fidelity,
         "fidelity_post_selected": res.fidelity_post_selected,
-        "bob_purity": dict(sorted(res.bob_purity.items())),
-        "rounds": {name: state_to_obj(sv) for name, sv in sorted(res.round_trace.items())},
+        "bob_purity": res.bob_purity,
+        "rounds": {name: state_to_obj(sv) for name, sv in res.round_trace.items()},
     }
     _emit(_json_text(record), p["out"])
     return EXIT_OK

@@ -452,6 +452,25 @@ def test_family_validation_errors(circuit):
         inverted.validate(circuit)
 
 
+# offers whose history labels collide: a name repeated in one slot, and names
+# with commas that make (A,B)+(C) and (A)+(B,C) both read "(A,B,C)"
+_CLASHING_OFFERS = {
+    "repeated-name": ((("c1.in1", (("X", "A"), ("X", "B"), ("Y", "C"))),), "twice"),
+    "comma-in-name": ((("c1.t1", (("A,B", "A"), ("A", "D"))),
+                       ("c1.in1", (("C", "A"), ("B,C", "B")))), "','"),
+}
+
+
+@pytest.mark.parametrize("slots, message", _CLASHING_OFFERS.values(), ids=_CLASHING_OFFERS)
+def test_history_labels_that_would_collide_are_rejected(circuit, slots, message):
+    pre = ("t0", StateVector({label("S", "H"): 1.0}))
+    f = Family(name="clash", pre=pre, post=("t_final", projector(paths="F")),
+               slots=tuple((stamp, tuple((nm, projector(paths=path)) for nm, path in offers))
+                           for stamp, offers in slots))
+    with pytest.raises(QStateError, match=message):
+        evaluate_family(f, circuit)
+
+
 def test_family_text_round_trip(circuit):
     f = builtin_families(circuit)["final_via_cycle1"]
     text = family_to_text(f)

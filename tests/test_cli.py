@@ -1,5 +1,6 @@
 """Command line interface: config merging, outputs, and exit codes."""
 
+import enum
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -506,6 +507,21 @@ def test_histories_family_file_structure_errors_exit_2(tmp_path, capsys, text, m
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("slots", [
+    'slot c1.in1 X {"paths": ["A"]}\nslot c1.in1 X {"paths": ["B"]}\n'
+    'slot c1.in1 Y {"paths": ["C"]}\n',
+    'slot c1.t1 A,B {"paths": ["A"]}\nslot c1.t1 A {"paths": ["D"]}\n'
+    'slot c1.in1 C {"paths": ["A"]}\nslot c1.in1 B,C {"paths": ["B"]}\n',
+], ids=["repeated-name", "comma-in-name"])
+def test_histories_whose_labels_would_collide_exit_2(tmp_path, capsys, slots):
+    path = tmp_path / "fam.txt"
+    path.write_text(_FAMILY_HEAD + _FAMILY_PRE + 'post t_final {"paths": ["F"]}\n' + slots)
+    assert main(["histories", "--family-file", str(path),
+                 "--json-out", str(tmp_path / "h.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: slot at ")
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_histories_nan_pre_amplitude_is_not_normalized(tmp_path, capsys):
     path = tmp_path / "fam.txt"
     path.write_text(_FAMILY_HEAD + "pre t0 S H - nan 0.0\n"
@@ -576,21 +592,42 @@ def test_json_text_matches_json_dumps(value):
     assert cli._json_text(value) == _dumps(value)
 
 
-def test_json_text_makes_one_encoder_call_per_row_list_and_container(monkeypatch):
-    calls = []
-    encoder = cli._encoder
-    monkeypatch.setattr(cli, "_encoder",
-                        lambda indent: lambda obj: calls.append(obj) or encoder(indent)(obj))
-    rows = [{"re": 0.5, "path": "F"}, {"re": -0.0, "path": "S"}]
-    record = {"rows": rows, "p": 1.5, "pair": [1, 2], "empty": {}}
-    assert cli._json_text(record) == _dumps(record)
-    # the record's scalars with 0 for each container, then each container
-    assert calls == [{"rows": 0, "p": 1.5, "pair": 0, "empty": 0}, {}, [1, 2], rows]
+class _Float(float):
+    def __repr__(self):
+        return "float subclass"
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
 
 
 @pytest.mark.parametrize("value", [
-    {1, 2}, {"a": {1}}, [{"a": 1}, {"b": {2}}], [[1, {2}]], {"a": [1.0, {3}]},
-], ids=["top", "in-dict", "in-row", "in-list-row", "in-mixed-dict"])
+    _Float(0.25), {"x": [_Float(-1.5), _Float("nan")]}, _Level.HIGH, {"l": [_Level.LOW]},
+    {_Level.HIGH: 1, 3: 2}, _Str("s\n\u00e9"), {_Str("b"): _Str("v"), "a": 1},
+    _Dict(b=[1], a=_Dict()), _List([1, _List(), {"k": _List([2.5])}]),
+    {_Float(1.5): 0, 2.5: 1},
+], ids=["float", "float-in-list", "int-enum", "int-enum-in-list", "int-enum-key", "str",
+        "str-key", "dict", "list", "float-key"])
+def test_json_text_takes_subclasses_like_json_dumps(value):
+    assert cli._json_text(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, {"a": {1}}, [{"a": 1}, {"b": {2}}], [[1, {2}]], {"a": [1.0, {3}]}, {(1, 2): 3},
+], ids=["top", "in-dict", "in-row", "in-list-row", "in-mixed-dict", "tuple-key"])
 def test_json_text_rejects_a_set_like_json_dumps(value):
     with pytest.raises(TypeError):
         _dumps(value)
