@@ -14,7 +14,6 @@ conservation breach.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -362,7 +361,7 @@ def cmd_counterport(p: dict) -> int:
                           eps_block_per=p["eps_block_per"])
     res = counterport(bob, pcfg)
     record = {
-        "config": dataclasses.asdict(pcfg),
+        "config": vars(pcfg),
         "bob": [[bob.alpha.real, bob.alpha.imag], [bob.beta.real, bob.beta.imag]],
         "p_port1": res.p_port1,
         "p_port2": res.p_port2,
@@ -479,8 +478,9 @@ def _add_common(sp, keys: dict) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The zenoport parser, built on first use and shared by later calls; do not modify it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The zenoport parser and its subcommands' parsers by name, built on
+    first use and shared by later calls; do not modify them."""
     parser = argparse.ArgumentParser(
         prog="zenoport",
         description="Exchange-free qubit transport simulator and analysis toolkit.")
@@ -495,7 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, defaults in _DEFAULTS.items():
         sp = sub.add_parser(name, help=helps[name])
         _add_common(sp, defaults)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The zenoport parser, built on first use and shared by later calls; do not modify it."""
+    return _parsers()[0]
 
 
 def _bind_complex_values(argv: list[str]) -> list[str]:
@@ -520,8 +525,15 @@ def _bind_complex_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_bind_complex_values(argv))
+    argv = _bind_complex_values(sys.argv[1:] if argv is None else argv)
+    parser, subcommands = _parsers()
+    if argv and argv[0] in subcommands:  # one pass: the subcommand's parser reads the rest
+        args, extra = subcommands[argv[0]].parse_known_args(argv[1:],
+                                                            argparse.Namespace(cmd=argv[0]))
+        if extra:  # left over, as the top-level parser reports them
+            parser.error("unrecognized arguments: " + " ".join(extra))
+    else:  # help, usage errors and whatever else the top-level parser makes of argv
+        args = parser.parse_args(argv)
     flag_values = {key: getattr(args, key) for key in _DEFAULTS[args.cmd]}
     try:
         return _DISPATCH[args.cmd](load_config(args.cmd, args.config, flag_values))

@@ -114,14 +114,20 @@ def _rounds(alpha, beta, f_h, f_v) -> dict:
             "final": {"Port1": (port1_h, port1_v), "Port2": (port2_h, port2_v)}}
 
 
+# each snapshot path's labels as its amplitudes are indexed: by polarization, then bit
+_LABELS = {path: tuple(tuple(BasisLabel(path, pol, bit) for bit in "01") for pol in POLS)
+           for path in ("F", "Port1", "Port2")}
+
+
 def _state(paths: dict) -> StateVector:
     """StateVector of per-path (H, V) amplitude pairs indexed by control bit.
 
-    The paths, polarizations and bits are canonical, so the labels are
-    built without `label`'s checks."""
-    return StateVector({BasisLabel(path, pol, bit): amps[b]
-                        for path, pair in paths.items()
-                        for pol, amps in zip(POLS, pair) for b, bit in enumerate("01")})
+    The amplitudes are complex numbers from `_rounds`, so the state is
+    wrapped over them as they are, dropping exact zeros as
+    `StateVector.__init__` would."""
+    return StateVector._wrap({k: a for path, pair in paths.items()
+                              for keys, amps in zip(_LABELS[path], pair)
+                              for k, a in zip(keys, amps) if a != 0})
 
 
 def _bob_purity(pair) -> float | None:

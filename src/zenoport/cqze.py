@@ -56,10 +56,10 @@ LOSS_FAMILIES = ("DA", "DB", "Block", "AV")
 # float64 outer cycle rounds by about 1e-16, so the drift is at most
 # M*(1+a)N*1e-19 + M*1e-16 < 1e-13 (the product peaks at 256*256).  Small
 # modules are also cheaper in the loops: on a 2-core x86 VM, (8, 8) costs
-# 0.03 ms per module there against 0.04-0.05 ms in the exact tier (0.01
-# against 0.02 ms with the dwell cached, as in a sweep row of up to hundreds
-# of modules), and the two break even near (30, 30).  Between that and the
-# line the loops cost at most about 0.6 ms more per module; the exact tier
+# 0.013 ms per module there against 0.032 ms in the exact tier (0.003
+# against 0.014 ms with the dwell cached, as in a sweep row of up to hundreds
+# of modules), and the two break even near (60, 60).  Between that and the
+# line the loops cost at most about 0.3 ms more per module; the exact tier
 # would move shallow results, the default sweep included, by up to 1.3e-14.
 LOOP_BUDGET = 512
 
@@ -250,6 +250,19 @@ def _then(m1, m2):
     return amp, loss
 
 
+def _square(m):
+    """`_then(m, m)` from the ten pairwise products of A's entries: 20 integer
+    multiplications where `_then` makes 28, with every sum before a shift the same."""
+    (a, b, c, d), (q0, q1, q2) = m
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    ab, ac, ad, bc, bd, cd = a * b, a * c, a * d, b * c, b * d, c * d
+    amp = ((aa + bc) >> _F, (ab + bd) >> _F, (ac + cd) >> _F, (bc + dd) >> _F)
+    loss = (q0 + ((q0 * aa + q1 * ac + q2 * cc) >> 2 * _F),
+            q1 + ((2 * (q0 * ab + q2 * cd) + q1 * (ad + bc)) >> 2 * _F),
+            q2 + ((q0 * bb + q1 * bd + q2 * dd) >> 2 * _F))
+    return amp, loss
+
+
 def _apply(m, x: int, y: int):
     """Apply m to the real pair (x, y); returns the image pair and the loss."""
     (a, b, c, d), (q0, q1, q2) = m
@@ -270,7 +283,7 @@ def _power(m, k: int, x: int, y: int):
             lost += step_loss
         k >>= 1
         if k:
-            m = _then(m, m)
+            m = _square(m)
     return x, y, lost
 
 
@@ -282,7 +295,7 @@ def _map_power(m, k: int):
             out = _then(out, m)
         k >>= 1
         if k:
-            m = _then(m, m)
+            m = _square(m)
     return out
 
 

@@ -1,5 +1,6 @@
 """Command line interface: config merging, outputs, and exit codes."""
 
+import argparse
 import enum
 import json
 import math
@@ -200,6 +201,71 @@ def test_no_subcommand_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+TOP_USAGE = "usage: zenoport [-h] {sweep,counterport,paradox,weakvalues,histories} ...\n"
+
+
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["counterport", "--m", "3", "--bogus", "1"], "--bogus 1"),
+    (["counterport", "--m", "3", "sweep"], "sweep"),
+    (["counterport", "--alpha", "-0.3+0.4j", "--zz"], "--zz"),
+    (["sweep", "--m-max", "2", "extra", "words"], "extra words"),
+])
+def test_words_left_after_a_subcommand_are_a_top_level_usage_error(argv, extra, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _usage_error(argv, capsys) == (
+        TOP_USAGE + f"zenoport: error: unrecognized arguments: {extra}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "3", "counterport"], "argument cmd: invalid choice: '3'"),
+    (["--", "counterport"], "argument cmd: invalid choice: '--'"),
+    (["bogus"], "argument cmd: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: cmd"),
+    (["counterport", "--m"], "argument --m: expected one argument"),
+    (["counterport", "--m", "x"], "argument --m: invalid int value: 'x'"),
+])
+def test_usage_errors_read_as_the_whole_parser_reports_them(argv, message, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    err = _usage_error(argv, capsys)
+    assert message in err.splitlines()[-1]
+    with pytest.raises(SystemExit):  # as the top-level parser reports it over the whole argv
+        cli.build_parser().parse_args(argv)
+    assert err == capsys.readouterr().err
+
+
+def test_an_abbreviated_help_flag_prints_the_subcommand_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["counterport", "--he"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: zenoport counterport [-h]")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["counterport", "--help"])
+    assert capsys.readouterr().out == out
+
+
+def test_a_subcommand_first_is_parsed_in_one_pass(monkeypatch, capsys):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(["counterport", "--m", "3", "--n", "4", "--alpha", "0.6", "--beta", "0.8"]) == 0
+    assert calls == ["zenoport counterport"]
+    capsys.readouterr()
+
+
 def test_reused_parser_gives_the_same_run_after_a_rejection(capsys):
     argv = ["counterport", "--m", "30", "--n", "700", "--alpha", "0.6", "--beta", "-0.8j"]
     first = run(capsys, argv)
@@ -214,7 +280,7 @@ def test_reused_parser_gives_the_same_run_after_a_rejection(capsys):
 
 @pytest.mark.parametrize("argv", [["--help"], ["counterport", "--help"], ["sweep", "-h"]])
 def test_help_of_the_reused_parser_matches_a_fresh_one(argv, capsys):
-    fresh = cli.build_parser.__wrapped__()
+    fresh, _ = cli._parsers.__wrapped__()
     main(["paradox"])  # the memo has parsed a run before the help request
     capsys.readouterr()
     outs = []

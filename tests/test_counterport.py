@@ -31,6 +31,7 @@ from zenoport.cqze import (
     run_cqze,
 )
 from zenoport.qstate import (
+    BasisLabel,
     ConservationError,
     NormalizationError,
     QStateError,
@@ -105,6 +106,37 @@ def test_round_trace_snapshots_present():
     assert set(r.round_trace) == {"round1", "between_rounds", "round2_ports", "final"}
     for s in r.round_trace.values():
         assert s.norm2() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("bob", [BobQubit(0.6, 0.8j), BobQubit(1.0, 0.0), BobQubit(0.0, -1.0),
+                                 0, 1])
+@pytest.mark.parametrize("cfg", [ProtocolConfig(M=3, N=3), PAPER_EPS, DEEP,
+                                 ProtocolConfig(M=1, N=1, eps_reflect=1.0, eps_block=1.0)])
+def test_round_states_and_ports_are_the_checked_states(bob, cfg):
+    # the states StateVector.__init__ builds over BasisLabel keys: same labels,
+    # order, values and types, with exact zeros dropped
+    r = counterport(bob, cfg)
+    q = cqze._as_bob(bob)
+    f_h, f_v, _ = zip(*(cp._module(bit, cfg) for bit in (0, 1)))
+    rounds = cp._rounds(q.alpha, q.beta, f_h, f_v)
+
+    def checked(paths):
+        return StateVector({BasisLabel(path, pol, bit): amps[b] for path, pair in paths.items()
+                            for pol, amps in zip("HV", pair) for b, bit in enumerate("01")})
+
+    def entries(s):
+        return [(k, type(v), _bits(v)) for k, v in s.items()]
+
+    got = {**r.round_trace, "port1": r.port1, "port2": r.port2}
+    want = {**{name: checked(paths) for name, paths in rounds.items()},
+            "port1": checked({"Port1": rounds["final"]["Port1"]}),
+            "port2": checked({"Port2": rounds["final"]["Port2"]})}
+    assert list(got) == list(want)
+    for name, s in want.items():
+        assert entries(got[name]) == entries(s), name
+        assert all(v != 0 for v in got[name].values())
+    if q.beta == 0:  # round 1 carries no bit-1 amplitude
+        assert [k.bob for k in got["round1"]] == ["0", "0"]
 
 
 def _bits(z):

@@ -186,6 +186,31 @@ def test_fixed_point_rotation_is_exact(n):
     assert abs(c / _ONE - math.cos(math.pi / (2 * n))) <= 2.0 ** -52
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 10 ** 6), n=st.integers(1, 10 ** 6), er=st.floats(0, 1),
+       eb=st.floats(0, 1), av=st.integers(0, 3), per=st.sampled_from(("inner", "outer")),
+       bit=st.sampled_from((0, 1)))
+@example(m=1, n=1, er=0.0, eb=0.0, av=0, per="inner", bit=0)
+@example(m=10 ** 6, n=10 ** 6, er=1.0, eb=1.0, av=3, per="outer", bit=1)
+def test_squaring_kernel_equals_the_generic_product(m, n, er, eb, av, per, bit):
+    # every map the exact tier squares: the visit and entrance-block maps, the
+    # rounds between blocks, the outer cycle, and each one's repeated squares
+    square, squared = cqze._square, []
+
+    def checked(lifted):
+        out = square(lifted)
+        assert out == cqze._then(lifted, lifted)
+        squared.append(lifted)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cqze, "_square", checked)
+        dwell = cqze._dwell_exact(n, er, eb, av, per, bit)
+        cqze._outer_exact(ProtocolConfig(M=m, N=n), dwell)
+    # the outer cycle's M-th power and the last round's n - 1 later visits
+    assert len(squared) >= (m.bit_length() - 1) + max(0, (n - 1).bit_length() - 1)
+
+
 def in_tier(budget, bob, cfg):
     """Amplitudes and losses of `_module` for each bit and of `run_cqze` for
     bob, with LOOP_BUDGET set to budget (0 forces the exact tier, inf the

@@ -66,12 +66,15 @@ def test_sweep_output_matches_its_golden_files(argv, stem, tmp_path, monkeypatch
 
 
 LOSSY = ["--alpha", "0.6", "--eps-reflect", "0.05", "--eps-block", "0.02"]
-# (argv, golden stdout file): a loop-tier and an exact-tier run, each with a complex beta
+# (argv, golden stdout file): a loop-tier and two exact-tier runs, each with a complex
+# beta; the last powers its rounds between entrance blocks and retains bit 1 per dwell
 COUNTERPORTS = [
     (["counterport", "--m", "10", "--n", "20", "--av-rounds", "1", *LOSSY,
       "--beta", "-0.48+0.64j"], "counterport_m10_n20_av1.json"),
     (["counterport", "--m", "100", "--n", "40000", *LOSSY, "--beta", "0.48+0.64j"],
      "counterport_m100_n40000.json"),
+    (["counterport", "--m", "300", "--n", "5000", "--av-rounds", "3", *LOSSY,
+      "--eps-block-per", "outer", "--beta", "0.8j"], "counterport_m300_n5000_av3_outer.json"),
 ]
 
 
