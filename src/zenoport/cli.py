@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -164,13 +165,25 @@ def load_config(sub: str, config_path: str | None, flag_values: dict) -> dict:
     return {key: _RULES[key](key, value) for key, value in params.items()}
 
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
 def _write_text(path: Path, text: str) -> None:
+    """Write text to path, making missing directories, in one os-level write
+    where the system takes it whole.  Every output is ASCII, so its UTF-8
+    bytes are those any ASCII-compatible locale's text mode would write."""
+    data = memoryview(text.encode())
     try:
         try:
-            path.write_text(text)
+            fd = os.open(path, _WRITE_FLAGS, 0o666)
         except FileNotFoundError:  # the directories are made only when missing
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            fd = os.open(path, _WRITE_FLAGS, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise QStateError(f"cannot write {path}: {exc}") from None
 

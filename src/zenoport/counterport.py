@@ -24,8 +24,9 @@ once, on the whole Bloch sphere.
 
 numpy is imported inside the functions that use it, and the process pool
 where `sweep` starts one, so that `import zenoport`, the presence commands
-and an exact-tier `counterport` run load neither; a loop-tier module loads
-numpy for the extended precision of `cqze._dwell`.
+and a `counterport` run load neither, unless the run's dwell is short enough
+(N <= `cqze.DWELL_LOOP_MAX`, below `cqze.LOOP_BUDGET`) for the extended
+precision loop of `cqze._dwell_loop`, which loads numpy.
 """
 from __future__ import annotations
 

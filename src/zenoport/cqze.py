@@ -23,7 +23,10 @@ with a quadratic loss row, the pair is the 4x4 lift of the map to
 (x^2, xy, y^2, loss), and a run of k equal cycles is the lift's k-th
 power by square-and-multiply, in fixed-point integers with _F fractional
 bits.  A module then costs O(log N + log M) and conserves probability to
-the float rounding of its outputs.
+the float rounding of its outputs.  Inside the shallow tier a dwell of
+more than DWELL_LOOP_MAX inner cycles per round is also the exact tier's,
+rounded once to float: past that line the exact kernel is the cheaper of
+the two, and such a dwell needs neither numpy nor the platform's long double.
 """
 from __future__ import annotations
 
@@ -62,6 +65,19 @@ LOSS_FAMILIES = ("DA", "DB", "Block", "AV")
 # line the loops cost at most about 0.3 ms more per module; the exact tier
 # would move shallow results, the default sweep included, by up to 1.3e-14.
 LOOP_BUDGET = 512
+
+# Below LOOP_BUDGET a dwell with N > DWELL_LOOP_MAX is `_dwell_exact` rounded
+# once, and a shorter one runs the longdouble cycle loop.  The loop costs about
+# 0.7 us per inner cycle and bit, the exact dwell grows with log N and with
+# av_rounds.  On a 2-core x86 VM (both bits, min of 7, loop against exact):
+# 64 / 65 us at N = 40 and 75 / 69 at N = 48 with av_rounds 0, 93 / 96 at
+# N = 32 and 117 / 107 at N = 40 with av_rounds 1, 164 / 180 at N = 40 and
+# 195 / 187 at N = 48 with av_rounds 2; at N = 400 and av_rounds 0, 552 / 85.
+# The two break even near N = 40 at each av_rounds.  Shorter dwells keep the
+# loop because it is the cheaper there and its last bits are the ones that the
+# golden files, the default sweep (N <= 20) and the (1, 1) cell's rounding
+# residue pin.
+DWELL_LOOP_MAX = 40
 
 
 def _require_one(total, what: str, error=ConservationError) -> None:
@@ -358,12 +374,23 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     (0, l) to (t_HV*l, t_VV*l) and each family loses coeff*|l|^2.  Real
     entries only, since every step is a real rotation or a real scaling.
     With exact the entries are fixed-point integers from `_dwell_exact`;
-    otherwise floats from a cycle loop in extended precision, which keeps
-    a shallow dwell's rounding far below the 1e-12 budget.  The outer cycle
-    count plays no part, so the cache key leaves it out.
+    otherwise floats: from `_dwell_loop` for n <= DWELL_LOOP_MAX, and above
+    it the same integers each rounded once (int / int division rounds
+    correctly).  The outer cycle count plays no part, so the cache key
+    leaves it out.
     """
     if exact:
         return _dwell_exact(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
+    if n <= DWELL_LOOP_MAX:
+        return _dwell_loop(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
+    t01, t11, coeffs = _dwell_exact(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
+    return t01 / _ONE, t11 / _ONE, tuple(x / _ONE for x in coeffs)
+
+
+def _dwell_loop(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
+                eps_block_per: str, bit: int) -> tuple:
+    """`_dwell` in floats from a cycle loop in extended precision, which keeps
+    a short dwell's rounding far below the 1e-12 budget."""
     import numpy as np
     one = np.longdouble(1.0)
     c = np.cos(np.longdouble(math.pi) / (2 * n))

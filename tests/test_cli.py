@@ -432,6 +432,41 @@ def test_output_file_under_a_regular_file_exits_2(under, tmp_path, capsys):
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
+def test_a_shorter_output_replaces_a_longer_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("x" * 5000)
+    cli._write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+
+
+@pytest.mark.parametrize("argv", [["counterport", "--m", "20", "--n", "400", "--beta", "0.8j",
+                                   "--alpha", "0.6", "--eps-reflect", "0.05"],
+                                  ["weakvalues", "--boundaries", "cycle1"]],
+                         ids=["counterport", "weakvalues"])
+def test_out_file_holds_the_stdout_text(argv, tmp_path, capsys):
+    code, out = run(capsys, argv)
+    assert code == 0 and out
+    path = tmp_path / "out"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+
+
+def test_a_record_written_seven_bytes_per_call_is_whole(tmp_path, monkeypatch, capsys):
+    argv = ["counterport", "--m", "20", "--n", "400", "--alpha", "0.6", "--beta", "0.8j"]
+    code, out = run(capsys, argv)
+    write, calls = cli.os.write, []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    path = tmp_path / "run.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+    assert len(calls) == -(-len(out) // 7)
+
+
 def test_sweep_rejects_bad_mode(capsys):
     assert main(["sweep", "--fidelity-mode", "hopeful"]) == 2
     capsys.readouterr()

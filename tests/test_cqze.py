@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import zenoport.cqze as cqze
 from zenoport.cqze import (
     _ONE,
+    DWELL_LOOP_MAX,
     LOOP_BUDGET,
     BobQubit,
     ProtocolConfig,
@@ -316,17 +317,37 @@ def _dwell_by_dict(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit):
     return float(t01), float(t11), tuple(map(float, coeffs.values()))
 
 
-def test_loop_dwell_matches_the_dict_loop_bit_for_bit():
-    def hexed(dwell):
-        t01, t11, coeffs = dwell
-        return [x.hex() for x in (t01, t11, *coeffs)]
+def hexed(dwell):
+    t01, t11, coeffs = dwell
+    return [x.hex() for x in (t01, t11, *coeffs)]
 
+
+def test_loop_dwell_matches_the_dict_loop_bit_for_bit():
     for n in range(1, 121):
         for av in (0, 1, 2):
             for per in ("inner", "outer"):
                 for bit in (0, 1):
                     args = (n, 0.07, 0.03, av, per, bit)
-                    assert hexed(_dwell.__wrapped__(*args)) == hexed(_dwell_by_dict(*args)), args
+                    assert hexed(cqze._dwell_loop(*args)) == hexed(_dwell_by_dict(*args)), args
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4 * DWELL_LOOP_MAX), er=st.floats(0, 1), eb=st.floats(0, 1),
+       av=st.integers(0, 2), per=st.sampled_from(("inner", "outer")),
+       bit=st.sampled_from((0, 1)))
+@example(n=DWELL_LOOP_MAX, er=0.07, eb=0.03, av=0, per="inner", bit=0)
+@example(n=DWELL_LOOP_MAX + 1, er=0.07, eb=0.03, av=2, per="outer", bit=1)
+def test_float_dwell_is_the_loop_up_to_the_line_and_the_exact_dwell_past_it(n, er, eb, av,
+                                                                            per, bit):
+    args = (n, er, eb, av, per, bit)
+    assert _dwell.__wrapped__(*args, True) == cqze._dwell_exact(*args)
+    got = _dwell.__wrapped__(*args)
+    if n <= DWELL_LOOP_MAX:
+        assert hexed(got) == hexed(cqze._dwell_loop(*args)), args
+    else:
+        t01, t11, coeffs = cqze._dwell_exact(*args)
+        want = (t01 / _ONE, t11 / _ONE, tuple(x / _ONE for x in coeffs))
+        assert hexed(got) == hexed(want), args
 
 
 def test_reflection_leak_drains_success():

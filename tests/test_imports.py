@@ -1,5 +1,5 @@
-"""Import graph: numpy loads only where a sweep or a loop-tier module runs, the
-process pool only where a sweep starts one, and mpmath, which only the test
+"""Import graph: numpy loads only where a sweep or a short loop-tier dwell runs,
+the process pool only where a sweep starts one, and mpmath, which only the test
 oracle uses, never loads.
 
 Each test starts a fresh interpreter, since this test process has long since
@@ -44,15 +44,16 @@ print(json.dumps({"codes": codes,
                   "loaded": [m for m in %r if sys.modules.get(m) is not None]}))
 """ % (HEAVY,)
 
-# argv[1] is "block" or "allow"; argv[2] the JSON output path.  Prints the
-# exit code and which of HEAVY ended up loaded.
+# argv[1] is "block" or "allow"; argv[2] the JSON output path; argv[3] and
+# argv[4] M and N.  Prints the exit code and which of HEAVY ended up loaded.
 COUNTERPORT_CHILD = """
 import sys
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 from zenoport.cli import main
-code = main(["counterport", "--m", "100", "--n", "40000", "--alpha", "0.6", "--beta", "0.8j",
-             "--eps-reflect", "0.05", "--eps-block", "0.02", "--out", sys.argv[2]])
+code = main(["counterport", "--m", sys.argv[3], "--n", sys.argv[4], "--alpha", "0.6",
+             "--beta", "0.8j", "--eps-reflect", "0.05", "--eps-block", "0.02",
+             "--out", sys.argv[2]])
 print(code, [m for m in %r if sys.modules.get(m) is not None])
 """ % (HEAVY,)
 
@@ -87,20 +88,30 @@ def test_presence_commands_run_byte_identically_with_numpy_blocked(tmp_path):
     assert (tmp_path / "allow" / "paradox.stdout").read_text().startswith("M=3 N=7")
 
 
-def test_exact_tier_counterport_loads_no_numpy(tmp_path):
-    # (100, 40000) lies past LOOP_BUDGET: both module runs are exact-tier
-    # integer powers and the transport runs on plain Python numbers
+def assert_counterport_loads_no_numpy(tmp_path, m, n):
     outs = {}
     for mode in ("block", "allow"):
         outs[mode] = tmp_path / f"{mode}.json"
-        out = child(COUNTERPORT_CHILD, mode, outs[mode])
+        out = child(COUNTERPORT_CHILD, mode, outs[mode], m, n)
         assert out.splitlines()[-1] == "0 []", mode
     assert outs["block"].read_bytes() == outs["allow"].read_bytes()
 
 
+def test_exact_tier_counterport_loads_no_numpy(tmp_path):
+    # (100, 40000) lies past LOOP_BUDGET: both module runs are exact-tier
+    # integer powers and the transport runs on plain Python numbers
+    assert_counterport_loads_no_numpy(tmp_path, 100, 40000)
+
+
+def test_long_dwell_loop_tier_counterport_loads_no_numpy(tmp_path):
+    # (20, 400) lies below LOOP_BUDGET, but N is past DWELL_LOOP_MAX: the
+    # dwell is the exact tier's rounded once and the outer loop runs on floats
+    assert_counterport_loads_no_numpy(tmp_path, 20, 400)
+
+
 def test_counterport_fails_with_numpy_blocked():
-    # the blocker really blocks: the default (10, 20) run is loop tier, whose
-    # extended-precision dwell (`cqze._dwell`) needs numpy
+    # the blocker really blocks: the default (10, 20) run is loop tier with a
+    # short dwell, whose extended-precision loop (`cqze._dwell_loop`) needs numpy
     out = child('import sys; sys.modules["numpy"] = None\n'
                 "from zenoport.cli import main\n"
                 "try:\n"

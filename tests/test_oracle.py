@@ -3,8 +3,9 @@ mpmath oracle.
 
 ``oracle`` steps every inner cycle of every outer cycle at 40 digits, so
 these tests draw configurations with M·(1+av_rounds)·N up to ORACLE_STEPS.
-The fixed examples sit above LOOP_BUDGET, where `counterport` runs the
-exact tier.
+The FIXED examples sit above LOOP_BUDGET, where `counterport` runs the
+exact tier; the LONG_DWELL ones sit below it with dwells past
+DWELL_LOOP_MAX, which the loop tier takes from the exact dwell rounded once.
 """
 
 import cmath
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import zenoport.cqze as cqze
 from zenoport.counterport import counterport, sample_bloch, sweep
-from zenoport.cqze import LOOP_BUDGET, BobQubit, ProtocolConfig, _module
+from zenoport.cqze import DWELL_LOOP_MAX, LOOP_BUDGET, BobQubit, ProtocolConfig, _module
 from zenoport.qstate import label
 
 cp = importlib.import_module("zenoport.counterport")  # the package re-exports the function
@@ -46,6 +47,13 @@ FIXED = [ProtocolConfig(M=3, N=600, eps_reflect=0.03, eps_block=0.02),
          ProtocolConfig(M=600, N=1, eps_reflect=0.5, eps_block=0.05, av_rounds=1)]
 assert all((1 + cfg.av_rounds) * cfg.N + cfg.M > LOOP_BUDGET for cfg in FIXED)
 
+LONG_DWELL = [ProtocolConfig(M=2, N=300, eps_reflect=0.03, eps_block=0.02),
+              ProtocolConfig(M=3, N=120, eps_reflect=0.2, eps_block=0.1, av_rounds=1,
+                             eps_block_per="outer"),
+              ProtocolConfig(M=1, N=170, eps_reflect=0.05, eps_block=0.3, av_rounds=2)]
+assert all((1 + cfg.av_rounds) * cfg.N + cfg.M <= LOOP_BUDGET and cfg.N > DWELL_LOOP_MAX
+           for cfg in LONG_DWELL)
+
 
 def oracle_args(cfg):
     return cfg.M, cfg.N, cfg.eps_reflect, cfg.eps_block, cfg.av_rounds, cfg.eps_block_per
@@ -61,6 +69,9 @@ def near(got, want) -> bool:
 @example(cfg=FIXED[1])
 @example(cfg=FIXED[2])
 @example(cfg=FIXED[3])
+@example(cfg=LONG_DWELL[0])
+@example(cfg=LONG_DWELL[1])
+@example(cfg=LONG_DWELL[2])
 def test_module_matches_the_oracle_in_both_tiers(cfg):
     for bit in (0, 1):
         want_h, want_v, want_loss = oracle.module(bit, *oracle_args(cfg))
@@ -99,6 +110,9 @@ def test_exact_tier_entrance_block_rounds_match_the_oracle(av, m, n, er, eb, per
 @example(cfg=FIXED[1], beta2=0.5, phase_a=0.5, phase_b=2.0)
 @example(cfg=FIXED[2], beta2=0.8, phase_a=1.5, phase_b=3.0)
 @example(cfg=FIXED[3], beta2=0.1, phase_a=2.5, phase_b=4.0)
+@example(cfg=LONG_DWELL[0], beta2=0.36, phase_a=0.0, phase_b=1.0)
+@example(cfg=LONG_DWELL[1], beta2=0.5, phase_a=0.5, phase_b=2.0)
+@example(cfg=LONG_DWELL[2], beta2=0.8, phase_a=1.5, phase_b=3.0)
 def test_counterport_matches_the_oracle(cfg, beta2, phase_a, phase_b):
     bob = BobQubit(cmath.exp(1j * phase_a) * math.sqrt(1.0 - beta2),
                    cmath.exp(1j * phase_b) * math.sqrt(beta2))
