@@ -48,7 +48,7 @@ _DEFAULTS: dict[str, dict] = {
         "m_max": 20, "n_max": 20, "eps_reflect": 0.10, "eps_block": 0.05,
         "av_rounds": 0, "eps_block_per": "inner", "samples": 100,
         "scheme": "fibonacci", "seed": 0, "fidelity_mode": "loss-inclusive",
-        "ideal": False, "workers": 1, "out_dir": ".",
+        "workers": 1, "out_dir": ".",
     },
     "counterport": {
         "m": 10, "n": 20, "alpha": "1", "beta": "0", "eps_reflect": 0.0,
@@ -129,7 +129,6 @@ _RULES = {
     "eps_block_per": _choice("inner", "outer"),
     "scheme": _choice("fibonacci", "seeded-uniform"),
     "fidelity_mode": _choice(*FIDELITY_MODES),
-    "ideal": _rule(lambda v: isinstance(v, bool), "be a boolean"),
     "alpha": _complex,
     "beta": _complex,
     "boundaries": _boundaries,
@@ -209,32 +208,25 @@ _SCALAR = {
 }
 
 
-def _key(k) -> str:
-    if not isinstance(k, (str, int, float)) and k is not None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return encode_basestring_ascii(k if isinstance(k, str) else _indented(k, ""))
-
-
 def _indented(obj, outer: str) -> str:
     """obj as json.dumps writes it with sorted keys and an indent of 2,
-    nested at the indent that outer ("\n" and spaces) carries.  Each item's
-    exact type is looked up first: most are scalars, and a call costs more."""
+    nested at the indent that outer ("\n" and spaces) carries.  obj is a
+    record: dicts with str keys, lists, and values whose exact type is a key
+    of _SCALAR; anything else raises TypeError.  Each item's exact type is
+    looked up first: most are scalars, and a call costs more."""
     write = _SCALAR.get(type(obj))
     if write is not None:
         return write(obj)
     inner = outer + "  "
-    if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(k) if type(k) is str else _key(k)}: "
+    if type(obj) is dict:  # encode_basestring_ascii raises TypeError for a non-str key
+        items = [f"{encode_basestring_ascii(k)}: "
                  f"{w(v) if (w := _SCALAR.get(type(v))) else _indented(v, inner)}"
                  for k, v in sorted(obj.items())]
         o, c = "{", "}"
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) is list:
         items = [w(v) if (w := _SCALAR.get(type(v))) else _indented(v, inner) for v in obj]
         o, c = "[", "]"
-    else:  # a subclass of a scalar type, taken as json's isinstance chain takes it
-        for kind in (str, int, float):
-            if isinstance(obj, kind):
-                return _SCALAR[kind](obj)
+    else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     return o + inner + ("," + inner).join(items) + outer + c if items else o + c
 
@@ -346,9 +338,7 @@ def svg_heatmap(grid: FidelityGrid) -> str:
 # -------------------------------------------------------------- subcommands
 
 def cmd_sweep(p: dict) -> int:
-    eps_r = 0.0 if p["ideal"] else p["eps_reflect"]
-    eps_b = 0.0 if p["ideal"] else p["eps_block"]
-    template = ProtocolConfig(M=1, N=1, eps_reflect=eps_r, eps_block=eps_b,
+    template = ProtocolConfig(M=1, N=1, eps_reflect=p["eps_reflect"], eps_block=p["eps_block"],
                               av_rounds=p["av_rounds"], eps_block_per=p["eps_block_per"])
     sample = sample_bloch(p["samples"], p["scheme"], p["seed"])
     grid = sweep(p["m_max"], p["n_max"], template, sample,
@@ -479,10 +469,7 @@ def _add_common(sp, keys: dict) -> None:
                     help="JSON config file (flags override its keys)")
     for key, default in keys.items():
         flag = "--" + key.replace("_", "-")
-        if isinstance(default, bool):
-            sp.add_argument(flag, action="store_true", default=None,
-                            help=f"(default {default})")
-        elif isinstance(default, int):
+        if isinstance(default, int):
             sp.add_argument(flag, type=int, default=None, help=f"(default {default})")
         elif isinstance(default, float):
             sp.add_argument(flag, type=float, default=None, help=f"(default {default})")
@@ -509,11 +496,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         sp = sub.add_parser(name, help=helps[name])
         _add_common(sp, defaults)
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The zenoport parser, built on first use and shared by later calls; do not modify it."""
-    return _parsers()[0]
 
 
 def _bind_complex_values(argv: list[str]) -> list[str]:

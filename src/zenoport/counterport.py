@@ -36,11 +36,9 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, BobQubit, ProtocolConfig, _abs2, _as_bob,
-                   _module, _require_one, _two_rail)
+from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, R, BobQubit, ProtocolConfig, _abs2,
+                   _as_bob, _module, _require_one, _two_rail)
 from .qstate import POLS, BasisLabel, QStateError, StateVector, _is_int
-
-R = 1.0 / math.sqrt(2.0)
 
 FIDELITY_MODES = ("loss-inclusive", "post-selected")
 
@@ -192,7 +190,6 @@ class BlochSample:
     """Deterministic set of control qubits used for fidelity averaging."""
 
     qubits: tuple[BobQubit, ...]
-    count: int
     scheme: str
 
 
@@ -220,7 +217,7 @@ def sample_bloch(count: int, scheme: str = "fibonacci", seed: int = 0) -> BlochS
     for z, phi in points:  # the point with z = cos(theta) and azimuth phi
         half = math.acos(max(-1.0, min(1.0, z))) / 2.0
         qubits.append(BobQubit._unit(complex(math.cos(half)), cmath.exp(1j * phi) * math.sin(half)))
-    return BlochSample(tuple(qubits), count, scheme)
+    return BlochSample(tuple(qubits), scheme)
 
 
 @dataclass

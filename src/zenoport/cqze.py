@@ -53,6 +53,8 @@ P_EMPTY = 1e-300  # below this probability a conditional figure is defined as 0
 # Loss families in the order of every loss dict; p_lost sums them in this order.
 LOSS_FAMILIES = ("DA", "DB", "Block", "AV")
 
+R = 1.0 / math.sqrt(2.0)  # amplitude of each output of a 50/50 splitter
+
 # A module runs the cycle loops when (1+av_rounds)*N + M <= LOOP_BUDGET and
 # the exact tier above it.  Below the line the loops stay inside the 1e-12
 # budget: a longdouble rotation misses c^2 + s^2 = 1 by about 1e-19 and a
@@ -486,11 +488,10 @@ def _two_rail(g_h, g_v, f_h, f_v):
     pairs of Port2 = (rail1 + rail2)/sqrt2 and Port1 = (rail1 - rail2)/sqrt2.
     Works elementwise on numpy arrays as on scalars.
     """
-    r = 1.0 / math.sqrt(2.0)
     rail1_h, rail1_v = g_h * f_h, g_h * f_v
     rail2_h, rail2_v = g_v * f_v, g_v * f_h
-    port2 = (r * (rail1_h + rail2_h), r * (rail1_v + rail2_v))
-    port1 = (r * (rail1_h - rail2_h), r * (rail1_v - rail2_v))
+    port2 = (R * (rail1_h + rail2_h), R * (rail1_v + rail2_v))
+    port1 = (R * (rail1_h - rail2_h), R * (rail1_v - rail2_v))
     return port2, port1
 
 

@@ -18,9 +18,19 @@ stamp c{m}.in{j}:
 So w_C = -w_B = tan^2(pi/2M)*sin(j*pi/N)/2 for m < M, w_C = w_B = 0 in cycle
 M, and w_A = 1.  A probe coupled to C at every stamp reads, to first order,
 epsilon times the sum of Re w_C over the run, which is c1 below.
+
+The lossless module (no leaks, no entrance blocks) on a plain H photon has a
+closed form too.  A dwell turns its V input by pi/2N per inner cycle, and the
+channel visit after each turn either reflects the H component whole (bit 0)
+or absorbs it (bit 1).  So bit 0's dwell turns V fully into H, which the
+exhaust takes, and passes t = 0 of V; bit 1's keeps t = cos(pi/2N)^N of V.
+One outer cycle is then diag(1, t)·R(pi/2M) on (H, V), and the module's
+output is its M-th power applied to (1, 0).
 """
 
 import math
+
+from mpmath import mp
 
 
 def weak_values(M, N, m, j):
@@ -35,3 +45,14 @@ def channel_probe_c1(M, N):
     if N == 1:
         return 0.0
     return (M - 1) * math.tan(math.pi / (2 * M)) ** 2 / math.tan(math.pi / (2 * N)) / 2
+
+
+def lossless_module(bit, M, N, dps=40):
+    """F-H and F-V amplitudes of the lossless module for control bit `bit`,
+    as floats from a dps-digit evaluation."""
+    with mp.workdps(dps):
+        c, s = mp.cos(mp.pi / (2 * M)), mp.sin(mp.pi / (2 * M))
+        t = 0 if bit == 0 else mp.cos(mp.pi / (2 * N)) ** N
+        cycle = mp.matrix([[1, 0], [0, t]]) * mp.matrix([[c, -s], [s, c]])
+        out = cycle ** M * mp.matrix([1, 0])
+        return float(out[0]), float(out[1])

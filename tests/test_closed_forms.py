@@ -1,4 +1,5 @@
-"""The presence engines on the open circuit against ``closed_forms``."""
+"""The presence engines on the open circuit, and the lossless module, against
+``closed_forms``."""
 
 import math
 
@@ -6,6 +7,7 @@ import closed_forms
 import pytest
 
 from zenoport.analysis import channel_probe_signal, end_to_end_boundaries, weak_trace_map
+from zenoport.cqze import ProtocolConfig, _module
 from zenoport.optics import build_paradox_circuit
 
 EPSILON = 1e-6
@@ -29,3 +31,14 @@ def test_channel_probe_reads_the_closed_form_first_order_coefficient(M):
         signal = channel_probe_signal(build_paradox_circuit(M, N), EPSILON)
         assert math.isclose(signal / EPSILON, closed_forms.channel_probe_c1(M, N),
                             rel_tol=1e-9), N
+
+
+# The loop tier with a loop dwell and with an exact one (N > DWELL_LOOP_MAX),
+# then the exact tier at deep chains, out to (10**6, 10**7).
+@pytest.mark.parametrize("M, N", [(8, 8), (20, 400), (100, 400000), (300, 300000), (10000, 100),
+                                  (100000, 10), (10 ** 6, 10 ** 7)])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_lossless_module_matches_the_closed_form(bit, M, N):
+    f_h, f_v, _ = _module(bit, ProtocolConfig(M=M, N=N))
+    want_h, want_v = closed_forms.lossless_module(bit, M, N)
+    assert abs(f_h - want_h) <= 1e-12 and abs(f_v - want_v) <= 1e-12, (f_h, f_v, want_h, want_v)
