@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cqze import P_EMPTY
 from .optics import (
@@ -54,8 +54,7 @@ class InconsistentFamilyError(QStateError):
     """Probabilities requested for a family whose chain kets are not orthogonal."""
 
 
-@dataclass(frozen=True)
-class BoundaryPair:
+class BoundaryPair(NamedTuple):
     """A pre-selected state and a post-selection, each tied to a time stamp.
 
     ``pre`` is ``(stamp, state)``; ``post`` is ``(stamp, projector or state)``.
@@ -414,8 +413,7 @@ def paradox_report(M: int, N: int, *, av_rounds: int = 0,
             "rows": rows, "channel_probe_signal": channel}
 
 
-@dataclass(frozen=True)
-class History:
+class History(NamedTuple):
     """One sequence of projector choices, ordered by stamp."""
 
     names: tuple[str, ...]
@@ -425,8 +423,7 @@ class History:
         return "(" + ",".join(self.names) + ")"
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Shared boundaries plus per-stamp projector menus.
 
     ``slots`` maps each intermediate stamp to its offered (name, projector)
@@ -478,8 +475,7 @@ class Family:
                         f"slot at {stamp!r} offers overlapping projectors (label {lbl})")
 
 
-@dataclass(frozen=True)
-class ChainKet:
+class ChainKet(NamedTuple):
     """Unnormalized post-projected state of one history; norm**2 is its weight."""
 
     history: History
@@ -535,8 +531,7 @@ def chain_ket(h: History, f: Family, c: CircuitSchedule) -> ChainKet:
     return _chain_ket(h, f, c)
 
 
-@dataclass(frozen=True)
-class FamilyEvaluation:
+class FamilyEvaluation(NamedTuple):
     """Chain kets of a validated family in histories() order, and what they imply."""
 
     family: Family

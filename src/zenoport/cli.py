@@ -364,7 +364,7 @@ def cmd_counterport(p: dict) -> int:
                           eps_block_per=p["eps_block_per"])
     res = counterport(bob, pcfg)
     record = {
-        "config": vars(pcfg),
+        "config": pcfg._asdict(),
         "bob": [[bob.alpha.real, bob.alpha.imag], [bob.beta.real, bob.beta.imag]],
         "p_port1": res.p_port1,
         "p_port2": res.p_port2,

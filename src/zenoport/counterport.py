@@ -33,8 +33,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import islice, product
+from typing import NamedTuple
 
 from .cqze import (ATOL_SUM, LOSS_FAMILIES, P_EMPTY, R, BobQubit, ProtocolConfig, _abs2,
                    _as_bob, _module, _require_one, _two_rail)
@@ -43,10 +43,7 @@ from .qstate import POLS, BasisLabel, QStateError, StateVector, _is_int
 FIDELITY_MODES = ("loss-inclusive", "post-selected")
 
 
-@dataclass(frozen=True)
-class CounterportResult:
-    """One protocol run: per-port joints, probabilities, fidelity readings."""
-
+class _CounterportResult(NamedTuple):
     port1: StateVector
     port2: StateVector
     p_port1: float
@@ -58,8 +55,16 @@ class CounterportResult:
     bob_purity: dict[str, float]
     round_trace: dict[str, StateVector]
 
-    def __post_init__(self):
+
+class CounterportResult(_CounterportResult):
+    """One protocol run: per-port joints, probabilities, fidelity readings."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_one(self.p_port1 + self.p_port2 + self.p_lost, "port/loss probabilities sum to")
+        return self
 
     @property
     def p_success(self) -> float:
@@ -185,8 +190,7 @@ def counterport(bob, cfg: ProtocolConfig) -> CounterportResult:
     )
 
 
-@dataclass(frozen=True)
-class BlochSample:
+class BlochSample(NamedTuple):
     """Deterministic set of control qubits used for fidelity averaging."""
 
     qubits: tuple[BobQubit, ...]
@@ -220,15 +224,23 @@ def sample_bloch(count: int, scheme: str = "fibonacci", seed: int = 0) -> BlochS
     return BlochSample(tuple(qubits), scheme)
 
 
-@dataclass
-class FidelityGrid:
-    """Rectangular (M, N) grid of averaged fidelity and arrival probability."""
-
+class _FidelityGrid(NamedTuple):
     m_values: tuple[int, ...]
     n_values: tuple[int, ...]
     avg_fidelity: np.ndarray
     avg_success_prob: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict | None = None  # omitted: a new {}
+
+
+class FidelityGrid(_FidelityGrid):
+    """Rectangular (M, N) grid of averaged fidelity and arrival probability."""
+
+    __slots__ = ()
+
+    def __new__(cls, m_values: tuple[int, ...], n_values: tuple[int, ...],
+                avg_fidelity: np.ndarray, avg_success_prob: np.ndarray, meta: dict | None = None):
+        return super().__new__(cls, m_values, n_values, avg_fidelity, avg_success_prob,
+                               {} if meta is None else meta)
 
     def cell(self, m: int, n: int) -> tuple[float, float]:
         if not (_is_int(m) and _is_int(n)):
@@ -338,7 +350,8 @@ def _grid_rows(job) -> tuple[np.ndarray, np.ndarray]:
     sums = np.empty((2, len(m_values) * len(n_values)))
     for i in range(0, sums.shape[1], size):
         out = sums[:, i:i + size]
-        forms = _cell_forms([cfg_template._with_counts(m, n) for m, n in islice(cells, size)])
+        # _replace skips the checks, which the template and counts >= 1 pass
+        forms = _cell_forms([cfg_template._replace(M=m, N=n) for m, n in islice(cells, size)])
         for j in range(0, out.shape[1], step):
             out[:, j:j + step] = _cell_sums([x[:, j:j + step] for x in forms], terms, mode)
     sums /= len(qubits)

@@ -31,9 +31,8 @@ the two, and such a dwell needs neither numpy nor the platform's long double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .qstate import (
     POLS,
@@ -101,8 +100,16 @@ def _norm2(a: complex, b: complex) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class _ProtocolConfig(NamedTuple):
+    M: int
+    N: int
+    eps_reflect: float = 0.0
+    eps_block: float = 0.0
+    av_rounds: int = 0
+    eps_block_per: str = "inner"
+
+
+class ProtocolConfig(_ProtocolConfig):
     """Cycle counts and imperfection coefficients for one module.
 
     eps_block_per picks where the blocked-channel mode-mismatch leak acts:
@@ -111,14 +118,10 @@ class ProtocolConfig:
     absorbs fully on the rest.
     """
 
-    M: int
-    N: int
-    eps_reflect: float = 0.0
-    eps_block: float = 0.0
-    av_rounds: int = 0
-    eps_block_per: str = "inner"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (_is_int(self.M) and _is_int(self.N)):
             raise QStateError("M and N must be integers")
         if self.M < 1 or self.N < 1:
@@ -133,40 +136,35 @@ class ProtocolConfig:
             raise QStateError("av_rounds must be an integer >= 0")
         if self.eps_block_per not in ("inner", "outer"):
             raise QStateError('eps_block_per must be "inner" or "outer"')
-
-    def _with_counts(self, M: int, N: int) -> "ProtocolConfig":
-        """replace(self, M=M, N=N) for counts known to be integers >= 1, without
-        re-running the checks that self's other fields passed."""
-        cfg = object.__new__(self.__class__)
-        cfg.__dict__.update(self.__dict__, M=M, N=N)
-        return cfg
+        return self
 
 
-@dataclass(frozen=True)
-class BobQubit:
-    """Control qubit: alpha on |0> (reflect), beta on |1> (block)."""
-
+class _BobQubit(NamedTuple):
     alpha: complex
     beta: complex
 
-    def __post_init__(self):
-        for v in (self.alpha, self.beta):
+
+class BobQubit(_BobQubit):
+    """Control qubit: alpha on |0> (reflect), beta on |1> (block)."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: complex, beta: complex):
+        for v in (alpha, beta):
             if isinstance(v, bool) or not isinstance(v, (int, float, complex)):
                 raise QStateError(f"control amplitudes must be numbers, got {v!r}")
         try:
-            object.__setattr__(self, "alpha", complex(self.alpha))
-            object.__setattr__(self, "beta", complex(self.beta))
+            alpha, beta = complex(alpha), complex(beta)
         except OverflowError:  # an int beyond any float: its norm^2 reads inf
             _require_one(math.inf, "control qubit norm^2 =", NormalizationError)
-        _require_one(_norm2(self.alpha, self.beta), "control qubit norm^2 =", NormalizationError)
+        _require_one(_norm2(alpha, beta), "control qubit norm^2 =", NormalizationError)
+        return super().__new__(cls, alpha, beta)
 
     @classmethod
     def _unit(cls, alpha: complex, beta: complex) -> "BobQubit":
         """A qubit over complex alpha and beta as given, checked for norm 1 only."""
         _require_one(_norm2(alpha, beta), "control qubit norm^2 =", NormalizationError)
-        q = object.__new__(cls)
-        q.__dict__.update(alpha=alpha, beta=beta)
-        return q
+        return cls._make((alpha, beta))
 
 
 def _as_bob(bob) -> BobQubit:
@@ -177,8 +175,15 @@ def _as_bob(bob) -> BobQubit:
     raise QStateError(f"control must be a BobQubit or a bit, got {bob!r}")
 
 
-@dataclass(frozen=True)
-class CqzeOutcome:
+class _CqzeOutcome(NamedTuple):
+    joint: StateVector
+    p_success: float
+    p_loss_DA: float
+    p_loss_DB: float
+    loss_breakdown: dict[str, float] | None = None  # omitted: a new {}
+
+
+class CqzeOutcome(_CqzeOutcome):
     """Joint photon-control state at the module exit, plus loss accounting.
 
     loss_breakdown holds the four loss families: "DA" (per-cycle exhaust of
@@ -187,25 +192,16 @@ class CqzeOutcome:
     p_loss_DB = DB + Block group them by which side eats the photon.
     """
 
-    joint: StateVector
-    p_success: float
-    p_loss_DA: float
-    p_loss_DB: float
-    loss_breakdown: dict[str, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_one(self.p_success + self.p_loss_DA + self.p_loss_DB,
-                     "outcome probabilities sum to")
+    def __new__(cls, joint: StateVector, p_success: float, p_loss_DA: float, p_loss_DB: float,
+                loss_breakdown: dict[str, float] | None = None):
+        _require_one(p_success + p_loss_DA + p_loss_DB, "outcome probabilities sum to")
+        return super().__new__(cls, joint, p_success, p_loss_DA, p_loss_DB,
+                               {} if loss_breakdown is None else loss_breakdown)
 
 
-@dataclass(frozen=True)
-class CnotOutcome:
-    """Two-rail gate output: per-port joints and the five-way probabilities.
-
-    z_pending marks Port1 as carrying an uncorrected polarization phase
-    flip: applying Z to Port1's polarization yields the plain gate output.
-    """
-
+class _CnotOutcome(NamedTuple):
     joint: StateVector
     port1: StateVector
     port2: StateVector
@@ -213,8 +209,20 @@ class CnotOutcome:
     probs: dict[str, float]
     loss_breakdown: dict[str, float]
 
-    def __post_init__(self):
+
+class CnotOutcome(_CnotOutcome):
+    """Two-rail gate output: per-port joints and the five-way probabilities.
+
+    z_pending marks Port1 as carrying an uncorrected polarization phase
+    flip: applying Z to Port1's polarization yields the plain gate output.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _require_one(sum(self.probs.values()), "outcome probabilities sum to")
+        return self
 
 
 # --- exact tier: fixed-point lifted maps ---------------------------------

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .qstate import (
     PRUNE_EPS,
@@ -49,16 +49,20 @@ ATOL_CONSERVE = 1e-12
 _KEEP2 = 1.001 * PRUNE_EPS**2
 
 
-@dataclass(frozen=True)
-class Element:
-    """One optical element: a kind, a display name, arm labels, parameters."""
-
+class _Element(NamedTuple):
     kind: str
     name: str
     arms: tuple[str, ...]
     params: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self):
+
+class Element(_Element):
+    """One optical element: a kind, a display name, arm labels, parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.kind, str) or self.kind not in ELEMENT_KINDS:
             raise QStateError(f"unknown element kind {self.kind!r}")
         if (not isinstance(self.arms, tuple) or len(self.arms) != ELEMENT_KINDS[self.kind]
@@ -80,6 +84,7 @@ class Element:
                               f"polarizations, got {pols!r}")
         if self.kind == "route" and not _is_pol(pol):
             raise QStateError(f"element {self.name}: route takes one polarization, got {pol!r}")
+        return self
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -192,7 +197,6 @@ def step_map(elements: tuple[Element, ...], universe: tuple[BasisLabel, ...]) ->
     return _step_map(elements, _label_index(universe), {})
 
 
-@dataclass
 class _Plan:
     """A schedule compiled for stepping: one map per step shape, shared by every
     step of that shape, and the fresh sinks each step feeds as (label in the
@@ -200,9 +204,11 @@ class _Plan:
     maps on live labels.  Every map derived from them is built on first use and
     kept here, so a plan that replaces another derives its own."""
 
-    maps: tuple[LinearMap, ...]
-    feeds: tuple[tuple[tuple[BasisLabel, BasisLabel], ...], ...]
-    fresh: frozenset[str]  # sink paths that exactly one step touches
+    def __init__(self, maps: tuple[LinearMap, ...],
+                 feeds: tuple[tuple[tuple[BasisLabel, BasisLabel], ...], ...],
+                 fresh: frozenset[str]):
+        self.maps, self.feeds = maps, feeds
+        self.fresh = fresh  # sink paths that exactly one step touches
 
     @cached_property
     def adjoints(self) -> tuple[LinearMap, ...]:
@@ -273,26 +279,22 @@ def _compile_plan(c: CircuitSchedule) -> _Plan:
     return _Plan(tuple(maps), tuple(feeds), fresh)
 
 
-@dataclass
 class CircuitSchedule:
     """Ordered time stamps plus one composite element step between each pair."""
 
-    stamps: tuple[str, ...]
-    steps: tuple[tuple[Element, ...], ...]
-    universe: tuple[BasisLabel, ...]
-    pre_state: StateVector
-    post_projector: Projector | None = None
-    aliases: dict[str, str] = field(default_factory=dict)
-    meta: dict[str, object] = field(default_factory=dict)
-    # compiled on first use; dataclasses.replace() builds a copy without it
-    _engine: _Plan | None = field(default=None, init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.stamps) != len(self.steps) + 1:
+    def __init__(self, stamps: tuple[str, ...], steps: tuple[tuple[Element, ...], ...],
+                 universe: tuple[BasisLabel, ...], pre_state: StateVector,
+                 post_projector: Projector | None = None, aliases: dict[str, str] | None = None,
+                 meta: dict[str, object] | None = None):
+        self.stamps, self.steps, self.universe, self.pre_state = stamps, steps, universe, pre_state
+        self.post_projector = post_projector
+        self.aliases = {} if aliases is None else aliases
+        self.meta = {} if meta is None else meta
+        self._engine: _Plan | None = None  # compiled on first use; a new schedule compiles its own
+        if len(stamps) != len(steps) + 1:
             raise QStateError("schedule needs exactly one step between consecutive stamps")
-        self._index = {s: i for i, s in enumerate(self.stamps)}
-        if len(self._index) != len(self.stamps):
+        self._index = {s: i for i, s in enumerate(stamps)}
+        if len(self._index) != len(stamps):
             raise QStateError("time stamps must be unique")
 
     def resolve(self, stamp: str) -> str:
@@ -323,8 +325,7 @@ class CircuitSchedule:
         return self._engine
 
 
-@dataclass
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     """Full state at every stamp of one schedule run."""
 
     schedule: CircuitSchedule

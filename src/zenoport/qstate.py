@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from typing import NamedTuple
 
 ATOL_UNITARY = 1e-12
@@ -169,8 +168,7 @@ class StateVector(Mapping):
         return f"StateVector({{{parts}}})"
 
 
-@dataclass(frozen=True)
-class Projector:
+class Projector(NamedTuple):
     """Projector onto a product of path, polarization and control-bit sets.
 
     None means "all values".  Applying twice equals applying once exactly

@@ -1,6 +1,5 @@
 """Forward/backward conditioning, weak values, probes, and history families."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -146,9 +145,11 @@ _SH = StateVector({label("S", "H"): 1.0})
     (lambda c: forward_state(c, ("t2", _SH), "t1"), "stamp 't1' lies before the pre stamp 't2'"),
     (lambda c: backward_state(c, ("t2", projector(paths="F")), "t3"),
      "stamp 't3' lies after the post stamp 't2'"),
-    (lambda c: cycle_boundaries(dataclasses.replace(c, meta={}), 1),
+    (lambda c: cycle_boundaries(CircuitSchedule(c.stamps, c.steps, c.universe, c.pre_state,
+                                                c.post_projector, c.aliases, meta={}), 1),
      "cycle boundaries are defined for nested-paradox schedules"),
-    (lambda c: end_to_end_boundaries(dataclasses.replace(c, post_projector=None)),
+    (lambda c: end_to_end_boundaries(CircuitSchedule(c.stamps, c.steps, c.universe, c.pre_state,
+                                                     None, c.aliases, c.meta)),
      "schedule declares no post projector"),
     (lambda c: analysis.FamilyEvaluation(builtin_families(c)["cycle1"], (), None, 0.0)
      .probabilities(), "family 'cycle1' has zero total weight"),
@@ -530,8 +531,8 @@ def _drift(c, step, forward=True, backward=False, rows=None):
     The engines step the plan, and the public views step the maps derived from
     it; a forward drift alone carries over to the adjoint."""
     plan = c._plan()
-    c._engine = dataclasses.replace(plan, maps=_scaled(plan.maps, step, rows) if forward
-                                    else plan.maps)
+    c._engine = optics._Plan(_scaled(plan.maps, step, rows) if forward else plan.maps,
+                             plan.feeds, plan.fresh)
     if backward:
         c._engine.adjoints = _scaled(plan.adjoints, step, rows)
     return c

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from readers import read_grid_csv, read_grid_json, read_state, read_weak_map_csv
 
 import zenoport.cli as cli
-from zenoport.cli import load_config, main, state_to_obj, svg_heatmap
+from zenoport.cli import load_config, main, state_to_obj
 from zenoport.counterport import FidelityGrid, counterport
 from zenoport.cqze import BobQubit, ProtocolConfig
 from zenoport.qstate import ConservationError, StateVector, label

@@ -4,7 +4,6 @@ import cmath
 import importlib
 import math
 import re
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -386,7 +385,7 @@ def test_sweep_job_splits_match_per_cell_sums_bit_for_bit(m_max, n_max, count, s
         grid = sweep(m_max, n_max, tmpl, sample, fidelity_mode=mode, workers=workers)
     for m in grid.m_values:
         for n in grid.n_values:
-            want = _reference_cell(replace(tmpl, M=m, N=n), sample.qubits, mode)
+            want = _reference_cell(tmpl._replace(M=m, N=n), sample.qubits, mode)
             assert grid.cell(m, n) == want
 
 
@@ -448,7 +447,7 @@ def test_sweep_forms_match_per_qubit_transport_runs(m_max, n_max, er, eb, av, pe
     grids = [sweep(m_max, n_max, tmpl, [q], fidelity_mode=mode) for q in qubits]
     for i, m in enumerate(grids[0].m_values):
         for j, n in enumerate(grids[0].n_values):
-            fid, prob = _run_readings(replace(tmpl, M=m, N=n), qubits, mode)
+            fid, prob = _run_readings(tmpl._replace(M=m, N=n), qubits, mode)
             got_fid = [g.avg_fidelity[i, j] for g in grids]
             got_prob = [g.avg_success_prob[i, j] for g in grids]
             assert np.allclose(got_fid, fid, rtol=0.0, atol=1e-14)
@@ -643,11 +642,11 @@ def test_sweep_cells_run_the_template_with_their_counts(monkeypatch, template):
     assert sorted((cfg.M, cfg.N) for cfg in seen) == sorted(
         (m, n) for m in range(1, 4) for n in range(1, 5) for _ in (0, 1))
     for cfg in seen:
-        want = replace(template, M=cfg.M, N=cfg.N)
+        want = ProtocolConfig(**{**template._asdict(), "M": cfg.M, "N": cfg.N})  # checked
         assert type(cfg) is ProtocolConfig and cfg == want and hash(cfg) == hash(want)
-        for f in fields(ProtocolConfig):
-            got_value, want_value = getattr(cfg, f.name), getattr(want, f.name)
-            assert type(got_value) is type(want_value) and got_value == want_value, f.name
+        for name in ProtocolConfig._fields:
+            got_value, want_value = getattr(cfg, name), getattr(want, name)
+            assert type(got_value) is type(want_value) and got_value == want_value, name
 
 
 def test_sweep_validation():

@@ -72,6 +72,13 @@ def test_importing_the_package_and_cli_loads_no_numpy_or_pool():
     assert out.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_numpy():
+    # the records are NamedTuples: building the CLI generates no dataclass code
+    out = child("import sys, zenoport.cli; "
+                "print([m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])")
+    assert out.strip() == "[]"
+
+
 def test_presence_commands_run_byte_identically_with_numpy_blocked(tmp_path):
     results = {}
     for mode in ("block", "allow"):
