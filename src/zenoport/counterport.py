@@ -242,6 +242,15 @@ class FidelityGrid(_FidelityGrid):
         return super().__new__(cls, m_values, n_values, avg_fidelity, avg_success_prob,
                                {} if meta is None else meta)
 
+    def __eq__(self, other):  # by value, arrays too; and, like its arrays, a grid does not hash
+        import numpy as np
+        return isinstance(other, tuple) and len(other) == len(self) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            else a == b for a, b in zip(self, other))
+
+    def __ne__(self, other):
+        return not self == other
+
     def cell(self, m: int, n: int) -> tuple[float, float]:
         if not (_is_int(m) and _is_int(n)):
             raise QStateError(f"cell coordinates must be integers, got ({m!r}, {n!r})")

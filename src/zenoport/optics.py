@@ -32,7 +32,6 @@ from .qstate import (
     QStateError,
     StateVector,
     _accumulate,
-    _canonical_pol,
     _is_int,
     _is_pol,
     _is_real,
@@ -42,60 +41,65 @@ from .qstate import (
     projector,
 )
 
-ELEMENT_KINDS = {"spr": 1, "pbs": 3, "block": 2, "route": 2}  # kind -> number of arms
 ATOL_CONSERVE = 1e-12
 # a sum whose squared modulus, as computed, exceeds this has abs() > PRUNE_EPS
 # however it was rounded, so the checked step need not ask abs()
 _KEEP2 = 1.001 * PRUNE_EPS**2
+_EXCHANGE = (0.0, 1.0, 1.0, 0.0)
 
 
 class _Element(NamedTuple):
-    kind: str
     name: str
     arms: tuple[str, ...]
-    params: tuple[tuple[str, object], ...] = ()
+    pairs: tuple[tuple[int, str, int, str], ...]
+    matrix: tuple[float, float, float, float]
 
 
 class Element(_Element):
-    """One optical element: a kind, a display name, arm labels, parameters."""
+    """One optical element: a real 2x2 matrix on pairs of labels.
+
+    A pair (i, p, j, q) couples, for each control bit of arm i, the labels
+    x = (arms[i], p, bit) and y = (arms[j], q, bit); matrix (a, b, c, d) sends
+    x to a*x + b*y and y to c*x + d*y.  Every other label is left alone.
+    """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.kind, str) or self.kind not in ELEMENT_KINDS:
-            raise QStateError(f"unknown element kind {self.kind!r}")
-        if (not isinstance(self.arms, tuple) or len(self.arms) != ELEMENT_KINDS[self.kind]
-                or not all(isinstance(a, str) for a in self.arms)):
-            raise QStateError(f"element {self.name}: {self.kind} takes "
-                              f"{ELEMENT_KINDS[self.kind]} arms, got {self.arms!r}")
-        if not (isinstance(self.params, tuple)
-                and all(isinstance(p, tuple) and len(p) == 2 for p in self.params)):
-            raise QStateError(f"element {self.name}: params must be (key, value) pairs, "
-                              f"got {self.params!r}")
-        theta, pols, pol = self.param("theta"), self.param("pols"), self.param("pol")
-        # theta must fit a float; a NaN angle constructs, and the step's
-        # unitarity audit refuses it
-        if self.kind == "spr" and not (_is_real(theta) and not abs(theta) > sys.float_info.max):
-            raise QStateError(f"element {self.name}: spr takes a real angle theta, got {theta!r}")
-        if self.kind == "block" and not (isinstance(pols, tuple) and pols
-                                         and all(_is_pol(p) for p in pols)):
-            raise QStateError(f"element {self.name}: block takes a non-empty tuple of "
-                              f"polarizations, got {pols!r}")
-        if self.kind == "route" and not _is_pol(pol):
-            raise QStateError(f"element {self.name}: route takes one polarization, got {pol!r}")
+        name, arms, pairs, matrix = self
+        if not (isinstance(arms, tuple) and all(isinstance(a, str) for a in arms)):
+            raise QStateError(f"element {name}: arms must be a tuple of arm names, got {arms!r}")
+        if not (isinstance(pairs, tuple) and pairs
+                and all(isinstance(pair, tuple) and len(pair) == 4 and _is_int(pair[0], 0)
+                        and _is_pol(pair[1]) and _is_int(pair[2], 0) and _is_pol(pair[3])
+                        for pair in pairs)
+                and {i for pair in pairs for i in pair[::2]} == set(range(len(arms)))):
+            raise QStateError(f"element {name}: pairs must be a non-empty tuple of (arm index, "
+                              f"polarization, arm index, polarization) that couples each of "
+                              f"its arms {arms!r} and no other, got {pairs!r}")
+        # a NaN entry constructs, and the step's unitarity audit refuses it
+        if not (isinstance(matrix, tuple) and len(matrix) == 4
+                and all(_is_real(x) and not abs(x) > 1 for x in matrix)):
+            raise QStateError(f"element {name}: matrix must be 4 reals in [-1, 1], got {matrix!r}")
         return self
 
-    def param(self, key: str, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+
+def _checked_arms(name: str, constructor: str, *arms) -> tuple[str, ...]:
+    # each constructor checks its own arguments, then builds with _make, skipping Element's
+    if not all(isinstance(a, str) for a in arms):
+        raise QStateError(f"element {name}: {constructor} takes {len(arms)} arms, got {arms!r}")
+    return arms
 
 
 def spr(theta: float, path: str = "S", name: str = "SPR") -> Element:
     """Polarization rotator: H -> cos*H + sin*V, V -> -sin*H + cos*V."""
-    return Element("spr", name, (path,), (("theta", theta),))
+    # theta must fit a float; a NaN angle constructs, and the unitarity audit refuses it
+    if not (_is_real(theta) and not abs(theta) > sys.float_info.max):
+        raise QStateError(f"element {name}: spr takes a real angle theta, got {theta!r}")
+    cos, sin = math.cos(theta), math.sin(theta)
+    return Element._make((name, _checked_arms(name, "spr", path), ((0, "H", 0, "V"),),
+                          (cos, sin, -sin, cos)))
 
 
 def pbs(in_path: str, h_out: str, v_out: str, name: str = "PBS") -> Element:
@@ -104,17 +108,25 @@ def pbs(in_path: str, h_out: str, v_out: str, name: str = "PBS") -> Element:
     Traversing the same element again with in_path empty merges the two
     outputs back, so one constructor covers both split and merge passes.
     """
-    return Element("pbs", name, (in_path, h_out, v_out))
+    return Element._make((name, _checked_arms(name, "pbs", in_path, h_out, v_out),
+                          ((0, "H", 1, "H"), (0, "V", 2, "V")), _EXCHANGE))
 
 
 def block(path: str, sink: str, pols: tuple[str, ...] = ("H",), name: str = "Block") -> Element:
     """Absorb the given polarizations of path into a fresh sink label."""
-    return Element("block", name, (path, sink), (("pols", pols),))
+    if not (isinstance(pols, tuple) and pols and all(map(_is_pol, pols))):
+        raise QStateError(f"element {name}: block takes a non-empty tuple of "
+                          f"polarizations, got {pols!r}")
+    return Element._make((name, _checked_arms(name, "block", path, sink),
+                          tuple([(0, pol, 1, pol) for pol in pols]), _EXCHANGE))
 
 
 def route(src: str, pol: str, dst: str, name: str = "route") -> Element:
     """Move one polarization component from src to dst (dst must be empty)."""
-    return Element("route", name, (src, dst), (("pol", pol),))
+    if not _is_pol(pol):
+        raise QStateError(f"element {name}: route takes one polarization, got {pol!r}")
+    return Element._make((name, _checked_arms(name, "route", src, dst), ((0, pol, 1, pol),),
+                          _EXCHANGE))
 
 
 def _label_index(universe: tuple[BasisLabel, ...]):
@@ -128,47 +140,26 @@ def _label_index(universe: tuple[BasisLabel, ...]):
             {l: l for l in universe})
 
 
-def _swap(cols: dict, a: BasisLabel, b: BasisLabel) -> None:
-    cols[a], cols[b] = {b: 1.0}, {a: 1.0}
-
-
 def _element_map(el: Element, index) -> LinearMap:
     # maps key their columns by the universe's own label objects, so the
-    # states they step share them
+    # states they step share them; LinearMap drops the zero entries
     dom, _, bobs, own = index
+    name, arms, pairs, (a, b, c, d) = el
     cols: dict[BasisLabel, dict[BasisLabel, complex]] = {}
 
-    def need(path: str, pol: str, b: str) -> BasisLabel:
-        lbl = own.get((path, pol, b))
+    def need(path: str, pol: str, bit: str) -> BasisLabel:
+        lbl = own.get((path, pol, bit))
         if lbl is None:
-            raise QStateError(f"element {el.name}: label {label(path, pol, b).ket()} "
-                              "missing from universe")
+            raise QStateError(f"element {name}: {label(path, pol, bit).ket()} not in universe")
         return lbl
 
-    if el.kind == "spr":
-        (path,) = el.arms
-        t = el.param("theta")
-        hh, hv, vh, vv = math.cos(t), math.sin(t), -math.sin(t), math.cos(t)
-        for b in bobs.get(path, ()):
-            h, v = need(path, "H", b), need(path, "V", b)
-            cols[h] = {h: hh, v: hv}
-            cols[v] = {h: vh, v: vv}
-    elif el.kind == "pbs":
-        in_path, h_out, v_out = el.arms
-        for b in bobs.get(in_path, ()):
-            _swap(cols, need(in_path, "H", b), need(h_out, "H", b))
-            _swap(cols, need(in_path, "V", b), need(v_out, "V", b))
-    elif el.kind == "block":
-        path, sink = el.arms
-        for pol in map(_canonical_pol, el.param("pols")):
-            for b in bobs.get(path, ()):
-                _swap(cols, need(path, pol, b), need(sink, pol, b))
-    elif el.kind == "route":
-        src, dst = el.arms
-        pol = _canonical_pol(el.param("pol"))
-        for b in bobs.get(src, ()):
-            _swap(cols, need(src, pol, b), need(dst, pol, b))
-    return LinearMap(cols, kind="unitary", name=el.name, domain=dom)
+    for i, p, j, q in pairs:
+        for bit in bobs.get(arms[i], ()):
+            x, y = need(arms[i], p, bit), need(arms[j], q, bit)
+            if x is y:  # the matrix would be no map at all
+                raise QStateError(f"element {name}: a pair couples {x.ket()} with itself")
+            cols[x], cols[y] = {x: a, y: b}, {x: c, y: d}
+    return LinearMap(cols, kind="unitary", name=name, domain=dom)
 
 
 def _step_map(elements: tuple[Element, ...], index, element_maps: dict) -> LinearMap:
@@ -267,7 +258,7 @@ def _compile_plan(c: CircuitSchedule) -> _Plan:
                 # the step up to its fresh sink names, which become their places: each
                 # element (the others by object, as the builder shares them) and each
                 # fresh label's place, polarization and control bit in universe order
-                key = (tuple((el.kind, el.name, tuple(place.get(a, a) for a in el.arms), el.params)
+                key = (tuple((el.name, tuple(place.get(a, a) for a in el.arms), el.pairs, el.matrix)
                              if not place.keys().isdisjoint(el.arms) else id(el) for el in els),
                        tuple((place[lbl.path], lbl.pol, lbl.bob) for lbl in labels))
             hit = shapes.get(key)

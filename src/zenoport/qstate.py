@@ -1,9 +1,8 @@
 """Labeled complex amplitudes and sparse linear maps over tiny tensor-product bases.
 
 Basis labels are (path, polarization, control-bit) triples.  Paths name
-interferometer arms and loss sinks; polarization is stored canonically as
-H/V with R/L accepted as aliases (R = H, L = V); the control bit is "0",
-"1", or "-" when no control qubit is attached.
+interferometer arms and loss sinks; polarization is H or V; the control
+bit is "0", "1", or "-" when no control qubit is attached.
 
 Everything here is immutable and pure, so states and maps are safe to
 share across threads and sweep workers.
@@ -19,7 +18,6 @@ ATOL_UNITARY = 1e-12
 PRUNE_EPS = 1e-15
 
 POLS = ("H", "V")
-_POL_ALIASES = {"H": "H", "V": "V", "R": "H", "L": "V"}
 NO_BOB = "-"
 _BOBS = ("0", "1", NO_BOB)
 
@@ -53,20 +51,20 @@ class BasisLabel(NamedTuple):
 
 def _is_pol(pol) -> bool:
     """True if pol is a polarization name that `label` accepts."""
-    return isinstance(pol, str) and pol in _POL_ALIASES
+    return isinstance(pol, str) and pol in POLS
 
 
-def _canonical_pol(pol: str) -> str:
+def _checked_pol(pol: str) -> str:
     if not _is_pol(pol):
         raise QStateError(f"unknown polarization {pol!r}")
-    return _POL_ALIASES[pol]
+    return pol
 
 
 def label(path: str, pol: str = "H", bob: str | int = NO_BOB) -> BasisLabel:
-    """Build a canonical BasisLabel; accepts R/L polarization aliases."""
+    """Build a BasisLabel, checking each part."""
     if not path:
         raise QStateError("empty path name")
-    p = _canonical_pol(pol)
+    p = _checked_pol(pol)
     b = str(bob)
     if b not in _BOBS:
         raise QStateError(f"control bit must be 0, 1 or '-', got {bob!r}")
@@ -188,7 +186,7 @@ class Projector(NamedTuple):
 def projector(paths: Iterable[str] | str | None = None,
               pols: Iterable[str] | str | None = None,
               bobs: Iterable[str] | str | int | None = None) -> Projector:
-    """Convenience constructor that canonicalizes pol aliases."""
+    """Convenience constructor that checks each polarization."""
     def as_set(x, conv):
         if x is None:
             return None
@@ -196,7 +194,7 @@ def projector(paths: Iterable[str] | str | None = None,
             x = (x,)
         return frozenset(conv(v) for v in x)
     return Projector(paths=as_set(paths, str),
-                     pols=as_set(pols, _canonical_pol),
+                     pols=as_set(pols, _checked_pol),
                      bobs=as_set(bobs, str))
 
 
@@ -218,7 +216,7 @@ def projector_from_spec(text: str) -> Projector:
     if not (isinstance(spec, dict) and set(spec) <= set(_SPEC_KEYS)
             and all(v is None or isinstance(v, list) and all(isinstance(x, str) for x in v)
                     for v in spec.values())
-            and set(spec.get("pols") or ()) <= set(_POL_ALIASES)):
+            and set(spec.get("pols") or ()) <= set(POLS)):
         raise QStateError(f"malformed projector spec {text.strip()!r}")
     return projector(**spec)
 

@@ -600,7 +600,10 @@ def test_histories_malformed_family_file_exits_2(tmp_path, capsys, text):
      + "note hello\n", "unknown family line kind 'note'"),
     (_FAMILY_HEAD + _FAMILY_PRE + 'post t_final {"paths": ["F"]}\n',
      "family text needs pre, post and at least one slot line"),
-], ids=["two-pre-stamps", "unknown-line-kind", "no-slot-line"])
+    # R names a circular polarization, not H
+    (_FAMILY_HEAD + "pre t0 S R - 1.0 0.0\n" + 'post t_final {"paths": ["F"]}\n' + _FAMILY_SLOT,
+     "unknown polarization 'R'"),
+], ids=["two-pre-stamps", "unknown-line-kind", "no-slot-line", "circular-polarization"])
 def test_histories_family_file_structure_errors_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "fam.txt"
     path.write_text(text)

@@ -7,8 +7,10 @@ sweep.csv, sweep.json and sweep.svg (.csv, .json, .svg) of each sweep, run
 with --out-dir . from its own directory; and the JSON record (.json) of
 each counterport run, whose signed zeros pin the types of the module's
 transfers.  CI runs the same commands through the console script and
-compares them with cmp.  The .hex file holds the blocked circuit's weak
-trace through the library, one cell per line with its value as float hex.
+compares them with cmp.  The weak_trace .hex file holds the blocked circuit's
+weak trace through the library, one cell per line with its value as float hex;
+each step_maps .hex file holds every column of one circuit's step maps, in
+order, one column per line with its entries' values as float hex.
 """
 from pathlib import Path
 
@@ -99,3 +101,26 @@ def blocked_weak_trace_text() -> str:
 
 def test_blocked_weak_trace_matches_its_golden_file():
     assert blocked_weak_trace_text() == (GOLDEN / "weak_trace_blocked_m4_n12.hex").read_text()
+
+
+def step_maps_text(c) -> str:
+    """Every column of c.step_maps(), in step and column order: step index and
+    source label, then each entry's target label, re and im as float hex."""
+    lines = []
+    for k, m in enumerate(c.step_maps()):
+        for src, col in m.columns.items():
+            entries = " ".join(f"{dst.ket()} {complex(v).real.hex()} {complex(v).imag.hex()}"
+                               for dst, v in col.items())
+            lines.append(f"{k} {src.ket()} {entries}\n")
+    return "".join(lines)
+
+
+# (golden file, M, N, block_channel, av_rounds)
+STEP_MAPS = [("step_maps_blocked_m3_n4_av1.hex", 3, 4, True, 1),
+             ("step_maps_m4_n12_av2.hex", 4, 12, False, 2)]
+
+
+@pytest.mark.parametrize("name, m, n, blocked, av", STEP_MAPS, ids=[s[0] for s in STEP_MAPS])
+def test_step_maps_match_their_golden_file(name, m, n, blocked, av):
+    c = build_paradox_circuit(m, n, block_channel=blocked, av_rounds=av)
+    assert step_maps_text(c) == (GOLDEN / name).read_text()

@@ -15,8 +15,7 @@ from zenoport.analysis import (BoundaryPair, channel_probe_signal, paradox_repor
                                simulate_weak_probe)
 from zenoport.counterport import counterport, sample_bloch, sweep
 from zenoport.cqze import ATOL_SUM, BobQubit, ProtocolConfig, run_cqze
-from zenoport.optics import (ELEMENT_KINDS, Element, block, build_paradox_circuit, element_map,
-                             route, spr)
+from zenoport.optics import Element, block, build_paradox_circuit, element_map, route, spr
 from zenoport.qstate import QStateError, StateVector, label, projector
 
 # the package re-exports the function under the module's name
@@ -92,27 +91,62 @@ def test_spr(theta, path, name):
     maps_or_refuses(returns_or_refuses(spr, theta, path, name))
 
 
+# R and L name circular polarizations, which no constructor takes
+CIRCULAR = ("R", "L")
+
+
 @fast
-@given(path=either("C"), sink=either("SinkX"), pol=either("H", "V", "R"), name=either("Block"))
+@given(path=either("C"), sink=either("SinkX"), pol=either("H", "V", *CIRCULAR),
+       name=either("Block"))
 def test_block(path, sink, pol, name):
-    maps_or_refuses(returns_or_refuses(block, path, sink, (pol,), name))
+    el = returns_or_refuses(block, path, sink, (pol,), name)
+    assert el is None or pol not in CIRCULAR
+    maps_or_refuses(el)
     maps_or_refuses(returns_or_refuses(block, path, sink, pol, name))
 
 
 @fast
-@given(src=either("A"), pol=either("H", "L"), dst=either("B"), name=either("route"))
+@given(src=either("A"), pol=either("H", *CIRCULAR), dst=either("B"), name=either("route"))
 def test_route(src, pol, dst, name):
-    maps_or_refuses(returns_or_refuses(route, src, pol, dst, name))
+    el = returns_or_refuses(route, src, pol, dst, name)
+    assert el is None or pol not in CIRCULAR
+    maps_or_refuses(el)
+
+
+@st.composite
+def element_fields(draw):
+    """An element's (name, arms, pairs, matrix): arms of UNIVERSE, each coupled
+    by a pair, and a unitary matrix or one of any entries in [-1, 1]; then, four
+    times in five, one field, pair, pair part or entry replaced by a mixed value
+    or by R or L."""
+    arms = tuple(draw(st.lists(st.sampled_from(("S", "A", "C", "SinkX")), min_size=1,
+                               max_size=3)))
+    pol = st.sampled_from(("H", "V"))
+    pairs = [[0, draw(pol), i, draw(pol)] for i in range(len(arms))]
+    matrix = list(draw(st.one_of(
+        st.sampled_from(((0.0, 1.0, 1.0, 0.0), (0.6, 0.8, -0.8, 0.6), (1, 0, 0, -1))),
+        st.tuples(*[st.sampled_from((0.0, 1.0, -0.6, 0.8, math.nan))] * 4))))
+    fields = ["el", arms, pairs, matrix]
+    bad = st.one_of(mixed(), st.sampled_from(CIRCULAR))
+    where = draw(st.sampled_from(("none", "field", "pair", "part", "entry")))
+    if where == "field":
+        fields[draw(st.integers(0, 3))] = draw(bad)
+    elif where == "pair":
+        pairs[draw(st.integers(0, len(pairs) - 1))] = draw(bad)
+    elif where == "part":
+        pairs[draw(st.integers(0, len(pairs) - 1))][draw(st.integers(0, 3))] = draw(bad)
+    elif where == "entry":
+        matrix[draw(st.integers(0, 3))] = draw(bad)
+
+    def frozen(x):
+        return tuple(map(frozen, x)) if isinstance(x, list) else x
+    return frozen(fields)
 
 
 @fast
-@given(kind=either(*ELEMENT_KINDS), name=either("el"),
-       arms=st.one_of(st.lists(either("S", "C", "SinkX"), max_size=4).map(tuple), mixed()),
-       params=st.one_of(st.lists(st.tuples(st.sampled_from(("theta", "pols", "pol")),
-                                           st.one_of(mixed(), st.just(("H",)))),
-                                 max_size=2).map(tuple), mixed()))
-def test_element(kind, name, arms, params):
-    maps_or_refuses(returns_or_refuses(Element, kind, name, arms, params))
+@given(fields=element_fields())
+def test_element(fields):
+    maps_or_refuses(returns_or_refuses(Element, *fields))
 
 
 def controls():

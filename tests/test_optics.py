@@ -81,6 +81,14 @@ def test_element_missing_arm_rejected():
         element_map(pbs("S", "A", "Z"), small_universe())
 
 
+@pytest.mark.parametrize("el", [route("A", "H", "A"), pbs("S", "S", "A"), block("S", "S")],
+                         ids=["route", "pbs", "block"])
+def test_element_pair_that_couples_a_label_with_itself_is_refused(el):
+    # its matrix would send the label to two places at once
+    with pytest.raises(QStateError, match=r"couples \|.*> with itself"):
+        element_map(el, small_universe())
+
+
 def test_step_map_composes_in_listed_order():
     uni = small_universe()
     m = step_map((spr(math.pi / 2, "S"), pbs("S", "A", "D")), uni)
@@ -262,55 +270,88 @@ def test_validate_accepts_builder_output():
                     assert sink_convention_faults(c) == [], (m, n, blocked, av)
 
 
-@pytest.mark.parametrize("kind, arms", [
-    ("spr", ("S", "D")),
-    ("spr", ()),
-    ("pbs", ("S", "A")),
-    ("block", ("C",)),
-    ("route", ("S", "A", "D")),
-    ("route", ("S", 1)),
+ROTATION = ((0, "H", 0, "V"),)
+SPLIT = ((0, "H", 1, "H"), (0, "V", 2, "V"))
+MOVE = ((0, "H", 1, "H"),)
+EXCHANGE = (0.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("arms, pairs", [
+    (("S", "D"), ROTATION),
+    ((), ROTATION),
+    (("S", "A"), SPLIT),
+    (("C",), MOVE),
+    (("S", "A", "D"), MOVE),
+    (("S", 1), MOVE),
 ], ids=["spr-two", "spr-none", "pbs-two", "block-one", "route-three", "route-non-string"])
-def test_element_checks_its_arm_count(kind, arms):
+def test_element_checks_its_arm_count(arms, pairs):
+    # its pairs must couple each of its arms and no other
     with pytest.raises(QStateError, match="arms"):
-        Element(kind, "el", arms)
+        Element("el", arms, pairs, EXCHANGE)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Element("spr", "x", ("S",)),
     lambda: spr("abc"),
     lambda: spr("0.5"),
     lambda: spr(True),
     lambda: spr(math.inf),
     lambda: spr(10 ** 400),
-    lambda: Element("block", "b", ("C", "Sink1")),
     lambda: block("C", "Sink1", ()),
     lambda: block("C", "Sink1", "H"),
     lambda: block("C", "Sink1", ("H", "X")),
     lambda: route("A", "X", "B"),
     lambda: route("A", None, "B"),
-    lambda: Element("spr", "x", ("S",), None),
-    lambda: Element("spr", "x", None),
-], ids=["spr-no-theta", "spr-text", "spr-numeric-text", "spr-bool", "spr-inf", "spr-huge-int",
-        "block-no-pols", "block-empty", "block-string", "block-unknown-pol",
-        "route-unknown-pol", "route-no-pol", "params-not-pairs", "arms-not-a-tuple"])
+    lambda: Element("x", None, ROTATION, EXCHANGE),
+    lambda: Element("x", ["S"], ROTATION, EXCHANGE),
+    lambda: Element("b", ("C", "Sink1"), (), EXCHANGE),
+    lambda: Element("x", ("S",), list(ROTATION), EXCHANGE),
+    lambda: Element("x", ("S",), (("theta", 1),), EXCHANGE),
+    lambda: Element("x", ("S",), ((0, "H", 0),), EXCHANGE),
+    lambda: Element("x", ("S",), ((0, "H", -1, "V"),), EXCHANGE),
+    lambda: Element("x", ("S",), ((False, "H", 0, "V"),), EXCHANGE),
+    lambda: Element("x", ("S",), ((0, "H", 0, "X"),), EXCHANGE),
+    lambda: Element("x", ("S",), ((0, None, 0, "V"),), EXCHANGE),
+    lambda: Element("x", ("S",), ROTATION, ()),
+    lambda: Element("x", ("S",), ROTATION, (0.0, 1.0, 1.0)),
+    lambda: Element("x", ("S",), ROTATION, [0.0, 1.0, 1.0, 0.0]),
+    lambda: Element("x", ("S",), ROTATION, ("0", 1.0, 1.0, 0.0)),
+    lambda: Element("x", ("S",), ROTATION, (0.0, math.inf, 1.0, 0.0)),
+    lambda: Element("x", ("S",), ROTATION, (0.0, True, 1.0, 0.0)),
+    lambda: Element("x", ("S",), ROTATION, (0.0, 1j, 1.0, 0.0)),
+    lambda: Element("x", ("S",), ROTATION, (0.0, 2.0, 1.0, 0.0)),
+], ids=["spr-text", "spr-numeric-text", "spr-bool", "spr-inf", "spr-huge-int",
+        "block-empty", "block-string", "block-unknown-pol", "route-unknown-pol", "route-no-pol",
+        "arms-not-a-tuple", "arms-a-list", "no-pairs", "pairs-a-list", "pairs-not-quadruples",
+        "pair-short", "index-negative", "index-bool", "unknown-pol", "no-pol", "no-matrix",
+        "matrix-short", "matrix-a-list", "matrix-text", "matrix-inf", "matrix-bool",
+        "matrix-complex", "matrix-above-one"])
 def test_element_checks_its_parameters(build):
+    # a QStateError itself, not a TypeError or IndexError
     with pytest.raises(QStateError) as info:
         build()
     assert info.type is QStateError
 
 
+@pytest.mark.parametrize("el, fields", [
+    (spr(0.5, "D", "HWP2"), ("HWP2", ("D",), ROTATION,
+                             (math.cos(0.5), math.sin(0.5), -math.sin(0.5), math.cos(0.5)))),
+    (pbs("S", "A", "D"), ("PBS", ("S", "A", "D"), SPLIT, EXCHANGE)),
+    (block("C", "SinkX", ("V", "H")), ("Block", ("C", "SinkX"),
+                                       ((0, "V", 1, "V"), (0, "H", 1, "H")), EXCHANGE)),
+    (route("A", "V", "B"), ("route", ("A", "B"), ((0, "V", 1, "V"),), EXCHANGE)),
+], ids=["spr", "pbs", "block", "route"])
+def test_element_constructors_build_checked_records(el, fields):
+    # each constructor skips Element's checks, and builds what they accept
+    assert type(el) is Element and el == Element(*fields)
+
+
 def test_element_parameters_that_label_accepts_construct():
-    assert spr(1).param("theta") == 1
-    assert math.isnan(spr(math.nan).param("theta"))  # the unitarity audit refuses it
-    assert block("C", "SinkX", ("R", "V")).param("pols") == ("R", "V")
-    assert route("A", "L", "B").param("pol") == "L"
-
-
-def test_element_rejects_an_unknown_kind():
-    with pytest.raises(QStateError) as info:
-        Element("mirror", "el", ("S",))
-    assert info.type is QStateError
-    assert str(info.value) == "unknown element kind 'mirror'"
+    assert spr(1) == spr(1.0)
+    assert all(map(math.isnan, spr(math.nan).matrix))  # the unitarity audit refuses it
+    # R and L name circular polarizations, which label refuses too
+    for build in (lambda: block("C", "SinkX", ("R", "V")), lambda: route("A", "L", "B")):
+        with pytest.raises(QStateError, match="polarization"):
+            build()
 
 
 def test_nan_rotation_fails_the_unitarity_audit():

@@ -25,9 +25,22 @@ from zenoport.qstate import (
 )
 
 
-def test_label_canonicalizes_circular_aliases():
-    assert label("S", "R") == label("S", "H")
-    assert label("S", "L") == label("S", "V")
+@pytest.mark.parametrize("make, message", [
+    (lambda pol: label("S", pol), "unknown polarization '{}'"),
+    (lambda pol: projector(pols=("H", pol)), "unknown polarization '{}'"),
+    (lambda pol: projector_from_spec(f'{{"pols": ["{pol}"]}}'),
+     'malformed projector spec \'{{"pols": ["{}"]}}\''),
+], ids=["label", "projector", "projector-spec"])
+def test_label_refuses_circular_polarizations(make, message):
+    # R and L name circular polarizations, not H and V
+    for pol in ("R", "L"):
+        with pytest.raises(QStateError) as info:
+            make(pol)
+        assert str(info.value) == message.format(pol)
+
+
+def test_label_builds_each_part():
+    assert label("S", "V") == BasisLabel("S", "V", "-")
     assert label("F", "H", 0) == BasisLabel("F", "H", "0")
     assert label("F", "H", 1).bob == "1"
     assert label("F").bob == "-"
@@ -55,7 +68,6 @@ def test_unknown_polarization_is_a_qstate_error_everywhere(make):
     (lambda: label("S", {"H": 1}), "{'H': 1}"),
 ], ids=["label", "projector", "label-dict"])
 def test_unhashable_polarization_is_a_qstate_error(make, shown):
-    # an unhashable value cannot be looked up in the alias table at all
     with pytest.raises(QStateError) as info:
         make()
     assert str(info.value) == f"unknown polarization {shown}"
@@ -122,7 +134,7 @@ def test_projector_spec_keeps_any_value_apart_from_no_value():
     nothing = projector(paths="F", pols=())
     assert projector_to_spec(anything) == '{"bobs": null, "paths": ["F"], "pols": null}'
     assert projector_to_spec(nothing) == '{"bobs": null, "paths": ["F"], "pols": []}'
-    for pi in (anything, nothing, projector(paths=("A", "B"), pols="R", bobs=(0, 1))):
+    for pi in (anything, nothing, projector(paths=("A", "B"), pols="V", bobs=(0, 1))):
         assert projector_from_spec(projector_to_spec(pi)) == pi
     assert not projector_from_spec(projector_to_spec(nothing)).matches(label("F", "H"))
 

@@ -44,8 +44,9 @@ RECORDS = {
                      {"eps_reflect": 0.0, "eps_block": 0.0, "av_rounds": 0,
                       "eps_block_per": "inner"}),
     BobQubit: (("alpha", "beta"), {"alpha": 0.6, "beta": 0.8j}, {}),
-    Element: (("kind", "name", "arms", "params"),
-              {"kind": "pbs", "name": "PBS", "arms": ("S", "A", "D")}, {"params": ()}),
+    Element: (("name", "arms", "pairs", "matrix"),
+              {"name": "PBS", "arms": ("S", "A", "D"), "pairs": ((0, "H", 1, "H"), (0, "V", 2, "V")),
+               "matrix": (0.0, 1.0, 1.0, 0.0)}, {}),
     CqzeOutcome: (("joint", "p_success", "p_loss_DA", "p_loss_DB", "loss_breakdown"),
                   {"joint": _SV, "p_success": 0.9, "p_loss_DA": 0.1, "p_loss_DB": 0.0},
                   {"loss_breakdown": {}}),
@@ -90,6 +91,18 @@ def test_record_contract(cls):
     else:  # a dict or array field, as before
         with pytest.raises(TypeError):
             hash(a)
+
+
+def test_grids_compare_their_arrays_by_value():
+    a, b = (FidelityGrid((1, 2), (1,), np.zeros((2, 1)), np.zeros((2, 1))) for _ in range(2))
+    assert a.avg_fidelity is not b.avg_fidelity
+    assert a == b and not a != b and b == a
+    assert a == tuple(b) and tuple(b) == a and not a != tuple(b)
+    for other in (a._replace(avg_success_prob=np.ones((2, 1))), a._replace(m_values=(1, 3)),
+                  a._replace(avg_fidelity=np.zeros((1, 2))), tuple(a)[:4], [*a], None):
+        assert a != other and not a == other
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 @pytest.mark.parametrize("cls, name", [(FidelityGrid, "meta"), (CqzeOutcome, "loss_breakdown")])
