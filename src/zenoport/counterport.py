@@ -24,9 +24,7 @@ once, on the whole Bloch sphere.
 
 numpy is imported inside the functions that use it, and the process pool
 where `sweep` starts one, so that `import zenoport`, the presence commands
-and a `counterport` run load neither, unless the run's dwell is short enough
-(N <= `cqze.DWELL_LOOP_MAX`, below `cqze.LOOP_BUDGET`) for the extended
-precision loop of `cqze._dwell_loop`, which loads numpy.
+and a `counterport` run load neither.
 """
 from __future__ import annotations
 

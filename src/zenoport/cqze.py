@@ -17,16 +17,16 @@ Loss bookkeeping is scalar (no sink labels in the returned states): the
 dwell input is always a pure V slice, so each loss family reduces to one
 intensity coefficient per dwell.
 
-Shallow modules step both recursions cycle by cycle.  Deeper ones (see
-LOOP_BUDGET) run the exact tier: every cycle is a real 2x2 amplitude map
-with a quadratic loss row, the pair is the 4x4 lift of the map to
-(x^2, xy, y^2, loss), and a run of k equal cycles is the lift's k-th
-power by square-and-multiply, in fixed-point integers with _F fractional
-bits.  A module then costs O(log N + log M) and conserves probability to
-the float rounding of its outputs.  Inside the shallow tier a dwell of
-more than DWELL_LOOP_MAX inner cycles per round is also the exact tier's,
-rounded once to float: past that line the exact kernel is the cheaper of
-the two, and such a dwell needs neither numpy nor the platform's long double.
+Every dwell is fixed-point integers with _F fractional bits.  Shallow
+modules (see LOOP_BUDGET) step the dwell cycle by cycle, round it once to
+float and step the outer cycles in float64; both rotate by float64 angles.
+Deeper ones run the exact tier, which rotates by pi/2N and pi/2M: every
+cycle is a real 2x2 amplitude map with a quadratic loss row, the pair is the
+4x4 lift of the map to (x^2, xy, y^2, loss), and a run of k equal cycles is
+the lift's k-th power by square-and-multiply.  A module then costs
+O(log N + log M) and conserves probability to the float rounding of its
+outputs.  Inside the shallow tier a dwell of more than DWELL_LOOP_MAX inner
+cycles per round is the exact tier's, rounded once: there it is the cheaper.
 """
 from __future__ import annotations
 
@@ -56,28 +56,25 @@ R = 1.0 / math.sqrt(2.0)  # amplitude of each output of a 50/50 splitter
 
 # A module runs the cycle loops when (1+av_rounds)*N + M <= LOOP_BUDGET and
 # the exact tier above it.  Below the line the loops stay inside the 1e-12
-# budget: a longdouble rotation misses c^2 + s^2 = 1 by about 1e-19 and a
-# float64 outer cycle rounds by about 1e-16, so the drift is at most
-# M*(1+a)N*1e-19 + M*1e-16 < 1e-13 (the product peaks at 256*256).  Small
-# modules are also cheaper in the loops: on a 2-core x86 VM, (8, 8) costs
-# 0.013 ms per module there against 0.032 ms in the exact tier (0.003
-# against 0.014 ms with the dwell cached, as in a sweep row of up to hundreds
-# of modules), and the two break even near (60, 60).  Between that and the
-# line the loops cost at most about 0.3 ms more per module; the exact tier
-# would move shallow results, the default sweep included, by up to 1.3e-14.
+# budget: the fixed-point dwell keeps c^2 + s^2 = 1 to about 2^-128 and a
+# float64 outer cycle rounds by about 1e-16, so the drift is at most about
+# M*1e-16 < 1e-13.  Small modules are also cheaper in the loops: on a 2-core
+# x86 VM, (8, 8) costs 0.013 ms per module there against 0.032 ms in the exact
+# tier (0.003 against 0.014 ms with the dwell cached, as in a sweep row of up
+# to hundreds of modules), and the two break even near (60, 60).  Between that
+# and the line the loops cost at most about 0.3 ms more per module; the exact
+# tier would move shallow results, the default sweep included, by up to
+# 1.3e-14.
 LOOP_BUDGET = 512
 
-# Below LOOP_BUDGET a dwell with N > DWELL_LOOP_MAX is `_dwell_exact` rounded
-# once, and a shorter one runs the longdouble cycle loop.  The loop costs about
-# 0.7 us per inner cycle and bit, the exact dwell grows with log N and with
-# av_rounds.  On a 2-core x86 VM (both bits, min of 7, loop against exact):
-# 64 / 65 us at N = 40 and 75 / 69 at N = 48 with av_rounds 0, 93 / 96 at
-# N = 32 and 117 / 107 at N = 40 with av_rounds 1, 164 / 180 at N = 40 and
-# 195 / 187 at N = 48 with av_rounds 2; at N = 400 and av_rounds 0, 552 / 85.
-# The two break even near N = 40 at each av_rounds.  Shorter dwells keep the
-# loop because it is the cheaper there and its last bits are the ones that the
-# golden files, the default sweep (N <= 20) and the (1, 1) cell's rounding
-# residue pin.
+# Below LOOP_BUDGET a dwell with N > DWELL_LOOP_MAX is `_dwell_exact`, and a
+# shorter one runs the cycle loop `_dwell_loop`, about 0.95 us per inner cycle
+# and bit.  On a 2-core x86 VM (both bits, min of 15, loop against exact, in
+# us): with av_rounds 0, 51 / 55 at N = 24 and 81 / 60 at N = 40; with 1, 95 /
+# 90 and 156 / 103; with 2, 185 / 180 at N = 32 and 229 / 184 at N = 40; 753 /
+# 86 at N = 400.  They break even near N = 24 to 32, but the line stays at 40:
+# the loop rotates by float64 pi's angle and the exact kernel by pi's, so
+# moving it would move every dwell in between, to save at most 0.05 ms each.
 DWELL_LOOP_MAX = 40
 
 
@@ -244,23 +241,28 @@ def _fx(x: float) -> int:
     return (num << _F) // den
 
 
-# pi in units of 2**-(_F + _GUARD): the first 41 hexadecimal digits of pi
+# pi in units of 2**-(_F + _GUARD): the first 41 hexadecimal digits of pi,
+# and the float64 pi that the loop tier's angles start from
 _PI = 0x3243F6A8885A308D313198A2E03707344A4093822
+_PI64 = _fx(math.pi) << _GUARD
 
 
 @lru_cache(maxsize=4096)
-def _cos_sin(n: int) -> tuple[int, int]:
-    """cos and sin of pi/2n in fixed point, with c = sqrt(1 - s^2) so that
-    c^2 + s^2 = 1 to the last bit."""
-    x = _PI // (2 * n)
+def _cos_sin(n: int, pi: int = _PI) -> tuple[int, int]:
+    """cos and sin of pi/2n in fixed point, pi in units of 2**-(_F + _GUARD):
+    the smaller from its series, the larger as sqrt(1 - small^2) so that
+    c^2 + s^2 = 1 to the last bit.  At n = 1 the cosine is the small one, the
+    sine of pi/2 - x: 0 for `_PI`, and cos(math.pi / 2) = 6.1e-17 for `_PI64`."""
+    x = pi // (2 * n) if n > 1 else _PI // 2 - pi // 2
     x2 = x * x >> (_F + _GUARD)
-    term, s, j = x, x, 1
+    term, small, j = x, x, 1
     while term:
         term = term * x2 // ((j + 1) * (j + 2) << (_F + _GUARD))
         j += 2
-        s += term if j % 4 == 1 else -term
-    s = min(_ONE, (s + (1 << (_GUARD - 1))) >> _GUARD)
-    return math.isqrt(_ONE * _ONE - s * s), s
+        small += term if j % 4 == 1 else -term
+    small = (small + (1 << (_GUARD - 1))) >> _GUARD
+    big = math.isqrt(_ONE * _ONE - small * small)
+    return (small, big) if n == 1 else (big, small)
 
 
 def _then(m1, m2):
@@ -383,44 +385,41 @@ def _dwell(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
     Returns (t_HV, t_VV, (DB, Block, AV) coefficients): the dwell maps
     (0, l) to (t_HV*l, t_VV*l) and each family loses coeff*|l|^2.  Real
     entries only, since every step is a real rotation or a real scaling.
-    With exact the entries are fixed-point integers from `_dwell_exact`;
-    otherwise floats: from `_dwell_loop` for n <= DWELL_LOOP_MAX, and above
-    it the same integers each rounded once (int / int division rounds
-    correctly).  The outer cycle count plays no part, so the cache key
-    leaves it out.
+    Every dwell is computed in fixed-point integers.  With exact they are
+    returned as they are, from `_dwell_exact` at the angle pi/2n; otherwise
+    each is rounded once to float (int / int division rounds correctly),
+    from `_dwell_loop` at the float64 angle math.pi / 2n for
+    n <= DWELL_LOOP_MAX and from `_dwell_exact` above it.  The outer cycle
+    count plays no part, so the cache key leaves it out.
     """
+    args = (n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
     if exact:
-        return _dwell_exact(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
-    if n <= DWELL_LOOP_MAX:
-        return _dwell_loop(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
-    t01, t11, coeffs = _dwell_exact(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit)
+        return _dwell_exact(*args)
+    t01, t11, coeffs = (_dwell_loop if n <= DWELL_LOOP_MAX else _dwell_exact)(*args)
     return t01 / _ONE, t11 / _ONE, tuple(x / _ONE for x in coeffs)
 
 
 def _dwell_loop(n: int, eps_reflect: float, eps_block: float, av_rounds: int,
                 eps_block_per: str, bit: int) -> tuple:
-    """`_dwell` in floats from a cycle loop in extended precision, which keeps
-    a short dwell's rounding far below the 1e-12 budget."""
-    import numpy as np
-    one = np.longdouble(1.0)
-    c = np.cos(np.longdouble(math.pi) / (2 * n))
-    sn = np.sin(np.longdouble(math.pi) / (2 * n))
-    keep2 = (one - np.longdouble(eps_reflect)) if bit == 0 else np.longdouble(eps_block)
-    zero = np.longdouble(0.0)
-    t01, t11, lost, av = zero, one, zero, zero  # lost: the bit's channel family, DB or Block
-    leak, k = one - keep2, np.sqrt(keep2)  # the first channel visit's loss and retention
+    """`_dwell_exact`'s fixed-point results from a cycle loop, one inner cycle
+    at a time, but rotating by the float64 angle math.pi / 2n, as `_outer_loop`
+    does."""
+    c, s = _cos_sin(n, _PI64)
+    keep2 = _ONE - _fx(eps_reflect) if bit == 0 else _fx(eps_block)
+    leak, k = _ONE - keep2, math.isqrt(keep2 << _F)  # the first visit's loss and retention
+    t01, t11, lost, av = 0, _ONE, 0, 0  # lost: the bit's channel family, DB or Block
     for j in range(1, (1 + av_rounds) * n + 1):
-        t01, t11 = c * t01 - sn * t11, sn * t01 + c * t11
+        t01, t11 = (c * t01 - s * t11) >> _F, (s * t01 + c * t11) >> _F
         if j % n == 0 and j // n <= av_rounds:
             av += t01 * t01
-            t01 = zero
+            t01 = 0
         else:
-            lost += leak * (t01 * t01)
-            t01 = t01 * k
+            lost += leak * t01 * t01
+            t01 = t01 * k >> _F
             if bit == 1 and eps_block_per == "outer":  # later visits absorb fully
-                leak, k = one, zero
-    db, block = (lost, zero) if bit == 0 else (zero, lost)
-    return float(t01), float(t11), (float(db), float(block), float(av))
+                leak, k = _ONE, 0
+    lost, av = lost >> 2 * _F, av >> _F  # from units of 2**-3F and 2**-2F
+    return t01, t11, (lost, 0, av) if bit == 0 else (0, lost, av)
 
 
 def _outer_loop(cfg: ProtocolConfig, dwell: tuple):

@@ -483,6 +483,22 @@ def test_paradox_table_and_json(tmp_path, capsys):
     assert abs(by[("cycle1", "C", "c1.in1")]["weak_value"][0]) < 1e-10
 
 
+def test_paradox_prints_undefined_weak_values_where_the_boundaries_are_orthogonal(tmp_path,
+                                                                                capsys):
+    # at (1, 1) the pre- and post-selected states are numerically orthogonal,
+    # so no weak value is defined: the table says so and the JSON holds null
+    out_path = tmp_path / "report.json"
+    code, out = run(capsys, ["paradox", "--m", "1", "--n", "1", "--json-out", str(out_path)])
+    assert code == 0
+    assert out.splitlines()[2:5] == [
+        "end-to-end      S    t0                  undefined    +0.000e+00",
+        "end-to-end      C    c1.in1              undefined    +0.000e+00",
+        "cycle1          C    c1.in1              undefined    +0.000e+00",
+    ]
+    rows = json.loads(out_path.read_text())["rows"]
+    assert [r["weak_value"] for r in rows] == [None, None, None]
+
+
 def test_paradox_epsilon_bounds(capsys):
     assert main(["paradox", "--epsilon", "0.9"]) == 2
     assert main(["paradox", "--epsilon", "0"]) == 2

@@ -187,6 +187,17 @@ def test_fixed_point_rotation_is_exact(n):
     assert abs(c / _ONE - math.cos(math.pi / (2 * n))) <= 2.0 ** -52
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+def test_loop_tier_rotation_is_at_the_float64_angle(n):
+    c, s = _cos_sin(n, cqze._PI64)
+    small, big = sorted((c, s))
+    assert 0 <= _ONE * _ONE - (c * c + s * s) <= 2 * big + 1  # big = isqrt(1 - small^2)
+    assert abs(s / _ONE - math.sin(math.pi / (2 * n))) <= 2.0 ** -52
+    assert abs(c / _ONE - math.cos(math.pi / (2 * n))) <= 2.0 ** -52
+    if n == 1:  # the residue that the (1, 1) cell reads, to the last bit
+        assert c / _ONE == math.cos(math.pi / 2) == 6.123233995736766e-17
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 10 ** 6), n=st.integers(1, 10 ** 6), er=st.floats(0, 1),
        eb=st.floats(0, 1), av=st.integers(0, 3), per=st.sampled_from(("inner", "outer")),
@@ -291,8 +302,9 @@ def test_dwell_cache_ignores_the_outer_cycle_count():
 
 
 def _dwell_by_dict(n, eps_reflect, eps_block, av_rounds, eps_block_per, bit):
-    """The loop-tier dwell as it once stood: `one - k2` on every channel visit
-    and the loss coefficients in a dict, kept as the bit-for-bit reference."""
+    """The loop-tier dwell as it once stood: a cycle loop in numpy's long
+    double, with `one - k2` on every channel visit and the loss coefficients
+    in a dict, kept as an independent reference."""
     import numpy as np
     one = np.longdouble(1.0)
     c = np.cos(np.longdouble(math.pi) / (2 * n))
@@ -322,13 +334,19 @@ def hexed(dwell):
     return [x.hex() for x in (t01, t11, *coeffs)]
 
 
-def test_loop_dwell_matches_the_dict_loop_bit_for_bit():
-    for n in range(1, 121):
-        for av in (0, 1, 2):
-            for per in ("inner", "outer"):
-                for bit in (0, 1):
-                    args = (n, 0.07, 0.03, av, per, bit)
-                    assert hexed(cqze._dwell_loop(*args)) == hexed(_dwell_by_dict(*args)), args
+def test_loop_dwell_is_the_long_double_dict_loop_within_1_2e_16():
+    # the integer loop rounds once, the long double at every cycle: the two
+    # agree to the last bit or two of a float in [0, 1]
+    for n in range(1, DWELL_LOOP_MAX + 1):
+        for er, eb in ((0.07, 0.03), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)):
+            for av in (0, 1, 2):
+                for per in ("inner", "outer"):
+                    for bit in (0, 1):
+                        args = (n, er, eb, av, per, bit)
+                        t01, t11, coeffs = _dwell.__wrapped__(*args)
+                        r01, r11, ref = _dwell_by_dict(*args)
+                        for got, want in zip((t01, t11, *coeffs), (r01, r11, *ref)):
+                            assert abs(got - want) <= 1.2e-16, args
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,12 +360,10 @@ def test_float_dwell_is_the_loop_up_to_the_line_and_the_exact_dwell_past_it(n, e
     args = (n, er, eb, av, per, bit)
     assert _dwell.__wrapped__(*args, True) == cqze._dwell_exact(*args)
     got = _dwell.__wrapped__(*args)
-    if n <= DWELL_LOOP_MAX:
-        assert hexed(got) == hexed(cqze._dwell_loop(*args)), args
-    else:
-        t01, t11, coeffs = cqze._dwell_exact(*args)
-        want = (t01 / _ONE, t11 / _ONE, tuple(x / _ONE for x in coeffs))
-        assert hexed(got) == hexed(want), args
+    t01, t11, coeffs = (cqze._dwell_loop if n <= DWELL_LOOP_MAX else cqze._dwell_exact)(*args)
+    assert all(type(x) is int for x in (t01, t11, *coeffs))
+    want = (t01 / _ONE, t11 / _ONE, tuple(x / _ONE for x in coeffs))
+    assert hexed(got) == hexed(want), args
 
 
 def test_reflection_leak_drains_success():

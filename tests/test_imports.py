@@ -1,6 +1,6 @@
-"""Import graph: numpy loads only where a sweep or a short loop-tier dwell runs,
-the process pool only where a sweep starts one, and mpmath, which only the test
-oracle uses, never loads.
+"""Import graph: numpy loads only where a sweep runs, the process pool only
+where a sweep starts one, and mpmath, which only the test oracle uses, never
+loads.
 
 Each test starts a fresh interpreter, since this test process has long since
 imported numpy.  A child blocks numpy with ``sys.modules["numpy"] = None``,
@@ -116,15 +116,25 @@ def test_long_dwell_loop_tier_counterport_loads_no_numpy(tmp_path):
     assert_counterport_loads_no_numpy(tmp_path, 20, 400)
 
 
-def test_counterport_fails_with_numpy_blocked():
-    # the blocker really blocks: the default (10, 20) run is loop tier with a
-    # short dwell, whose extended-precision loop (`cqze._dwell_loop`) needs numpy
+def test_default_counterport_loads_no_numpy(tmp_path):
+    # (10, 20) is loop tier with a short dwell: a fixed-point cycle loop
+    assert_counterport_loads_no_numpy(tmp_path, 10, 20)
+
+
+def test_one_cycle_counterport_loads_no_numpy(tmp_path):
+    # (1, 1) reads the 6.1e-17 residue of cos(math.pi / 2), blocked or not
+    assert_counterport_loads_no_numpy(tmp_path, 1, 1)
+
+
+def test_sweep_fails_with_numpy_blocked(tmp_path):
+    # the blocker really blocks: a sweep computes its grid in numpy arrays
     out = child('import sys; sys.modules["numpy"] = None\n'
                 "from zenoport.cli import main\n"
                 "try:\n"
-                "    main(['counterport'])\n"
+                "    main(['sweep', '--m-max', '2', '--n-max', '2', '--samples', '4',\n"
+                "          '--workers', '1', '--out-dir', sys.argv[1]])\n"
                 "except ImportError:\n"
-                "    print('ImportError')\n")
+                "    print('ImportError')\n", tmp_path)
     assert out.strip() == "ImportError"
 
 
